@@ -16,10 +16,7 @@ from .alm import (
     build_svc,
     build_svr,
     dual_objective,
-    hess_vec,
     kkt_residual,
-    phi_grad,
-    phi_value,
     primal_objective,
 )
 from .data_io import (
@@ -47,10 +44,7 @@ __all__ = [
     "build_svc",
     "build_svr",
     "dual_objective",
-    "hess_vec",
     "kkt_residual",
-    "phi_grad",
-    "phi_value",
     "primal_objective",
     "Dataset",
     "ParseError",

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_io import Dataset
-from .newton import SubproblemOracle, newton_solve
+from .newton import newton_solve
 from .prox import (
     active_set_svc,
     active_set_svr,
@@ -45,6 +45,8 @@ from .sparse import SparseMatrix
 __all__ = [
     "SVC",
     "SVR",
+    "CONVERGED",
+    "MAX_OUTER",
     "DivergedError",
     "Problem",
     "SolverConfig",
@@ -56,6 +58,7 @@ __all__ = [
     "phi_value",
     "phi_grad",
     "hess_vec",
+    "SmoothedSubproblem",
     "make_subproblem_oracle",
     "kkt_residual",
     "alm_solve",
@@ -63,6 +66,9 @@ __all__ = [
 
 SVC = "svc"
 SVR = "svr"
+
+CONVERGED = "converged"
+MAX_OUTER = "max_outer"
 
 
 class DivergedError(RuntimeError):
@@ -111,8 +117,7 @@ class SolverConfig:
     Defaults follow the reference parameterization: sigma starts at 0.15
     and grows by 1/theta = 1.25 per outer iteration up to 2; at most 10
     outer iterations; inner tolerance ``max(newton_tol_floor,
-    10**-(k+1))`` at outer iteration k. ``seed`` is carried for
-    provenance (dataset splits); the solve itself draws no randomness.
+    10**-(k+1))`` at outer iteration k.
     """
 
     sigma0: float = 0.15
@@ -127,7 +132,6 @@ class SolverConfig:
     cg_eta1: float = 0.1
     cg_maxit: int = 200
     max_newton_per_outer: int = 50
-    seed: int = 42
 
     def __post_init__(self):
         if not 0.0 < self.ls_rho < 1.0:
@@ -151,12 +155,17 @@ class SolverConfig:
 class SolveReport:
     """Statistics of one ``alm_solve`` run.
 
+    ``status`` is ``"converged"`` when the KKT residual reached ``tol``
+    and ``"max_outer"`` when the outer iteration limit ended the run
+    first; the latter also adds a warning.
+
     ``active_set_history`` holds |I(z)| per Newton iteration across the
     whole run; ``newton_iters_per_outer`` gives the per-outer-loop
     boundaries for slicing it. ``grad_norm_history[k]`` lists the Newton
     gradient norms of outer iteration k (iterations + 1 entries).
     """
 
+    status: str = MAX_OUTER
     k: int = 0
     it_sn: int = 0
     it_cg: int = 0
@@ -220,10 +229,10 @@ def _active(p: Problem, z, sigma: float) -> np.ndarray:
     return active_set_svr(z, p.C, sigma, p.eps)
 
 
-def primal_objective(p: Problem, w) -> float:
-    """0.5*||w||^2 + penalty(B w + d)."""
+def primal_objective(p: Problem, w, *, bw=None) -> float:
+    """0.5*||w||^2 + penalty(B w + d); ``bw`` may pass a known ``B w``."""
     w = np.asarray(w, dtype=np.float64)
-    s = p.B.matvec(w) + p.d
+    s = (p.B.matvec(w) if bw is None else bw) + p.d
     return 0.5 * float(w @ w) + _penalty(p, s)
 
 
@@ -282,36 +291,97 @@ def hess_vec(p: Problem, rows, h, sigma: float) -> np.ndarray:
     return h + sigma * p.B.restricted_normal_apply(rows, h)
 
 
-def make_subproblem_oracle(p: Problem, lam, sigma: float) -> SubproblemOracle:
-    lam = np.asarray(lam, dtype=np.float64)
+class SmoothedSubproblem:
+    """The subproblem phi at fixed ``lam`` and ``sigma``, evaluated once
+    per iterate (the :class:`~almsvm.newton.Subproblem` protocol).
 
-    def value(w):
-        return phi_value(p, w, lam, sigma)
+    It keeps ``z = B w + d + lam/sigma`` of the iterate ``w``. A Newton
+    step pays one ``matvec`` (``B d`` in ``set_direction``) and one
+    ``matvec_t`` (the gradient): every trial point reads
+    ``z + alpha * B d``, and the accepted trial becomes the iterate
+    together with its value, which is the next step's ``f0``. Within one
+    ``newton_solve`` the cached ``z`` therefore drifts from ``B w + ...``
+    at rounding level; ``reset`` recomputes it. The Hessian's active
+    rows are gathered once per step in ``linearize`` and reused by every
+    CG product.
+    """
 
-    def grad(w):
-        return phi_grad(p, w, lam, sigma)
+    def __init__(self, p: Problem, lam, sigma: float):
+        lam = np.asarray(lam, dtype=np.float64)
+        self.p = p
+        self.n = p.n
+        self.sigma = sigma
+        self._lam_scaled = lam / sigma
+        self._lam_term = float(lam @ lam) / (2.0 * sigma)
+        self.w = self.z = None
+        self._f = self._trial = self._d = self._bd = self._block = None
 
-    def active(w):
-        return _active(p, _z_of(p, w, lam, sigma), sigma)
+    def reset(self, w) -> None:
+        w = np.asarray(w, dtype=np.float64)
+        self._move(w, self.p.B.matvec(w) + self.p.d + self._lam_scaled, None)
 
-    def hvp(rows, h):
-        return hess_vec(p, rows, h, sigma)
+    def _move(self, w, z, f) -> None:
+        self.w, self.z, self._f = w, z, f
+        self._trial = self._d = self._bd = self._block = None
 
-    return SubproblemOracle(n=p.n, value=value, grad=grad, active_set=active,
-                            hvp=hvp)
+    def _phi(self, w, z) -> float:
+        tau = _envelope(self.p, z, 1.0 / self.sigma)
+        return 0.5 * float(w @ w) - self._lam_term + self.sigma * tau
+
+    def grad(self) -> np.ndarray:
+        s = _prox(self.p, self.z, 1.0 / self.sigma)
+        return self.w + self.sigma * self.p.B.matvec_t(self.z - s)
+
+    def linearize(self) -> int:
+        rows = _active(self.p, self.z, self.sigma)
+        self._block = self.p.B.gather_rows(rows)
+        return rows.size
+
+    def hvp(self, h) -> np.ndarray:
+        return h + self.sigma * self._block.normal_apply(h)
+
+    def set_direction(self, d) -> None:
+        self._d = np.asarray(d, dtype=np.float64)
+        self._bd = self.p.B.matvec(self._d)
+        self._trial = None
+
+    def value(self, alpha: float) -> float:
+        if alpha == 0.0:
+            if self._f is None:
+                self._f = self._phi(self.w, self.z)
+            return self._f
+        return self._trial_at(alpha)[3]
+
+    def _trial_at(self, alpha: float):
+        if self._trial is None or self._trial[0] != alpha:
+            w = self.w + alpha * self._d
+            z = self.z + alpha * self._bd
+            self._trial = (alpha, w, z, self._phi(w, z))
+        return self._trial
+
+    def accept(self, alpha: float) -> None:
+        _, w, z, f = self._trial_at(alpha)
+        self._move(w, z, f)
 
 
-def kkt_residual(p: Problem, w, s, lam):
+def make_subproblem_oracle(p: Problem, lam, sigma: float) -> SmoothedSubproblem:
+    """The subproblem of the outer iteration at ``lam`` and ``sigma``."""
+    return SmoothedSubproblem(p, lam, sigma)
+
+
+def kkt_residual(p: Problem, w, s, lam, *, bw=None):
     """Scaled residuals (r1, r2, r3) of the optimality system.
 
     r1 measures the split constraint s = Bw + d, r2 stationarity
     w + B.T lam = 0, and r3 the penalty subdifferential inclusion via
-    its fixed-point form s = prox(s + lam) at unit scale.
+    its fixed-point form s = prox(s + lam) at unit scale. ``bw`` may
+    pass a known ``B w``.
     """
     w = np.asarray(w, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    bw = p.B.matvec(w)
+    if bw is None:
+        bw = p.B.matvec(w)
     r1 = float(np.linalg.norm(s - bw - p.d)) / (1.0 + float(np.linalg.norm(p.d)))
     r2 = float(np.linalg.norm(w + p.B.matvec_t(lam))) / (
         1.0 + float(np.linalg.norm(w))
@@ -336,7 +406,9 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     10**-(k+1))``, recovers s through the prox at scale 1/sigma, updates
     lam = sigma * (z - s) (the multiplier step written in terms of z)
     and grows sigma by 1/theta up to sigma_max. Stops early once
-    max(r1, r2, r3) drops to ``cfg.tol``.
+    max(r1, r2, r3) drops to ``cfg.tol``. The multiplier update and the
+    certificate share one ``B w`` computed afresh from ``w``, so no
+    rounding drift of the Newton iteration reaches a reported number.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     report = SolveReport()
@@ -347,8 +419,8 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     for k in range(cfg.max_outer):
         tol_k = max(cfg.newton_tol_floor, 10.0 ** (-(k + 1)))
         report.sigma_history.append(sigma)
-        oracle = make_subproblem_oracle(p, lam, sigma)
-        w, stats = newton_solve(oracle, w, tol_k, cfg)
+        sub = make_subproblem_oracle(p, lam, sigma)
+        w, stats = newton_solve(sub, w, tol_k, cfg)
         if stats.hit_iteration_cap:
             report.warnings.append(
                 f"outer {k}: Newton iteration cap reached at "
@@ -362,22 +434,29 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
         report.inner_grad_norms.append(stats.final_grad_norm)
         report.inner_tols.append(tol_k)
 
-        z = _z_of(p, w, lam, sigma)
+        bw = p.B.matvec(w)
+        z = bw + p.d + lam / sigma
         s = _prox(p, z, 1.0 / sigma)
         lam = sigma * (z - s)
         _check_finite(w, s, lam)
 
         report.k = k + 1
-        r1, r2, r3 = kkt_residual(p, w, s, lam)
+        r1, r2, r3 = kkt_residual(p, w, s, lam, bw=bw)
         report.kkt_residual = max(r1, r2, r3)
-        pv = primal_objective(p, w)
+        pv = primal_objective(p, w, bw=bw)
         dv, _ = dual_objective(p, lam)
         report.primal_history.append(pv)
         report.dual_history.append(dv)
 
         sigma = min(cfg.sigma_max, sigma / cfg.theta)
         if report.kkt_residual <= cfg.tol:
+            report.status = CONVERGED
             break
+    else:
+        report.warnings.append(
+            f"max_outer={cfg.max_outer} reached with KKT residual "
+            f"{report.kkt_residual:.3e} above tol {cfg.tol:.1e}"
+        )
     report.time_seconds = time.perf_counter() - t0
     report.objective = report.primal_history[-1]
     report.duality_gap = report.primal_history[-1] - report.dual_history[-1]

@@ -172,7 +172,6 @@ def _config(args) -> SolverConfig:
         theta=args.theta,
         tol=args.tol,
         max_outer=args.max_outer,
-        seed=args.seed,
     )
 
 
@@ -219,6 +218,7 @@ def cmd_train(args) -> int:
     write_model(model, args.model)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    print(f"status={report.status}", file=sys.stderr)
     print(
         f"k={report.k} it_sn={report.it_sn} it_cg={report.it_cg} "
         f"time_s={report.time_seconds:.3f} kkt={report.kkt_residual:.3e} "

@@ -1,7 +1,7 @@
 """Globalized semismooth Newton method with an inexact CG inner solver.
 
 Solves ``grad(w) = 0`` for a strongly convex, piecewise-smooth objective
-supplied through a :class:`SubproblemOracle`. Each iteration solves the
+supplied through a :class:`Subproblem`. Each iteration solves the
 Newton system ``V d = -g`` approximately by conjugate gradients, with a
 forcing term ``mu_j = min(eta0, eta1 * |g|)`` that tightens as the
 gradient shrinks, then backtracks along ``d`` under the Armijo rule.
@@ -13,11 +13,11 @@ where rounding still produces a non-descent direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Protocol
 
 import numpy as np
 
-__all__ = ["SubproblemOracle", "NewtonStats", "CgBreakdownError",
+__all__ = ["Subproblem", "NewtonStats", "CgBreakdownError",
            "LineSearchError", "cg_solve", "newton_solve"]
 
 
@@ -29,20 +29,36 @@ class LineSearchError(RuntimeError):
     """Armijo backtracking failed; value and gradient disagree."""
 
 
-@dataclass
-class SubproblemOracle:
-    """Callbacks defining one smooth subproblem of dimension ``n``.
+class Subproblem(Protocol):
+    """One smooth subproblem of dimension ``n`` that owns the current
+    iterate ``w``.
 
-    ``hvp(rows, h)`` applies the generalized-Hessian selection whose
-    curvature lives on the given active rows; it must be symmetric
-    positive definite for any row set.
+    ``reset(w)`` sets the iterate. ``newton_solve`` then drives one
+    cycle per Newton step: ``grad()`` at the iterate, ``linearize()``
+    to fix the generalized-Hessian selection there and return its
+    active-set size |I|, ``hvp`` inside CG, ``set_direction(d)`` once,
+    ``value(alpha)`` for the objective at ``w + alpha*d`` (``value(0.0)``
+    is the value at ``w``) and ``accept(alpha)`` to move the iterate
+    there. ``hvp`` must be symmetric positive definite for any active
+    set.
     """
 
     n: int
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    active_set: Callable[[np.ndarray], np.ndarray]
-    hvp: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    w: np.ndarray
+
+    def reset(self, w: np.ndarray) -> None: ...
+
+    def grad(self) -> np.ndarray: ...
+
+    def linearize(self) -> int: ...
+
+    def hvp(self, h: np.ndarray) -> np.ndarray: ...
+
+    def set_direction(self, d: np.ndarray) -> None: ...
+
+    def value(self, alpha: float) -> float: ...
+
+    def accept(self, alpha: float) -> None: ...
 
 
 @dataclass
@@ -104,8 +120,9 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
     return x, maxit
 
 
-def newton_solve(oracle: SubproblemOracle, w0, tol: float, cfg):
-    """Run the globalized Newton iteration until ``|grad| <= tol``.
+def newton_solve(sub: Subproblem, w0, tol: float, cfg):
+    """Run the globalized Newton iteration from ``w0`` until
+    ``|grad| <= tol``.
 
     ``cfg`` supplies ls_rho, ls_c1, cg_eta0, cg_eta1, cg_maxit and
     max_newton_per_outer. Returns ``(w, NewtonStats)``; if the iteration
@@ -113,31 +130,29 @@ def newton_solve(oracle: SubproblemOracle, w0, tol: float, cfg):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    w = np.array(w0, dtype=np.float64, copy=True)
+    sub.reset(np.array(w0, dtype=np.float64, copy=True))
     stats = NewtonStats()
-    g = oracle.grad(w)
+    g = sub.grad()
     gnorm = float(np.linalg.norm(g))
     stats.grad_norms.append(gnorm)
     while gnorm > tol:
         if stats.iterations >= cfg.max_newton_per_outer:
             stats.hit_iteration_cap = True
             break
-        rows = oracle.active_set(w)
-        stats.active_set_sizes.append(int(len(rows)))
+        stats.active_set_sizes.append(int(sub.linearize()))
         mu = min(cfg.cg_eta0, cfg.cg_eta1 * gnorm)
-        d, cg_iters = cg_solve(
-            lambda h: oracle.hvp(rows, h), -g, mu * gnorm, cfg.cg_maxit
-        )
+        d, cg_iters = cg_solve(sub.hvp, -g, mu * gnorm, cfg.cg_maxit)
         stats.cg_iterations_total += cg_iters
         slope = float(g @ d)
         if slope >= 0.0:
             # rounding spoiled the CG direction; fall back to steepest descent
             d = -g
             slope = -gnorm * gnorm
-        f0 = oracle.value(w)
+        sub.set_direction(d)
+        f0 = sub.value(0.0)
         alpha = 1.0
         for _ in range(50):
-            if oracle.value(w + alpha * d) <= f0 + cfg.ls_c1 * alpha * slope:
+            if sub.value(alpha) <= f0 + cfg.ls_c1 * alpha * slope:
                 break
             alpha *= cfg.ls_rho
         else:
@@ -145,11 +160,11 @@ def newton_solve(oracle: SubproblemOracle, w0, tol: float, cfg):
                 "no Armijo step after 50 backtracks; "
                 "gradient and value are inconsistent"
             )
-        w = w + alpha * d
+        sub.accept(alpha)
         stats.step_sizes.append(alpha)
         stats.iterations += 1
-        g = oracle.grad(w)
+        g = sub.grad()
         gnorm = float(np.linalg.norm(g))
         stats.grad_norms.append(gnorm)
     stats.final_grad_norm = gnorm
-    return w, stats
+    return sub.w, stats

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SparseMatrix"]
+__all__ = ["SparseMatrix", "RowBlock"]
 
 
 class SparseMatrix:
@@ -128,23 +128,21 @@ class SparseMatrix:
         With ``rows`` equal to all row indices this reproduces
         ``matvec_t(matvec(h))`` bit for bit (same kernels, same order).
         """
+        return self.gather_rows(rows).normal_apply(h)
+
+    def gather_rows(self, rows) -> "RowBlock":
+        """Gather the nonzeros of ``A[rows, :]`` once, for repeated
+        ``normal_apply`` calls on the same row set."""
         rows = np.asarray(rows, dtype=np.int64)
-        h = np.asarray(h, dtype=np.float64)
-        if h.shape != (self.n,):
-            raise ValueError(f"h must have length {self.n}, got {h.shape}")
-        if rows.size == 0:
-            return np.zeros(self.n)
-        if rows.min() < 0 or rows.max() >= self.m:
+        if rows.size and (rows.min() < 0 or rows.max() >= self.m):
             raise ValueError("row index out of range")
         ends = self.row_ptr[rows + 1]
         counts = ends - self.row_ptr[rows]
         total = int(counts.sum())
         sel = np.repeat(ends - np.cumsum(counts), counts) + np.arange(total)
-        vals = self.values[sel]
-        cols = self.col_idx[sel]
         local = np.repeat(np.arange(rows.size), counts)
-        t = np.bincount(local, weights=vals * h[cols], minlength=rows.size)
-        return np.bincount(cols, weights=vals * t[local], minlength=self.n)
+        return RowBlock(self.values[sel], self.col_idx[sel], local, rows.size,
+                        self.n)
 
     def scale_rows(self, c) -> "SparseMatrix":
         """Return a copy with row i multiplied by ``c[i]``; the sparsity
@@ -155,3 +153,30 @@ class SparseMatrix:
         return SparseMatrix(
             self.row_ptr, self.col_idx, self.values * c[self._nnz_row], self.shape
         )
+
+
+class RowBlock:
+    """The nonzeros of a row subset of a :class:`SparseMatrix`, gathered
+    in row-major order: ``local`` holds each nonzero's position within
+    the subset."""
+
+    __slots__ = ("vals", "cols", "local", "size", "n")
+
+    def __init__(self, vals, cols, local, size: int, n: int):
+        self.vals = vals
+        self.cols = cols
+        self.local = local
+        self.size = size
+        self.n = n
+
+    def normal_apply(self, h) -> np.ndarray:
+        """Return ``A[rows, :].T @ (A[rows, :] @ h)``."""
+        h = np.asarray(h, dtype=np.float64)
+        if h.shape != (self.n,):
+            raise ValueError(f"h must have length {self.n}, got {h.shape}")
+        if self.size == 0:
+            return np.zeros(self.n)
+        t = np.bincount(self.local, weights=self.vals * h[self.cols],
+                        minlength=self.size)
+        return np.bincount(self.cols, weights=self.vals * t[self.local],
+                           minlength=self.n)

@@ -6,6 +6,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from almsvm.alm import (
+    CONVERGED,
+    MAX_OUTER,
     Problem,
     SolverConfig,
     alm_solve,
@@ -22,7 +24,7 @@ from almsvm.alm import (
 from almsvm.baseline import fd_gradient
 from almsvm.data_io import Dataset
 from almsvm.sparse import SparseMatrix
-from almsvm.synthetic import svc_blobs, svr_linear
+from almsvm.synthetic import bundled_instances, svc_blobs, svr_linear
 
 from conftest import random_problem
 
@@ -263,6 +265,16 @@ class TestKktResidual:
         padded = kkt_residual(p2, np.append(w, 0.0), s, lam)
         np.testing.assert_allclose(padded, base, rtol=1e-12, atol=1e-15)
 
+    def test_shared_bw_gives_bitwise_identical_certificate(self, rng):
+        for task in ("svc", "svr"):
+            p = random_problem(seed=21, m=15, n=5, task=task)
+            w = rng.normal(size=p.n)
+            s = rng.normal(size=p.m)
+            lam = rng.uniform(-0.5, 1.0, size=p.m)
+            bw = p.B.matvec(w)
+            assert kkt_residual(p, w, s, lam, bw=bw) == kkt_residual(p, w, s, lam)
+            assert primal_objective(p, w, bw=bw) == primal_objective(p, w)
+
 
 class TestAlmSolve:
     def test_one_sample_analytic_convergence(self):
@@ -288,6 +300,8 @@ class TestAlmSolve:
         w, report = alm_solve(p)
         assert report.kkt_residual <= 1e-6
         assert report.duality_gap_rel <= 1e-4
+        assert report.status == CONVERGED
+        assert report.warnings == []
         scores = np.array([w[idx] @ vals for idx, vals in data.samples])
         assert np.all(np.sign(scores) == data.labels)
 
@@ -320,6 +334,30 @@ class TestAlmSolve:
         )
         with pytest.raises(alm_mod.DivergedError):
             alm_solve(p)
+
+    def test_max_outer_status_warns(self):
+        data = svc_blobs(200, 10, separation=8.0, scale=1.5, seed=7)
+        _, report = alm_solve(build_svc(data, 550.0 / data.m),
+                              SolverConfig(max_outer=2))
+        assert report.k == 2
+        assert report.kkt_residual > 1e-6
+        assert report.status == MAX_OUTER
+        assert any("max_outer=2" in w and "above tol" in w
+                   for w in report.warnings)
+
+    def test_bundled_iteration_counts_are_pinned(self):
+        # k and it_sn as recorded with a full matvec per line-search trial;
+        # evaluating trials at z + alpha * B d must not change them
+        expected = {"blobs50x2": (9, 13), "blobs200x10": (7, 20),
+                    "gap5000x123": (2, 32), "svr500x50": (3, 14),
+                    "svr300x500": (3, 20)}
+        for inst in bundled_instances():
+            data = inst.dataset()
+            c = inst.c(data)
+            p = (build_svc(data, c) if inst.task == "svc"
+                 else build_svr(data, c, inst.eps))
+            _, report = alm_solve(p)
+            assert (report.k, report.it_sn) == expected[inst.name], inst.name
 
     def test_report_bookkeeping(self):
         p = random_problem(seed=19, m=20, n=4)

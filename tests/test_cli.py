@@ -30,10 +30,12 @@ class TestTrain:
         rc = main(["train", "--task", "svc", "--data", str(svc_file),
                    "--model", str(model_path)])
         assert rc == 0
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
+        out = captured.out
         for field in ("k=", "it_sn=", "it_cg=", "time_s=", "kkt=", "gap=",
                       "obj="):
             assert field in out
+        assert "status=converged" in captured.err
         model = read_model(model_path)
         assert model.task == "svc"
         assert model.w.size == 10
@@ -56,6 +58,15 @@ class TestTrain:
         model = read_model(model_path)
         assert model.bias_augmented
         assert model.w.size == 11
+
+    def test_unconverged_train_reports_status_and_exits_0(self, svc_file,
+                                                           tmp_path, capsys):
+        rc = main(["train", "--task", "svc", "--data", str(svc_file),
+                   "--model", str(tmp_path / "m.model"), "--max-outer", "1"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "status=max_outer" in err
+        assert "warning: max_outer=1 reached" in err
 
     def test_missing_data_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

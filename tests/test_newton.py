@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import almsvm.newton as newton_mod
-from almsvm.alm import SolverConfig, build_svc, make_subproblem_oracle
-from almsvm.newton import SubproblemOracle, cg_solve, newton_solve
-from almsvm.synthetic import svc_blobs
+from almsvm.alm import (SolverConfig, build_svc, make_subproblem_oracle,
+                        phi_value)
+from almsvm.newton import cg_solve, newton_solve
+from almsvm.sparse import SparseMatrix
+from almsvm.synthetic import bundled_instances, svc_blobs
 
 
 class TestCgSolve:
@@ -43,13 +45,42 @@ class TestCgSolve:
         assert np.all(np.isfinite(x))
 
 
+class CallbackSubproblem:
+    """The Subproblem protocol over plain value/grad/hvp callbacks of w,
+    with an empty active set."""
+
+    def __init__(self, n, value, grad, hvp):
+        self.n = n
+        self._value, self._grad, self._hvp = value, grad, hvp
+
+    def reset(self, w):
+        self.w = w
+
+    def grad(self):
+        return self._grad(self.w)
+
+    def linearize(self):
+        return 0
+
+    def hvp(self, h):
+        return self._hvp(h)
+
+    def set_direction(self, d):
+        self._d = d
+
+    def value(self, alpha):
+        return self._value(self.w + alpha * self._d)
+
+    def accept(self, alpha):
+        self.w = self.w + alpha * self._d
+
+
 def _quadratic_oracle(n):
-    return SubproblemOracle(
-        n=n,
+    return CallbackSubproblem(
+        n,
         value=lambda w: 0.5 * float(w @ w),
         grad=lambda w: w.copy(),
-        active_set=lambda w: np.array([], dtype=np.int64),
-        hvp=lambda rows, h: h.copy(),
+        hvp=lambda h: h.copy(),
     )
 
 
@@ -87,14 +118,12 @@ class TestNewtonSolve:
         values = []
         inner_grad = oracle.grad
 
-        def logging_grad(w):
-            values.append(oracle.value(w))
-            return inner_grad(w)
+        def logging_grad():
+            values.append(phi_value(p, oracle.w, np.zeros(p.m), 0.15))
+            return inner_grad()
 
-        logged = SubproblemOracle(n=oracle.n, value=oracle.value,
-                                  grad=logging_grad,
-                                  active_set=oracle.active_set, hvp=oracle.hvp)
-        _, stats = newton_solve(logged, np.ones(p.n), 1e-8, SolverConfig())
+        oracle.grad = logging_grad
+        _, stats = newton_solve(oracle, np.ones(p.n), 1e-8, SolverConfig())
         assert all(b < a for a, b in zip(values, values[1:]))
         for alpha in stats.step_sizes:
             assert 0.0 < alpha <= 1.0
@@ -139,12 +168,11 @@ class TestNewtonSolve:
         # a broken (non-SPD) curvature operator makes CG bail out with a
         # useless direction; the loop must still converge via the
         # gradient fallback
-        broken = SubproblemOracle(
-            n=5,
+        broken = CallbackSubproblem(
+            5,
             value=lambda w: 0.5 * float(w @ w),
             grad=lambda w: w.copy(),
-            active_set=lambda w: np.array([], dtype=np.int64),
-            hvp=lambda rows, h: -h,
+            hvp=lambda h: -h,
         )
         w, stats = newton_solve(broken, rng.normal(size=5), 1e-8,
                                 SolverConfig())
@@ -153,12 +181,11 @@ class TestNewtonSolve:
 
     def test_inconsistent_oracle_raises_line_search_error(self, rng):
         # gradient claims descent along -w but the value grows that way
-        lying = SubproblemOracle(
-            n=3,
+        lying = CallbackSubproblem(
+            3,
             value=lambda w: float(w @ w),
             grad=lambda w: -w,
-            active_set=lambda w: np.array([], dtype=np.int64),
-            hvp=lambda rows, h: h.copy(),
+            hvp=lambda h: h.copy(),
         )
         with pytest.raises(newton_mod.LineSearchError):
             newton_solve(lying, np.ones(3), 1e-10, SolverConfig())
@@ -171,3 +198,63 @@ class TestNewtonSolve:
         assert len(stats.step_sizes) == stats.iterations
         assert len(stats.active_set_sizes) == stats.iterations
         assert len(stats.grad_norms) == stats.iterations + 1
+
+
+def _bundled_svc(name):
+    inst = next(i for i in bundled_instances() if i.name == name)
+    data = inst.dataset()
+    return build_svc(data, inst.c(data))
+
+
+class TestSubproblemContract:
+    def test_kernel_budget_per_newton_step(self, monkeypatch):
+        # one matvec (B d) and one matvec_t (the gradient) per Newton
+        # step, plus the entry evaluation; CG never touches all rows
+        p = _bundled_svc("gap5000x123")
+        counts = {"matvec": 0, "matvec_t": 0, "restricted_normal_apply": 0}
+        for name in counts:
+            real = getattr(SparseMatrix, name)
+
+            def counting(self, *args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(SparseMatrix, name, counting)
+        sub = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
+        _, stats = newton_solve(sub, np.ones(p.n), 1e-8, SolverConfig())
+        assert stats.iterations >= 5
+        assert counts["matvec"] <= stats.iterations + 1
+        assert counts["matvec_t"] <= stats.iterations + 1
+        assert counts["restricted_normal_apply"] == 0
+
+    def test_cached_trial_value_matches_fresh_evaluation(self, rng):
+        p = _bundled_svc("gap5000x123")
+        lam = rng.uniform(0.0, p.C, size=p.m)
+        sigma = 0.4
+        sub = make_subproblem_oracle(p, lam, sigma)
+        w = rng.normal(size=p.n) * 0.1
+        sub.reset(w)
+        assert sub.value(0.0) == phi_value(p, w, lam, sigma)
+        for _ in range(3):
+            d = rng.normal(size=p.n) * 0.05
+            sub.set_direction(d)
+            for alpha in (1.0, 0.5, 0.25, 0.125):
+                expect = phi_value(p, sub.w + alpha * d, lam, sigma)
+                assert sub.value(alpha) == pytest.approx(expect, rel=1e-12)
+            before = sub.w
+            sub.accept(0.5)
+            np.testing.assert_array_equal(sub.w, before + 0.5 * d)
+            expect = phi_value(p, sub.w, lam, sigma)
+            assert sub.value(0.0) == pytest.approx(expect, rel=1e-12)
+
+    def test_hvp_gathers_once_and_matches_restricted_kernel_bitwise(self, rng):
+        p = _bundled_svc("gap5000x123")
+        sub = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
+        sub.reset(rng.normal(size=p.n) * 0.1)
+        size = sub.linearize()
+        rows = np.flatnonzero((sub.z > 0.0) & (sub.z < p.C / 0.15))
+        assert size == rows.size > 0
+        for _ in range(5):
+            h = rng.normal(size=p.n)
+            expect = h + 0.15 * p.B.restricted_normal_apply(rows, h)
+            np.testing.assert_array_equal(sub.hvp(h), expect)

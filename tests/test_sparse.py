@@ -114,6 +114,37 @@ class TestRestrictedNormalApply:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
+class TestGatherRows:
+    def test_reused_block_matches_submatrix_kernels_bitwise(self, rng):
+        # one gather serves many products, each bit-for-bit equal to the
+        # row-major kernels run on the extracted submatrix
+        a = random_sparse(rng, 12, 7)
+        rows = np.array([0, 3, 4, 9, 11])
+        dense = a.to_dense()
+        sub = SparseMatrix.from_rows(
+            [(np.flatnonzero(dense[i]), dense[i][np.flatnonzero(dense[i])])
+             for i in rows], 7)
+        block = a.gather_rows(rows)
+        assert block.size == rows.size
+        for _ in range(5):
+            h = rng.normal(size=7)
+            got = block.normal_apply(h)
+            np.testing.assert_array_equal(got, sub.matvec_t(sub.matvec(h)))
+            np.testing.assert_array_equal(got, a.restricted_normal_apply(rows, h))
+
+    def test_empty_selection(self, rng):
+        a = random_sparse(rng, 4, 3)
+        block = a.gather_rows(np.array([], dtype=np.int64))
+        np.testing.assert_array_equal(block.normal_apply(np.ones(3)), np.zeros(3))
+
+    def test_validation(self, rng):
+        a = random_sparse(rng, 4, 3)
+        with pytest.raises(ValueError):
+            a.gather_rows(np.array([-1]))
+        with pytest.raises(ValueError):
+            a.gather_rows(np.array([0, 1])).normal_apply(np.ones(4))
+
+
 class TestScaleRows:
     def test_ones_is_identity(self, rng):
         a = random_sparse(rng, 4, 3)
