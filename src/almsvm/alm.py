@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_io import Dataset
-from .newton import newton_solve
+from .newton import NewtonStats, newton_solve
 from .prox import (
     active_set_svc,
     active_set_svr,
@@ -50,6 +50,7 @@ __all__ = [
     "DivergedError",
     "Problem",
     "SolverConfig",
+    "OuterRecord",
     "SolveReport",
     "build_svc",
     "build_svr",
@@ -152,17 +153,26 @@ class SolverConfig:
 
 
 @dataclass
+class OuterRecord:
+    """One outer iteration: the penalty parameter and the gradient
+    tolerance its Newton solve ran at, that solve's statistics, and the
+    primal and dual objective values after the multiplier update."""
+
+    sigma: float
+    inner_tol: float
+    newton: NewtonStats
+    primal: float
+    dual: float
+
+
+@dataclass
 class SolveReport:
     """Statistics of one ``alm_solve`` run.
 
     ``status`` is ``"converged"`` when the KKT residual reached ``tol``
     and ``"max_outer"`` when the outer iteration limit ended the run
-    first; the latter also adds a warning.
-
-    ``active_set_history`` holds |I(z)| per Newton iteration across the
-    whole run; ``newton_iters_per_outer`` gives the per-outer-loop
-    boundaries for slicing it. ``grad_norm_history[k]`` lists the Newton
-    gradient norms of outer iteration k (iterations + 1 entries).
+    first; the latter also adds a warning. ``outer`` holds one
+    :class:`OuterRecord` per outer iteration, ``k`` of them.
     """
 
     status: str = MAX_OUTER
@@ -174,14 +184,7 @@ class SolveReport:
     duality_gap: float = math.inf
     duality_gap_rel: float = math.inf
     objective: float = math.inf
-    active_set_history: list[int] = field(default_factory=list)
-    grad_norm_history: list[list[float]] = field(default_factory=list)
-    newton_iters_per_outer: list[int] = field(default_factory=list)
-    inner_grad_norms: list[float] = field(default_factory=list)
-    inner_tols: list[float] = field(default_factory=list)
-    sigma_history: list[float] = field(default_factory=list)
-    primal_history: list[float] = field(default_factory=list)
-    dual_history: list[float] = field(default_factory=list)
+    outer: list[OuterRecord] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -418,7 +421,6 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     t0 = time.perf_counter()
     for k in range(cfg.max_outer):
         tol_k = max(cfg.newton_tol_floor, 10.0 ** (-(k + 1)))
-        report.sigma_history.append(sigma)
         sub = make_subproblem_oracle(p, lam, sigma)
         w, stats = newton_solve(sub, w, tol_k, cfg)
         if stats.hit_iteration_cap:
@@ -428,11 +430,6 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
             )
         report.it_sn += stats.iterations
         report.it_cg += stats.cg_iterations_total
-        report.active_set_history.extend(stats.active_set_sizes)
-        report.grad_norm_history.append(list(stats.grad_norms))
-        report.newton_iters_per_outer.append(stats.iterations)
-        report.inner_grad_norms.append(stats.final_grad_norm)
-        report.inner_tols.append(tol_k)
 
         bw = p.B.matvec(w)
         z = bw + p.d + lam / sigma
@@ -445,8 +442,7 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
         report.kkt_residual = max(r1, r2, r3)
         pv = primal_objective(p, w, bw=bw)
         dv, _ = dual_objective(p, lam)
-        report.primal_history.append(pv)
-        report.dual_history.append(dv)
+        report.outer.append(OuterRecord(sigma, tol_k, stats, pv, dv))
 
         sigma = min(cfg.sigma_max, sigma / cfg.theta)
         if report.kkt_residual <= cfg.tol:
@@ -458,9 +454,10 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
             f"{report.kkt_residual:.3e} above tol {cfg.tol:.1e}"
         )
     report.time_seconds = time.perf_counter() - t0
-    report.objective = report.primal_history[-1]
-    report.duality_gap = report.primal_history[-1] - report.dual_history[-1]
+    last = report.outer[-1]
+    report.objective = last.primal
+    report.duality_gap = last.primal - last.dual
     report.duality_gap_rel = report.duality_gap / (
-        1.0 + abs(report.primal_history[-1]) + abs(report.dual_history[-1])
+        1.0 + abs(last.primal) + abs(last.dual)
     )
     return w, report

@@ -5,8 +5,7 @@ re-derive the quantities the solver computes in closed form — proximal
 points by piecewise-quadratic enumeration, gradients by central
 differences, the Hessian-vector product by the unrestricted formula —
 so the test suite can check the fast paths against slow, obviously
-correct ones. The CLI only touches this module through a hidden
-``--self-check`` flag.
+correct ones.
 """
 
 from __future__ import annotations
@@ -114,33 +113,3 @@ def hess_vec_way2(problem: Problem, u, h, sigma: float) -> np.ndarray:
     B = problem.B
     t = B.matvec(h)
     return h + sigma * B.matvec_t(t) - sigma * B.matvec_t(u * t)
-
-
-def self_check() -> None:
-    """Startup sanity check: prox grid agreement and a gradient probe.
-
-    Raises AssertionError on the first disagreement.
-    """
-    from . import alm
-    from .prox import prox_eps, prox_hinge
-    from .sparse import SparseMatrix
-
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        C = float(rng.uniform(0.1, 5.0))
-        M = float(rng.uniform(0.1, 5.0))
-        eps = float(rng.uniform(0.0, 1.0))
-        span = 3.0 * (C * M + eps + 1.0)
-        z = np.linspace(-span, span, 1001)
-        assert np.allclose(prox_hinge(z, C, M), prox_oracle(z, C, M), atol=1e-12)
-        assert np.allclose(
-            prox_eps(z, C, M, eps), prox_oracle(z, C, M, eps), atol=1e-12
-        )
-
-    B = SparseMatrix.from_dense(rng.normal(size=(6, 4)))
-    prob = Problem(B=B, d=np.ones(6), C=1.3, task="svc")
-    lam = rng.uniform(0.0, 1.0, size=6)
-    w = rng.normal(size=4)
-    g = alm.phi_grad(prob, w, lam, 0.9)
-    g_fd = fd_gradient(lambda v: alm.phi_value(prob, v, lam, 0.9), w)
-    assert np.allclose(g, g_fd, rtol=1e-5, atol=1e-7)

@@ -7,14 +7,17 @@ Model files are plain text: one header line
 followed by n weight lines, each the shortest round-trippable decimal of
 one coordinate. Bench rows are CSV with the header
 ``dataset,k,it_sn,it_cg,time_s,metric``; identical flags and seed give
-byte-identical output except for the time column.
+byte-identical output except for the time column. ``bench --trace PATH``
+writes the full solve reports as a JSON list, one object per dataset.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -66,22 +69,45 @@ def read_model(path) -> Model:
     head = lines[0].split()
     if len(head) != 8 or head[0] != "alm-svm" or head[1] != "v1":
         raise ValueError(f"{path}: not an alm-svm v1 model file")
-    fields = dict(part.split("=", 1) for part in head[2:])
+    fields = dict(part.split("=", 1) for part in head[2:] if "=" in part)
+    try:
+        return _model_from(fields, lines[1:])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _model_from(fields: dict, weights: list) -> Model:
+    missing = [k for k in ("task", "n", "bias", "c", "eps", "labels")
+               if k not in fields]
+    if missing:
+        raise ValueError(f"model header lacks {', '.join(missing)}")
+    if fields["task"] not in ("svc", "svr"):
+        raise ValueError(f"unknown task {fields['task']!r}")
+    if fields["bias"] not in ("0", "1"):
+        raise ValueError(f"bias must be 0 or 1, got {fields['bias']!r}")
     n = int(fields["n"])
-    weights = lines[1:]
-    if len(weights) != n:
-        raise ValueError(f"{path}: expected {n} weights, found {len(weights)}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    c, eps = float(fields["c"]), float(fields["eps"])
+    if not (math.isfinite(c) and math.isfinite(eps)):
+        raise ValueError("c and eps must be finite")
     label_map = None
     if fields["labels"] != "none":
-        lo, hi = fields["labels"].split(":")
-        label_map = (float(lo), float(hi))
+        pair = fields["labels"].split(":")
+        if len(pair) != 2:
+            raise ValueError(
+                f"labels must be none or a:b, got {fields['labels']!r}"
+            )
+        label_map = (float(pair[0]), float(pair[1]))
+    if len(weights) != n:
+        raise ValueError(f"expected {n} weights, found {len(weights)}")
     return Model(
         w=np.array([float(v) for v in weights]),
         task=fields["task"],
         bias_augmented=fields["bias"] == "1",
         label_map=label_map,
-        c_used=float(fields["c"]),
-        eps_used=float(fields["eps"]),
+        c_used=c,
+        eps_used=eps,
     )
 
 
@@ -103,7 +129,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, default=0.8)
     p.add_argument("--max-outer", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=42)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate sparse linear SVMs with an "
         "augmented Lagrangian / semismooth Newton-CG solver.",
     )
-    parser.add_argument("--self-check", action="store_true",
-                        help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a model and write a model file")
@@ -139,13 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--data", required=True, nargs="+")
     b.add_argument("--task", choices=("svc", "svr"), required=True)
     b.add_argument("--split", type=float, default=0.8)
-    b.add_argument("--jobs", type=int, default=1)
+    b.add_argument("--seed", type=int, default=42,
+                   help="seed of the train/test split")
     b.add_argument("--pretty", action="store_true",
                    help="aligned table instead of CSV")
-    b.add_argument("--emit-active-set", default=None, metavar="PATH",
-                   help="dump |I(z)| per Newton iteration (single dataset)")
-    b.add_argument("--emit-residuals", default=None, metavar="PATH",
-                   help="dump |grad phi| per Newton iteration (single dataset)")
+    b.add_argument("--trace", default=None, metavar="PATH",
+                   help="write every dataset's solve report as JSON")
     _add_solver_flags(b)
     b.set_defaults(func=cmd_bench)
     return parser
@@ -161,8 +183,6 @@ def _validate_common(parser, args) -> None:
         parser.error("epsilon must be nonnegative")
     if getattr(args, "split", None) is not None and not 0.0 < args.split < 1.0:
         parser.error("--split must be in (0, 1)")
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
 
 
 def _config(args) -> SolverConfig:
@@ -264,22 +284,8 @@ def _bench_one(args, path: str):
     return Path(path).stem, report, metric
 
 
-def _write_history(path, header: str, per_outer) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"outer,newton_iter,{header}\n")
-        for outer, values in enumerate(per_outer):
-            for j, v in enumerate(values):
-                f.write(f"{outer},{j},{v}\n")
-
-
 def cmd_bench(args) -> int:
-    if (args.emit_active_set or args.emit_residuals) and len(args.data) > 1:
-        raise ValueError("history dumps need a single --data file")
-    if args.jobs == 1 or len(args.data) == 1:
-        results = [_bench_one(args, p) for p in args.data]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda p: _bench_one(args, p), args.data))
+    results = [_bench_one(args, p) for p in args.data]
     rows = [
         (name, str(r.k), str(r.it_sn), str(r.it_cg),
          f"{r.time_seconds:.3f}", f"{metric:.6f}")
@@ -298,19 +304,11 @@ def cmd_bench(args) -> int:
         print(",".join(header))
         for row in rows:
             print(",".join(row))
-    if args.emit_active_set or args.emit_residuals:
-        report = results[0][1]
-        if args.emit_active_set:
-            sizes, start = [], 0
-            for count in report.newton_iters_per_outer:
-                sizes.append(report.active_set_history[start:start + count])
-                start += count
-            _write_history(args.emit_active_set, "active_rows", sizes)
-        if args.emit_residuals:
-            _write_history(
-                args.emit_residuals, "grad_norm",
-                [[_FMT(g) for g in outer] for outer in report.grad_norm_history],
-            )
+    if args.trace is not None:
+        traces = [{"dataset": name, **dataclasses.asdict(r)}
+                  for name, r, _metric in results]
+        with open(args.trace, "w", encoding="utf-8") as f:
+            json.dump(traces, f)
     return 0
 
 
@@ -318,11 +316,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate_common(parser, args)
-    if args.self_check:
-        from .baseline import self_check
-
-        self_check()
-        print("self-check ok", file=sys.stderr)
     try:
         return args.func(args)
     except (ParseError, OSError, ValueError, DivergedError,

@@ -55,7 +55,8 @@ class Dataset:
 def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     """Parse LIBSVM text: ``label idx:val idx:val ...`` per line.
 
-    Indices are 1-based and must be strictly increasing within a line.
+    Indices are 1-based and must be strictly increasing within a line;
+    labels and values must be finite.
     ``#`` starts a comment running to end of line; blank lines are
     skipped. ``n_features`` may widen (never narrow) the inferred
     feature count.
@@ -64,6 +65,7 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
         text = text.decode("utf-8")
     samples: list[tuple[np.ndarray, np.ndarray]] = []
     labels: list[float] = []
+    linenos: list[int] = []
     max_idx = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,7 +107,10 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
             (np.array(idx, dtype=np.int64), np.array(vals, dtype=np.float64))
         )
         labels.append(label)
+        linenos.append(lineno)
         max_idx = max(max_idx, prev)
+    y = np.array(labels, dtype=np.float64)
+    _check_finite(y, samples, linenos)
     n = max_idx
     if n_features is not None:
         if n_features < max_idx:
@@ -113,7 +118,24 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
                 f"n_features={n_features} below max index {max_idx} in data"
             )
         n = n_features
-    return Dataset(samples, np.array(labels, dtype=np.float64), n)
+    return Dataset(samples, y, n)
+
+
+def _check_finite(labels, samples, linenos) -> None:
+    """Name the first line with a NaN or infinite label or value. One
+    vectorized pass after parsing, so the token loop pays nothing."""
+    bad = ~np.isfinite(labels)
+    if samples:
+        vals = np.concatenate([v for _, v in samples])
+        bad_vals = ~np.isfinite(vals)
+        if bad_vals.any():
+            ends = np.cumsum([v.size for _, v in samples])
+            rows = np.searchsorted(ends, np.flatnonzero(bad_vals), side="right")
+            bad[rows] = True
+    if bad.any():
+        raise ParseError(
+            f"line {linenos[int(np.argmax(bad))]}: non-finite label or value"
+        )
 
 
 def load_libsvm(path, n_features: int | None = None) -> Dataset:

@@ -15,12 +15,9 @@ slope one, which is where curvature survives in the solver's Hessian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ProxParams",
     "p_value",
     "p_eps_value",
     "prox_hinge",
@@ -30,23 +27,6 @@ __all__ = [
     "active_set_svc",
     "active_set_svr",
 ]
-
-
-@dataclass(frozen=True)
-class ProxParams:
-    """Penalty weight C, prox scale M and tube half-width eps."""
-
-    C: float
-    M: float
-    eps: float = 0.0
-
-    def __post_init__(self):
-        if not self.C > 0:
-            raise ValueError("C must be positive")
-        if not self.M > 0:
-            raise ValueError("M must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
 
 
 def p_value(s, C: float) -> float:

@@ -175,7 +175,7 @@ def test_criterion_6_active_set_sparsity():
         assert abs(nnz / (data.m * data.n_features) - 0.11) < 0.01
         problem = build_svc(data, 550.0 / data.m)
         _, report = alm_solve(problem)
-        first_loop = report.active_set_history[: report.newton_iters_per_outer[0]]
+        first_loop = report.outer[0].newton.active_set_sizes
         ratio = max(first_loop) / data.m
         assert ratio <= 0.05, f"max |I|/m = {ratio:.4f} in first loop"
 

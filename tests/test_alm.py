@@ -308,13 +308,13 @@ class TestAlmSolve:
     def test_weak_duality_along_the_run(self):
         p = random_problem(seed=16, m=30, n=6)
         _, report = alm_solve(p)
-        for pv, dv in zip(report.primal_history, report.dual_history):
-            assert pv - dv >= -1e-8
+        for rec in report.outer:
+            assert rec.primal - rec.dual >= -1e-8
 
     def test_sigma_monotone_and_capped(self):
         p = random_problem(seed=17)
         _, report = alm_solve(p, SolverConfig(max_outer=10))
-        sig = report.sigma_history
+        sig = [rec.sigma for rec in report.outer]
         assert all(b >= a for a, b in zip(sig, sig[1:]))
         assert sig[-1] <= 2.0 + 1e-15
 
@@ -322,8 +322,8 @@ class TestAlmSolve:
         p = random_problem(seed=18, m=25, n=5)
         _, report = alm_solve(p)
         if not report.warnings:
-            for gn, tol in zip(report.inner_grad_norms, report.inner_tols):
-                assert gn <= tol
+            for rec in report.outer:
+                assert rec.newton.final_grad_norm <= rec.inner_tol
 
     def test_non_finite_state_raises_diverged(self, monkeypatch):
         import almsvm.alm as alm_mod
@@ -363,8 +363,9 @@ class TestAlmSolve:
         p = random_problem(seed=19, m=20, n=4)
         _, report = alm_solve(p)
         assert report.k <= 10
-        assert report.it_sn == sum(report.newton_iters_per_outer)
-        assert len(report.active_set_history) == report.it_sn
-        assert len(report.grad_norm_history) == report.k
+        assert report.it_sn == sum(rec.newton.iterations for rec in report.outer)
+        assert sum(len(rec.newton.active_set_sizes)
+                   for rec in report.outer) == report.it_sn
+        assert len(report.outer) == report.k
         assert report.duality_gap >= -1e-8
         assert report.time_seconds >= 0.0

@@ -1,5 +1,7 @@
 """Command-line behavior: flows, validation, persistence, determinism."""
 
+import json
+
 import pytest
 
 from almsvm.cli import main, read_model, write_model
@@ -73,6 +75,12 @@ class TestTrain:
             main(["train", "--task", "svc", "--model", str(tmp_path / "m")])
         assert excinfo.value.code == 2
 
+    def test_seed_is_a_bench_flag_only(self, svc_file, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--task", "svc", "--data", str(svc_file),
+                  "--model", str(tmp_path / "m"), "--seed", "1"])
+        assert excinfo.value.code == 2
+
     def test_nonpositive_c_exits_2(self, svc_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--task", "svc", "--data", str(svc_file),
@@ -111,6 +119,27 @@ class TestModelFile:
         )
         with pytest.raises(ValueError, match="expected 3 weights"):
             read_model(path)
+
+    @pytest.mark.parametrize("header,fragment", [
+        ("task=svc n=1 bias=0 c=1.0 eps=0.0 nolabels=1", "lacks labels"),
+        ("task=xyz n=1 bias=0 c=1.0 eps=0.0 labels=none", "unknown task"),
+        ("task=svc n=1 bias=2 c=1.0 eps=0.0 labels=none", "bias"),
+        ("task=svc n=0 bias=0 c=1.0 eps=0.0 labels=none", "n must be"),
+        ("task=svc n=x bias=0 c=1.0 eps=0.0 labels=none", "invalid literal"),
+        ("task=svc n=1 bias=0 c=inf eps=0.0 labels=none", "finite"),
+        ("task=svc n=1 bias=0 c=1.0 eps=nan labels=none", "finite"),
+        ("task=svc n=1 bias=0 c=1.0 eps=0.0 labels=1:2:3", "labels"),
+        ("task=svc n=1 bias=0 c=1.0 eps=0.0 labels", "lacks labels"),
+    ])
+    def test_bad_header_is_an_error_naming_the_file(self, svc_file, tmp_path,
+                                                    capsys, header, fragment):
+        path = tmp_path / "bad.model"
+        path.write_text(f"alm-svm v1 {header}\n0.5\n")
+        rc = main(["predict", "--model", str(path), "--data", str(svc_file)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err and fragment in err
 
 
 class TestPredictEval:
@@ -207,27 +236,26 @@ class TestBench:
                                   "metric"]
 
     def test_history_dumps(self, svc_file, tmp_path, capsys):
-        active = tmp_path / "active.csv"
-        resid = tmp_path / "resid.csv"
+        trace = tmp_path / "trace.json"
         assert main(["bench", "--data", str(svc_file), "--task", "svc",
-                     "--emit-active-set", str(active),
-                     "--emit-residuals", str(resid)]) == 0
+                     "--trace", str(trace)]) == 0
         capsys.readouterr()
-        a_lines = active.read_text().splitlines()
-        r_lines = resid.read_text().splitlines()
-        assert a_lines[0] == "outer,newton_iter,active_rows"
-        assert r_lines[0] == "outer,newton_iter,grad_norm"
-        assert len(a_lines) > 1 and len(r_lines) > 1
-        outer, j, size = a_lines[1].split(",")
-        assert (outer, j) == ("0", "0")
-        assert int(size) >= 0
+        [report] = json.loads(trace.read_text())
+        assert report["dataset"] == "blobs"
+        outer = report["outer"]
+        assert len(outer) == report["k"] >= 1
+        assert outer[0]["newton"]["active_set_sizes"][0] >= 0
+        for rec in outer:
+            newton = rec["newton"]
+            assert len(newton["grad_norms"]) == newton["iterations"] + 1
 
     def test_multiple_datasets_with_jobs(self, svc_file, tmp_path, capsys):
-        # two copies of the same classification set, solved concurrently
+        # two copies of the same classification set, solved one after another
         other = tmp_path / "copy.libsvm"
         other.write_text(svc_file.read_text())
+        trace = tmp_path / "trace.json"
         assert main(["bench", "--data", str(svc_file), str(other),
-                     "--task", "svc", "--jobs", "2"]) == 0
+                     "--task", "svc", "--trace", str(trace)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "blobs"
@@ -235,10 +263,6 @@ class TestBench:
         # identical data must produce identical rows modulo time
         a = lines[1].split(","); b = lines[2].split(",")
         assert a[1:4] == b[1:4] and a[5] == b[5]
-
-
-def test_self_check_flag(svc_file, tmp_path, capsys):
-    rc = main(["--self-check", "train", "--task", "svc", "--data",
-               str(svc_file), "--model", str(tmp_path / "m.model")])
-    assert rc == 0
-    assert "self-check ok" in capsys.readouterr().err
+        reports = json.loads(trace.read_text())
+        assert [r["dataset"] for r in reports] == ["blobs", "copy"]
+        assert reports[0]["outer"] == reports[1]["outer"]

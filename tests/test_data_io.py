@@ -65,12 +65,20 @@ class TestParse:
             ("1 0:1\n", "< 1"),
             ("abc 1:1\n", "not numeric"),
             ("1 1:x\n", "malformed"),
+            ("nan 1:1\n", "non-finite"),
+            ("1 1:inf\n", "non-finite"),
         ],
     )
     def test_errors_carry_line_number(self, text, fragment):
         with pytest.raises(ParseError, match=fragment) as excinfo:
             parse_libsvm("+1 1:1\n" + text)
         assert "line 2" in str(excinfo.value)
+
+    def test_non_finite_value_names_its_own_line(self):
+        # blank, comment and feature-less lines shift line and sample apart
+        text = "+1 1:1\n\n-1\n# note\n+1 2:1 3:-inf\n-1 1:nan\n"
+        with pytest.raises(ParseError, match="line 5: non-finite"):
+            parse_libsvm(text)
 
     def test_n_features_override_widens(self):
         d = parse_libsvm("+1 1:1\n", n_features=10)

@@ -13,7 +13,6 @@ from scipy.optimize import minimize_scalar
 
 from almsvm.baseline import prox_oracle
 from almsvm.prox import (
-    ProxParams,
     active_set_svc,
     active_set_svr,
     moreau_env_eps,
@@ -222,15 +221,3 @@ class TestProperties:
         assert np.all(r[pos] >= -1e-15) and np.all(r[pos] <= C * M + 1e-15)
         np.testing.assert_array_equal(r[neg], 0.0)
 
-
-class TestProxParams:
-    def test_accepts_valid(self):
-        ProxParams(C=1.0, M=0.5, eps=0.0)
-
-    @pytest.mark.parametrize(
-        "kwargs", [dict(C=0.0, M=1.0), dict(C=1.0, M=0.0),
-                   dict(C=1.0, M=1.0, eps=-0.1)]
-    )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            ProxParams(**kwargs)
