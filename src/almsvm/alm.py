@@ -304,24 +304,29 @@ class SmoothedSubproblem:
     ``z + alpha * B d``, and the accepted trial becomes the iterate
     together with its value, which is the next step's ``f0``. Within one
     ``newton_solve`` the cached ``z`` therefore drifts from ``B w + ...``
-    at rounding level; ``reset`` recomputes it. The Hessian's active
-    rows are gathered once per step in ``linearize`` and reused by every
-    CG product.
+    at rounding level; ``reset`` recomputes it from a fresh ``B w``. A
+    caller that already holds that product for the starting point passes
+    it as ``bw``, and the first ``reset`` uses it in place of a
+    ``matvec``. The Hessian's active rows are gathered once per step in
+    ``linearize`` and reused by every CG product.
     """
 
-    def __init__(self, p: Problem, lam, sigma: float):
+    def __init__(self, p: Problem, lam, sigma: float, bw=None):
         lam = np.asarray(lam, dtype=np.float64)
         self.p = p
         self.n = p.n
         self.sigma = sigma
         self._lam_scaled = lam / sigma
         self._lam_term = float(lam @ lam) / (2.0 * sigma)
+        self._bw0 = bw
         self.w = self.z = None
         self._f = self._trial = self._d = self._bd = self._block = None
 
     def reset(self, w) -> None:
         w = np.asarray(w, dtype=np.float64)
-        self._move(w, self.p.B.matvec(w) + self.p.d + self._lam_scaled, None)
+        bw = self.p.B.matvec(w) if self._bw0 is None else self._bw0
+        self._bw0 = None
+        self._move(w, bw + self.p.d + self._lam_scaled, None)
 
     def _move(self, w, z, f) -> None:
         self.w, self.z, self._f = w, z, f
@@ -367,9 +372,11 @@ class SmoothedSubproblem:
         self._move(w, z, f)
 
 
-def make_subproblem_oracle(p: Problem, lam, sigma: float) -> SmoothedSubproblem:
-    """The subproblem of the outer iteration at ``lam`` and ``sigma``."""
-    return SmoothedSubproblem(p, lam, sigma)
+def make_subproblem_oracle(p: Problem, lam, sigma: float, *,
+                           bw=None) -> SmoothedSubproblem:
+    """The subproblem of the outer iteration at ``lam`` and ``sigma``;
+    ``bw`` may pass the known ``B w`` of the Newton starting point."""
+    return SmoothedSubproblem(p, lam, sigma, bw)
 
 
 def kkt_residual(p: Problem, w, s, lam, *, bw=None):
@@ -409,19 +416,21 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     10**-(k+1))``, recovers s through the prox at scale 1/sigma, updates
     lam = sigma * (z - s) (the multiplier step written in terms of z)
     and grows sigma by 1/theta up to sigma_max. Stops early once
-    max(r1, r2, r3) drops to ``cfg.tol``. The multiplier update and the
-    certificate share one ``B w`` computed afresh from ``w``, so no
-    rounding drift of the Newton iteration reaches a reported number.
+    max(r1, r2, r3) drops to ``cfg.tol``. The multiplier update, the
+    certificate and the next Newton solve's start share one ``B w``
+    computed afresh from ``w``, so no rounding drift of the Newton
+    iteration reaches a reported number.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     report = SolveReport()
     w = np.ones(p.n)
+    bw = None
     lam = np.zeros(p.m)
     sigma = cfg.sigma0
     t0 = time.perf_counter()
     for k in range(cfg.max_outer):
         tol_k = max(cfg.newton_tol_floor, 10.0 ** (-(k + 1)))
-        sub = make_subproblem_oracle(p, lam, sigma)
+        sub = make_subproblem_oracle(p, lam, sigma, bw=bw)
         w, stats = newton_solve(sub, w, tol_k, cfg)
         if stats.hit_iteration_cap:
             report.warnings.append(

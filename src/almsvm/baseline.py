@@ -3,9 +3,10 @@
 Nothing here is used on the production solve path. These routines
 re-derive the quantities the solver computes in closed form — proximal
 points by piecewise-quadratic enumeration, gradients by central
-differences, the Hessian-vector product by the unrestricted formula —
-so the test suite can check the fast paths against slow, obviously
-correct ones.
+differences, the Hessian-vector product by the unrestricted formula,
+the CSR products by ``np.bincount`` over the stored nonzeros in
+row-major order — so the test suite can check the fast paths against
+slow, obviously correct ones.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import math
 import numpy as np
 
 from .alm import Problem, primal_objective
+from .sparse import SparseMatrix
 
-__all__ = ["prox_oracle", "fd_gradient", "subgradient_solve", "hess_vec_way2"]
+__all__ = ["prox_oracle", "fd_gradient", "subgradient_solve", "hess_vec_way2",
+           "matvec_oracle", "matvec_t_oracle", "normal_apply_oracle"]
 
 
 def prox_oracle(z, C: float, M: float, eps: float | None = None):
@@ -113,3 +116,38 @@ def hess_vec_way2(problem: Problem, u, h, sigma: float) -> np.ndarray:
     B = problem.B
     t = B.matvec(h)
     return h + sigma * B.matvec_t(t) - sigma * B.matvec_t(u * t)
+
+
+def _nnz_rows(a: SparseMatrix) -> np.ndarray:
+    """Row index of every stored nonzero, in storage order."""
+    return np.repeat(np.arange(a.m, dtype=np.int64), np.diff(a.row_ptr))
+
+
+def matvec_oracle(a: SparseMatrix, x) -> np.ndarray:
+    """``A @ x``: each row's products summed left to right."""
+    x = np.asarray(x, dtype=np.float64)
+    prod = a.values * x[a.col_idx]
+    return np.bincount(_nnz_rows(a), weights=prod, minlength=a.m)
+
+
+def matvec_t_oracle(a: SparseMatrix, y) -> np.ndarray:
+    """``A.T @ y``: row contributions scattered in row order."""
+    y = np.asarray(y, dtype=np.float64)
+    prod = a.values * y[_nnz_rows(a)]
+    return np.bincount(a.col_idx, weights=prod, minlength=a.n)
+
+
+def normal_apply_oracle(a: SparseMatrix, rows, h) -> np.ndarray:
+    """``A[rows, :].T @ (A[rows, :] @ h)`` over the gathered nonzeros of
+    the selected rows, in row-major order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    h = np.asarray(h, dtype=np.float64)
+    if rows.size == 0:
+        return np.zeros(a.n)
+    ends = a.row_ptr[rows + 1]
+    counts = ends - a.row_ptr[rows]
+    sel = np.repeat(ends - np.cumsum(counts), counts) + np.arange(counts.sum())
+    local = np.repeat(np.arange(rows.size), counts)
+    vals, cols = a.values[sel], a.col_idx[sel]
+    t = np.bincount(local, weights=vals * h[cols], minlength=rows.size)
+    return np.bincount(cols, weights=vals * t[local], minlength=a.n)

@@ -33,6 +33,7 @@ from .data_io import (
     Dataset,
     ParseError,
     augment_bias,
+    format_float,
     load_libsvm,
     normalize_labels,
     split,
@@ -42,21 +43,19 @@ from .newton import CgBreakdownError, LineSearchError
 
 __all__ = ["main", "write_model", "read_model"]
 
-_FMT = repr  # shortest round-trippable decimal for floats
-
 
 def write_model(model: Model, path) -> None:
     lo_hi = (
         "none"
         if model.label_map is None
-        else f"{_FMT(model.label_map[0])}:{_FMT(model.label_map[1])}"
+        else ":".join(format_float(v) for v in model.label_map)
     )
     lines = [
         f"alm-svm v1 task={model.task} n={model.w.size} "
-        f"bias={1 if model.bias_augmented else 0} c={_FMT(model.c_used)} "
-        f"eps={_FMT(model.eps_used)} labels={lo_hi}"
+        f"bias={1 if model.bias_augmented else 0} c={format_float(model.c_used)} "
+        f"eps={format_float(model.eps_used)} labels={lo_hi}"
     ]
-    lines.extend(_FMT(float(v)) for v in model.w)
+    lines.extend(format_float(v) for v in model.w)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -254,7 +253,7 @@ def cmd_predict(args) -> int:
         values = (predict_label(model, s) for s in data.samples)
     else:
         values = (predict(model, s) for s in data.samples)
-    text = "".join(_FMT(float(v)) + "\n" for v in values)
+    text = "".join(format_float(v) + "\n" for v in values)
     if args.output == "-":
         sys.stdout.write(text)
     else:

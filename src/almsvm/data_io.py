@@ -24,6 +24,7 @@ __all__ = [
     "normalize_labels",
     "split",
     "augment_bias",
+    "format_float",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -143,16 +144,16 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
         return parse_libsvm(f.read(), n_features=n_features)
 
 
-def _fmt(x: float) -> str:
-    # repr of a Python float is the shortest round-trippable decimal
+def format_float(x: float) -> str:
+    """The shortest decimal that reads back as the same float64."""
     return repr(float(x))
 
 
 def serialize_libsvm(d: Dataset) -> str:
     lines = []
     for (idx, vals), label in zip(d.samples, d.labels):
-        parts = [_fmt(label)]
-        parts.extend(f"{int(i) + 1}:{_fmt(v)}" for i, v in zip(idx, vals))
+        parts = [format_float(label)]
+        parts.extend(f"{int(i) + 1}:{format_float(v)}" for i, v in zip(idx, vals))
         lines.append(" ".join(parts))
     return "".join(line + "\n" for line in lines)
 

@@ -1,8 +1,17 @@
-"""CSR sparse-matrix kernels.
+"""CSR sparse-matrix kernels on ``scipy.sparse``.
 
-All kernels walk the stored nonzeros in row-major order and accumulate
-left to right, so single-threaded runs reproduce bit for bit. Transpose
-products scatter over rows; no CSC mirror is kept.
+A :class:`SparseMatrix` holds one ``scipy.sparse.csr_array`` and its
+transpose view. ``A @ x`` runs scipy's CSR kernel, which accumulates
+each row left to right in stored order; ``A.T @ y`` runs the CSC kernel
+of the transpose view, which scatters row contributions in row order.
+Both are therefore bit for bit equal to the row-major reference
+kernels kept as oracles in :mod:`almsvm.baseline`, and single-threaded
+runs reproduce exactly.
+
+scipy is imported when the first matrix is built, not when this module
+is: reading a model, predicting and scoring never build one, and
+importing ``scipy.sparse`` takes about 0.2 s, which every start of the
+command-line tool would pay.
 """
 
 from __future__ import annotations
@@ -12,16 +21,22 @@ import numpy as np
 __all__ = ["SparseMatrix", "RowBlock"]
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class SparseMatrix:
     """Immutable CSR matrix with float64 values and 0-based indices.
 
     ``row_ptr`` has length ``m + 1``; column indices are strictly
-    increasing within each row. Derived matrices share the structure
-    arrays instead of copying them. Instances are treated as immutable:
-    no method mutates ``self``.
+    increasing within each row and every value is finite. ``row_ptr``,
+    ``col_idx`` and ``values`` are read-only views of the stored arrays;
+    derived matrices share the structure arrays instead of copying them.
     """
 
-    __slots__ = ("row_ptr", "col_idx", "values", "m", "n", "_nnz_row")
+    __slots__ = ("_a", "_at")
 
     def __init__(self, row_ptr, col_idx, values, shape):
         m, n = int(shape[0]), int(shape[1])
@@ -40,27 +55,49 @@ class SparseMatrix:
             raise ValueError("col_idx and values must have equal length")
         if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= n):
             raise ValueError("column index out of range")
-        nnz_row = np.repeat(np.arange(m, dtype=np.int64), np.diff(row_ptr))
         if col_idx.size > 1:
-            same_row = nnz_row[1:] == nnz_row[:-1]
-            if np.any(same_row & (np.diff(col_idx) <= 0)):
+            increasing = np.diff(col_idx) > 0
+            # a step from one row's last entry to the next row's first is free
+            starts = row_ptr[1:-1]
+            increasing[starts[(starts > 0) & (starts < col_idx.size)] - 1] = True
+            if not increasing.all():
                 raise ValueError(
                     "column indices must be strictly increasing within a row"
                 )
-        self.row_ptr = row_ptr
-        self.col_idx = col_idx
-        self.values = values
-        self.m = m
-        self.n = n
-        self._nnz_row = nnz_row
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        from scipy.sparse import csr_array  # deferred: see the module docstring
+
+        self._a = csr_array((values, col_idx, row_ptr), shape=(m, n))
+        self._at = self._a.T
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        return _readonly(self._a.indptr)
+
+    @property
+    def col_idx(self) -> np.ndarray:
+        return _readonly(self._a.indices)
+
+    @property
+    def values(self) -> np.ndarray:
+        return _readonly(self._a.data)
+
+    @property
+    def m(self) -> int:
+        return self._a.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self._a.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.m, self.n)
+        return self._a.shape
 
     @property
     def nnz(self) -> int:
-        return self.values.size
+        return self._a.nnz
 
     def __repr__(self) -> str:
         return f"SparseMatrix(shape=({self.m}, {self.n}), nnz={self.nnz})"
@@ -101,29 +138,25 @@ class SparseMatrix:
         return cls.from_rows(rows, a.shape[1])
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.m, self.n))
-        out[self._nnz_row, self.col_idx] = self.values
-        return out
+        return self._a.toarray()
 
     def matvec(self, x) -> np.ndarray:
         """Return ``A @ x``, accumulating each row left to right."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"x must have length {self.n}, got {x.shape}")
-        prod = self.values * x[self.col_idx]
-        return np.bincount(self._nnz_row, weights=prod, minlength=self.m)
+        return self._a @ x
 
     def matvec_t(self, y) -> np.ndarray:
-        """Return ``A.T @ y`` by scattering row contributions."""
+        """Return ``A.T @ y`` by scattering row contributions in row order."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.m,):
             raise ValueError(f"y must have length {self.m}, got {y.shape}")
-        prod = self.values * y[self._nnz_row]
-        return np.bincount(self.col_idx, weights=prod, minlength=self.n)
+        return self._at @ y
 
     def restricted_normal_apply(self, rows, h) -> np.ndarray:
-        """Return ``A[rows, :].T @ (A[rows, :] @ h)`` without materializing
-        the submatrix; only the nonzeros of the selected rows are touched.
+        """Return ``A[rows, :].T @ (A[rows, :] @ h)``; only the nonzeros
+        of the selected rows are touched.
 
         With ``rows`` equal to all row indices this reproduces
         ``matvec_t(matvec(h))`` bit for bit (same kernels, same order).
@@ -131,18 +164,12 @@ class SparseMatrix:
         return self.gather_rows(rows).normal_apply(h)
 
     def gather_rows(self, rows) -> "RowBlock":
-        """Gather the nonzeros of ``A[rows, :]`` once, for repeated
+        """Copy the rows ``A[rows, :]`` out once, for repeated
         ``normal_apply`` calls on the same row set."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.m):
             raise ValueError("row index out of range")
-        ends = self.row_ptr[rows + 1]
-        counts = ends - self.row_ptr[rows]
-        total = int(counts.sum())
-        sel = np.repeat(ends - np.cumsum(counts), counts) + np.arange(total)
-        local = np.repeat(np.arange(rows.size), counts)
-        return RowBlock(self.values[sel], self.col_idx[sel], local, rows.size,
-                        self.n)
+        return RowBlock(self._a[rows])
 
     def scale_rows(self, c) -> "SparseMatrix":
         """Return a copy with row i multiplied by ``c[i]``; the sparsity
@@ -150,33 +177,34 @@ class SparseMatrix:
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self.m,):
             raise ValueError(f"c must have length {self.m}, got {c.shape}")
+        a = self._a
         return SparseMatrix(
-            self.row_ptr, self.col_idx, self.values * c[self._nnz_row], self.shape
+            a.indptr, a.indices, a.data * np.repeat(c, np.diff(a.indptr)),
+            self.shape,
         )
 
 
 class RowBlock:
-    """The nonzeros of a row subset of a :class:`SparseMatrix`, gathered
-    in row-major order: ``local`` holds each nonzero's position within
-    the subset."""
+    """A row subset ``A[rows, :]`` of a :class:`SparseMatrix`, held as
+    its own CSR matrix and transpose view."""
 
-    __slots__ = ("vals", "cols", "local", "size", "n")
+    __slots__ = ("_a", "_at")
 
-    def __init__(self, vals, cols, local, size: int, n: int):
-        self.vals = vals
-        self.cols = cols
-        self.local = local
-        self.size = size
-        self.n = n
+    def __init__(self, a):
+        self._a = a
+        self._at = a.T
+
+    @property
+    def size(self) -> int:
+        return self._a.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self._a.shape[1]
 
     def normal_apply(self, h) -> np.ndarray:
         """Return ``A[rows, :].T @ (A[rows, :] @ h)``."""
         h = np.asarray(h, dtype=np.float64)
         if h.shape != (self.n,):
             raise ValueError(f"h must have length {self.n}, got {h.shape}")
-        if self.size == 0:
-            return np.zeros(self.n)
-        t = np.bincount(self.local, weights=self.vals * h[self.cols],
-                        minlength=self.size)
-        return np.bincount(self.cols, weights=self.vals * t[self.local],
-                           minlength=self.n)
+        return self._at @ (self._a @ h)

@@ -31,7 +31,9 @@ def test_tracer_installs_and_restores_every_patch(monkeypatch):
     finally:
         tracer.uninstall()
     assert {"alm.make_subproblem_oracle", "alm.prox_hinge", "alm.newton_solve",
-            "cli.alm_solve", "SparseMatrix.restricted_normal_apply"} <= patched
+            "cli.alm_solve", "SparseMatrix.matvec", "SparseMatrix.matvec_t",
+            "SparseMatrix.restricted_normal_apply",
+            "SparseMatrix.from_rows"} <= patched
     for owner, attrs in zip(OWNERS, before):
         after = dict(vars(owner))
         assert after.keys() == attrs.keys()

@@ -1,6 +1,10 @@
 """Command-line behavior: flows, validation, persistence, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +270,30 @@ class TestBench:
         reports = json.loads(trace.read_text())
         assert [r["dataset"] for r in reports] == ["blobs", "copy"]
         assert reports[0]["outer"] == reports[1]["outer"]
+
+
+_STARTUP_PROBE = """
+import sys
+import almsvm, almsvm.cli
+loaded = ["scipy" in sys.modules]
+for argv in (["predict", "--model", sys.argv[1], "--data", sys.argv[2],
+              "--output", sys.argv[3]],
+             ["eval", "--model", sys.argv[1], "--data", sys.argv[2]]):
+    assert almsvm.cli.main(argv) == 0
+    loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_import_predict_and_eval_never_load_scipy(svc_file, tmp_path):
+    # scipy is imported on the first SparseMatrix; start-up and scoring
+    # build none, so they do not pay its import time
+    model = tmp_path / "m.model"
+    write_model(Model(w=[0.5] * 10, task="svc"), model)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(model), str(svc_file),
+         str(tmp_path / "pred.txt")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[False, False, False]"

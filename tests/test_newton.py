@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import almsvm.newton as newton_mod
-from almsvm.alm import (SolverConfig, build_svc, make_subproblem_oracle,
-                        phi_value)
+from almsvm.alm import (SolverConfig, alm_solve, build_svc,
+                        make_subproblem_oracle, phi_value)
 from almsvm.newton import cg_solve, newton_solve
 from almsvm.sparse import SparseMatrix
 from almsvm.synthetic import bundled_instances, svc_blobs
@@ -206,26 +206,56 @@ def _bundled_svc(name):
     return build_svc(data, inst.c(data))
 
 
+def _count_kernels(monkeypatch):
+    """Count calls of the full-matrix kernels from here on."""
+    counts = {"matvec": 0, "matvec_t": 0, "restricted_normal_apply": 0}
+    for name in counts:
+        real = getattr(SparseMatrix, name)
+
+        def counting(self, *args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(SparseMatrix, name, counting)
+    return counts
+
+
 class TestSubproblemContract:
     def test_kernel_budget_per_newton_step(self, monkeypatch):
         # one matvec (B d) and one matvec_t (the gradient) per Newton
         # step, plus the entry evaluation; CG never touches all rows
         p = _bundled_svc("gap5000x123")
-        counts = {"matvec": 0, "matvec_t": 0, "restricted_normal_apply": 0}
-        for name in counts:
-            real = getattr(SparseMatrix, name)
-
-            def counting(self, *args, _real=real, _name=name):
-                counts[_name] += 1
-                return _real(self, *args)
-
-            monkeypatch.setattr(SparseMatrix, name, counting)
+        counts = _count_kernels(monkeypatch)
         sub = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
         _, stats = newton_solve(sub, np.ones(p.n), 1e-8, SolverConfig())
         assert stats.iterations >= 5
         assert counts["matvec"] <= stats.iterations + 1
         assert counts["matvec_t"] <= stats.iterations + 1
         assert counts["restricted_normal_apply"] == 0
+
+    def test_kernel_budget_whole_solve(self, monkeypatch):
+        # per outer iteration one fresh B w serves the multiplier update,
+        # the certificate and the next Newton start; only the first
+        # Newton start computes its own. matvec_t: one gradient per
+        # Newton step and per start, and r2 and the dual per outer.
+        p = _bundled_svc("gap5000x123")
+        counts = _count_kernels(monkeypatch)
+        _, report = alm_solve(p)
+        assert report.k >= 2
+        assert counts["matvec"] == report.it_sn + report.k + 1
+        assert counts["matvec_t"] == report.it_sn + 3 * report.k
+        assert counts["restricted_normal_apply"] == 0
+
+    def test_handed_over_bw_gives_the_same_iterates(self, rng):
+        p = _bundled_svc("gap5000x123")
+        lam = rng.uniform(0.0, p.C, size=p.m)
+        w0 = rng.normal(size=p.n) * 0.1
+        fresh = make_subproblem_oracle(p, lam, 0.4)
+        handed = make_subproblem_oracle(p, lam, 0.4, bw=p.B.matvec(w0))
+        w_fresh, st_fresh = newton_solve(fresh, w0, 1e-8, SolverConfig())
+        w_handed, st_handed = newton_solve(handed, w0, 1e-8, SolverConfig())
+        np.testing.assert_array_equal(w_handed, w_fresh)
+        assert st_handed.grad_norms == st_fresh.grad_norms
 
     def test_cached_trial_value_matches_fresh_evaluation(self, rng):
         p = _bundled_svc("gap5000x123")

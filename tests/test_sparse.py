@@ -1,10 +1,11 @@
-"""CSR kernels against dense numpy oracles."""
+"""CSR kernels against dense numpy and bincount oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almsvm.baseline import matvec_oracle, matvec_t_oracle, normal_apply_oracle
 from almsvm.sparse import SparseMatrix
 
 from conftest import random_sparse
@@ -33,6 +34,32 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SparseMatrix(np.array([0, 2, 1]), np.array([0, 1]),
                          np.array([1.0, 2.0]), (2, 2))
+
+    def test_column_order_is_checked_within_rows_only(self):
+        # a drop in column index across a row boundary is allowed,
+        # a repeat inside the row after an empty one is not
+        a = SparseMatrix(np.array([0, 2, 2, 3]), np.array([1, 2, 0]),
+                         np.array([1.0, 2.0, 3.0]), (3, 3))
+        assert a.nnz == 3
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseMatrix(np.array([0, 1, 1, 3]), np.array([2, 0, 0]),
+                         np.array([1.0, 2.0, 3.0]), (3, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SparseMatrix(np.array([0, 1, 2]), np.array([0, 1]),
+                         np.array([1.0, bad]), (2, 2))
+        with pytest.raises(ValueError, match="finite"):
+            SparseMatrix.from_rows(
+                [(np.array([0]), np.array([1.0])),
+                 (np.array([0, 2]), np.array([bad, 2.0]))], 3)
+
+    def test_structure_arrays_are_read_only(self, rng):
+        a = random_sparse(rng, 4, 3)
+        for arr in (a.row_ptr, a.col_idx, a.values):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestMatvec:
@@ -170,6 +197,49 @@ class TestScaleRows:
         b = a.scale_rows(rng.normal(size=5))
         np.testing.assert_array_equal(a.row_ptr, b.row_ptr)
         np.testing.assert_array_equal(a.col_idx, b.col_idx)
+
+    def test_keeps_stored_zeros(self):
+        a = SparseMatrix(np.array([0, 2, 3]), np.array([0, 1, 1]),
+                         np.array([0.0, 2.0, 0.0]), (2, 2))
+        b = a.scale_rows(np.array([3.0, -1.0]))
+        assert b.nnz == 3
+        np.testing.assert_array_equal(b.values, [0.0, 6.0, -0.0])
+
+
+def _empty_row_matrix(rng):
+    a = np.where(rng.random((200, 40)) < 0.3, rng.normal(size=(200, 40)), 0.0)
+    a[[0, 7, 8, 199]] = 0.0
+    return SparseMatrix.from_dense(a)
+
+
+def _zero_nnz_matrix(_rng):
+    return SparseMatrix(np.zeros(6, dtype=np.int64), np.array([], dtype=np.int64),
+                        np.array([]), (5, 4))
+
+
+class TestAgainstBincountOracles:
+    """The scipy kernels equal the row-major bincount oracles bit for bit."""
+
+    @pytest.mark.parametrize("make", [_empty_row_matrix, _zero_nnz_matrix])
+    def test_matvec_and_matvec_t(self, make, rng):
+        a = make(rng)
+        for _ in range(3):
+            x, y = rng.normal(size=a.n), rng.normal(size=a.m)
+            np.testing.assert_array_equal(a.matvec(x), matvec_oracle(a, x))
+            np.testing.assert_array_equal(a.matvec_t(y), matvec_t_oracle(a, y))
+
+    @pytest.mark.parametrize("make", [_empty_row_matrix, _zero_nnz_matrix])
+    @pytest.mark.parametrize("pick", ["empty", "subset", "all"])
+    def test_gathered_normal_apply(self, make, pick, rng):
+        a = make(rng)
+        rows = {"empty": np.array([], dtype=np.int64),
+                "subset": np.flatnonzero(rng.random(a.m) < 0.5),
+                "all": np.arange(a.m)}[pick]
+        block = a.gather_rows(rows)
+        for _ in range(3):
+            h = rng.normal(size=a.n)
+            np.testing.assert_array_equal(block.normal_apply(h),
+                                          normal_apply_oracle(a, rows, h))
 
 
 @settings(max_examples=30, deadline=None)
