@@ -155,14 +155,18 @@ class SolverConfig:
 @dataclass
 class OuterRecord:
     """One outer iteration: the penalty parameter and the gradient
-    tolerance its Newton solve ran at, that solve's statistics, and the
-    primal and dual objective values after the multiplier update."""
+    tolerance its Newton solve ran at, that solve's statistics, the
+    primal and dual objective values after the multiplier update, and
+    the three scaled KKT residuals of :func:`kkt_residual` there."""
 
     sigma: float
     inner_tol: float
     newton: NewtonStats
     primal: float
     dual: float
+    r1: float
+    r2: float
+    r3: float
 
 
 @dataclass
@@ -172,7 +176,10 @@ class SolveReport:
     ``status`` is ``"converged"`` when the KKT residual reached ``tol``
     and ``"max_outer"`` when the outer iteration limit ended the run
     first; the latter also adds a warning. ``outer`` holds one
-    :class:`OuterRecord` per outer iteration, ``k`` of them.
+    :class:`OuterRecord` per outer iteration, ``k`` of them;
+    ``kkt_residual`` is the largest of the last record's ``r1``, ``r2``
+    and ``r3``. A Newton solve with a CG curvature breakdown or a
+    steepest-descent fallback adds a warning too.
     """
 
     status: str = MAX_OUTER
@@ -437,6 +444,11 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
                 f"outer {k}: Newton iteration cap reached at "
                 f"|grad|={stats.final_grad_norm:.3e} (target {tol_k:.1e})"
             )
+        if stats.cg_breakdowns or stats.descent_fallbacks:
+            report.warnings.append(
+                f"outer {k}: {stats.cg_breakdowns} CG curvature breakdowns, "
+                f"{stats.descent_fallbacks} steepest-descent fallbacks"
+            )
         report.it_sn += stats.iterations
         report.it_cg += stats.cg_iterations_total
 
@@ -451,7 +463,7 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
         report.kkt_residual = max(r1, r2, r3)
         pv = primal_objective(p, w, bw=bw)
         dv, _ = dual_objective(p, lam)
-        report.outer.append(OuterRecord(sigma, tol_k, stats, pv, dv))
+        report.outer.append(OuterRecord(sigma, tol_k, stats, pv, dv, r1, r2, r3))
 
         sigma = min(cfg.sigma_max, sigma / cfg.theta)
         if report.kkt_residual <= cfg.tol:

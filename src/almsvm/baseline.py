@@ -5,8 +5,8 @@ re-derive the quantities the solver computes in closed form — proximal
 points by piecewise-quadratic enumeration, gradients by central
 differences, the Hessian-vector product by the unrestricted formula,
 the CSR products by ``np.bincount`` over the stored nonzeros in
-row-major order — so the test suite can check the fast paths against
-slow, obviously correct ones.
+row-major order, LIBSVM text one token at a time — so the test suite
+can check the fast paths against slow, obviously correct ones.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import math
 import numpy as np
 
 from .alm import Problem, primal_objective
+from .data_io import Dataset, ParseError
 from .sparse import SparseMatrix
 
 __all__ = ["prox_oracle", "fd_gradient", "subgradient_solve", "hess_vec_way2",
-           "matvec_oracle", "matvec_t_oracle", "normal_apply_oracle"]
+           "matvec_oracle", "matvec_t_oracle", "normal_apply_oracle",
+           "parse_libsvm_oracle"]
 
 
 def prox_oracle(z, C: float, M: float, eps: float | None = None):
@@ -151,3 +153,83 @@ def normal_apply_oracle(a: SparseMatrix, rows, h) -> np.ndarray:
     vals, cols = a.values[sel], a.col_idx[sel]
     t = np.bincount(local, weights=vals * h[cols], minlength=rows.size)
     return np.bincount(cols, weights=vals * t[local], minlength=a.n)
+
+
+def parse_libsvm_oracle(text, n_features: int | None = None) -> Dataset:
+    """:func:`almsvm.data_io.parse_libsvm` one token at a time.
+
+    Each line is checked token by token in order: the label, then each
+    token's colon, its two numbers, its index against 1 and against the
+    previous index. The first fault stops the parse. NaN and infinite
+    labels and values are looked for only after every line has passed,
+    and the first line holding one is named.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    samples: list[tuple[np.ndarray, np.ndarray]] = []
+    labels: list[float] = []
+    linenos: list[int] = []
+    max_idx = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: label {tokens[0]!r} is not numeric"
+            ) from None
+        idx: list[int] = []
+        vals: list[float] = []
+        prev = 0
+        for tok in tokens[1:]:
+            if ":" not in tok:
+                raise ParseError(
+                    f"line {lineno}: expected index:value, got {tok!r}"
+                )
+            i_s, v_s = tok.split(":", 1)
+            try:
+                i = int(i_s)
+                v = float(v_s)
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}: malformed token {tok!r}"
+                ) from None
+            if i < 1:
+                raise ParseError(f"line {lineno}: feature index {i} < 1")
+            if i <= prev:
+                raise ParseError(
+                    f"line {lineno}: index {i} not strictly increasing"
+                )
+            prev = i
+            idx.append(i - 1)
+            vals.append(v)
+        samples.append(
+            (np.array(idx, dtype=np.int64), np.array(vals, dtype=np.float64))
+        )
+        labels.append(label)
+        linenos.append(lineno)
+        max_idx = max(max_idx, prev)
+    y = np.array(labels, dtype=np.float64)
+    bad = ~np.isfinite(y)
+    if samples:
+        vals = np.concatenate([v for _, v in samples])
+        bad_vals = ~np.isfinite(vals)
+        if bad_vals.any():
+            ends = np.cumsum([v.size for _, v in samples])
+            rows = np.searchsorted(ends, np.flatnonzero(bad_vals), side="right")
+            bad[rows] = True
+    if bad.any():
+        raise ParseError(
+            f"line {linenos[int(np.argmax(bad))]}: non-finite label or value"
+        )
+    n = max_idx
+    if n_features is not None:
+        if n_features < max_idx:
+            raise ValueError(
+                f"n_features={n_features} below max index {max_idx} in data"
+            )
+        n = n_features
+    return Dataset(samples, y, n)

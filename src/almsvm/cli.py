@@ -38,7 +38,10 @@ from .data_io import (
     normalize_labels,
     split,
 )
-from .metrics import Model, accuracy, mse, predict, predict_label
+# predict and predict_label are not called here; perfbench/tracer.py
+# patches them under these names
+from .metrics import (Model, accuracy, mse, predict, predict_label,  # noqa: F401
+                      predict_labels, scores)
 from .newton import CgBreakdownError, LineSearchError
 
 __all__ = ["main", "write_model", "read_model"]
@@ -98,6 +101,8 @@ def _model_from(fields: dict, weights: list) -> Model:
                 f"labels must be none or a:b, got {fields['labels']!r}"
             )
         label_map = (float(pair[0]), float(pair[1]))
+        if not all(map(math.isfinite, label_map)):
+            raise ValueError("labels must be finite")
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, found {len(weights)}")
     return Model(
@@ -250,10 +255,10 @@ def cmd_predict(args) -> int:
     model = read_model(args.model)
     data = load_libsvm(args.data)
     if model.task == "svc":
-        values = (predict_label(model, s) for s in data.samples)
+        values = predict_labels(model, data)
     else:
-        values = (predict(model, s) for s in data.samples)
-    text = "".join(format_float(v) + "\n" for v in values)
+        values = scores(model, data)
+    text = "".join(format_float(v) + "\n" for v in values.tolist())
     if args.output == "-":
         sys.stdout.write(text)
     else:

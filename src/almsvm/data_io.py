@@ -9,6 +9,7 @@ serialize boundary only.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# feature indices are stored as int64
+_INDEX_MAX = (1 << 63) - 1
 
 
 class ParseError(ValueError):
@@ -61,57 +64,58 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     ``#`` starts a comment running to end of line; blank lines are
     skipped. ``n_features`` may widen (never narrow) the inferred
     feature count.
+
+    One Python iteration per line: the line is split once, its feature
+    tokens are checked as a group (each holds one colon between
+    non-empty sides) and converted by ``int`` and ``float`` into two
+    flat arrays; every sample is a pair of views into them. That indices
+    are at least 1 and increase within each line, and that labels and
+    values are finite, is checked once for the whole file with numpy.
+    The first fault in file order is reported with its 1-based line:
+    within a line the first bad token, and a non-finite label or value
+    only when no line has any other fault.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    samples: list[tuple[np.ndarray, np.ndarray]] = []
-    labels: list[float] = []
-    linenos: list[int] = []
-    max_idx = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    labels, ends, linenos = array("d"), array("q"), array("q")
+    idx, vals = array("q"), array("d")
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
+        k = len(tokens) - 1
         try:
-            label = float(tokens[0])
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: label {tokens[0]!r} is not numeric"
-            ) from None
-        idx: list[int] = []
-        vals: list[float] = []
-        prev = 0
-        for tok in tokens[1:]:
-            if ":" not in tok:
-                raise ParseError(
-                    f"line {lineno}: expected index:value, got {tok!r}"
-                )
-            i_s, v_s = tok.split(":", 1)
-            try:
-                i = int(i_s)
-                v = float(v_s)
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}: malformed token {tok!r}"
-                ) from None
-            if i < 1:
-                raise ParseError(f"line {lineno}: feature index {i} < 1")
-            if i <= prev:
-                raise ParseError(
-                    f"line {lineno}: index {i} not strictly increasing"
-                )
-            prev = i
-            idx.append(i - 1)
-            vals.append(v)
-        samples.append(
-            (np.array(idx, dtype=np.int64), np.array(vals, dtype=np.float64))
-        )
+            # "::" between tokens leaves an empty piece, so a label and k
+            # tokens that each hold one colon split into the label and k
+            # ("", idx, val) triples. Any other line that splits into 3k+1
+            # pieces has an empty piece where a number is read, and
+            # int("") and float("") fail: so every token holds exactly one
+            # colon between non-empty sides once the numbers are read.
+            parts = "::".join(tokens).split(":")
+            if len(parts) != 3 * k + 1:
+                raise ValueError
+            label = float(parts[0])
+            idx.extend(map(int, parts[2::3]))
+            vals.extend(map(float, parts[3::3]))
+        except (ValueError, OverflowError):
+            # rows parsed so far may hold an earlier fault
+            done = ends[-1] if ends else 0
+            _check_indices(np.frombuffer(idx, np.int64, done), ends, linenos)
+            _raise_line_fault(lineno, tokens)
         labels.append(label)
+        ends.append(len(idx))
         linenos.append(lineno)
-        max_idx = max(max_idx, prev)
-    y = np.array(labels, dtype=np.float64)
-    _check_finite(y, samples, linenos)
+    del lines  # freed before the per-sample views are made
+    cols = np.frombuffer(idx, dtype=np.int64)
+    y = np.frombuffer(labels, dtype=np.float64)
+    values = np.frombuffer(vals, dtype=np.float64)
+    _check_indices(cols, ends, linenos)
+    _check_finite(y, values, ends, linenos)
+    max_idx = int(cols.max()) if cols.size else 0
+    cols -= 1
+    starts = [0, *ends[:-1]]
+    samples = [(cols[a:b], values[a:b]) for a, b in zip(starts, ends)]
     n = max_idx
     if n_features is not None:
         if n_features < max_idx:
@@ -122,17 +126,65 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     return Dataset(samples, y, n)
 
 
-def _check_finite(labels, samples, linenos) -> None:
-    """Name the first line with a NaN or infinite label or value. One
-    vectorized pass after parsing, so the token loop pays nothing."""
+def _raise_line_fault(lineno: int, tokens) -> None:
+    """Raise for the first bad token of one line, checked one at a time
+    in line order: the label, then each token's colon, its numbers, its
+    index range and its index order."""
+    try:
+        float(tokens[0])
+    except ValueError:
+        raise ParseError(
+            f"line {lineno}: label {tokens[0]!r} is not numeric"
+        ) from None
+    prev = 0
+    for tok in tokens[1:]:
+        if ":" not in tok:
+            raise ParseError(f"line {lineno}: expected index:value, got {tok!r}")
+        i_s, v_s = tok.split(":", 1)
+        try:
+            i = int(i_s)
+            float(v_s)
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed token {tok!r}") from None
+        if i < 1:
+            raise ParseError(f"line {lineno}: feature index {i} < 1")
+        if i > _INDEX_MAX:
+            raise ParseError(f"line {lineno}: feature index {i} too large")
+        if i <= prev:
+            raise ParseError(f"line {lineno}: index {i} not strictly increasing")
+        prev = i
+    raise AssertionError(f"line {lineno}: no fault found")
+
+
+def _check_indices(cols: np.ndarray, ends, linenos) -> None:
+    """Name the first 1-based index that is below 1 or not above its
+    predecessor in its row; ``ends[r]`` is where row ``r`` ends in
+    ``cols``."""
+    if cols.size == 0:
+        return
+    bad = np.empty(cols.size, dtype=bool)
+    np.less_equal(cols[1:], cols[:-1], out=bad[1:])
+    ends = np.frombuffer(ends, dtype=np.int64)
+    starts = np.concatenate(([0], ends[:-1]))
+    first = starts[starts < ends]
+    bad[first] = cols[first] < 1
+    if bad.any():
+        p = int(np.argmax(bad))
+        i = int(cols[p])
+        lineno = linenos[int(np.searchsorted(ends, p, side="right"))]
+        if i < 1:
+            raise ParseError(f"line {lineno}: feature index {i} < 1")
+        raise ParseError(f"line {lineno}: index {i} not strictly increasing")
+
+
+def _check_finite(labels: np.ndarray, values: np.ndarray, ends, linenos) -> None:
+    """Name the first line with a NaN or infinite label or value."""
     bad = ~np.isfinite(labels)
-    if samples:
-        vals = np.concatenate([v for _, v in samples])
-        bad_vals = ~np.isfinite(vals)
-        if bad_vals.any():
-            ends = np.cumsum([v.size for _, v in samples])
-            rows = np.searchsorted(ends, np.flatnonzero(bad_vals), side="right")
-            bad[rows] = True
+    bad_vals = ~np.isfinite(values)
+    if bad_vals.any():
+        rows = np.searchsorted(np.frombuffer(ends, dtype=np.int64),
+                               np.flatnonzero(bad_vals), side="right")
+        bad[rows] = True
     if bad.any():
         raise ParseError(
             f"line {linenos[int(np.argmax(bad))]}: non-finite label or value"

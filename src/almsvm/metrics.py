@@ -8,7 +8,8 @@ import numpy as np
 
 from .data_io import Dataset
 
-__all__ = ["Model", "predict", "predict_label", "accuracy", "mse"]
+__all__ = ["Model", "scores", "predict", "predict_label", "predict_labels",
+           "accuracy", "mse"]
 
 
 @dataclass
@@ -35,44 +36,66 @@ class Model:
             raise ValueError("model weights must be finite")
 
 
-def predict(model: Model, sample) -> float:
-    """Raw score w . x for one sparse sample.
+def _row_scores(model: Model, samples) -> np.ndarray:
+    """``w . x`` for each sparse row, gathered, multiplied and summed
+    left to right per row by ``np.bincount``.
 
     Features beyond the model's dictionary contribute zero (test files
     routinely carry indices the training file never saw). For a
     bias-augmented model the constant feature is appended implicitly.
     """
-    idx, vals = sample
-    idx = np.asarray(idx, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
+    m = len(samples)
+    if m == 0:
+        return np.zeros(0)
+    cols = np.concatenate([idx for idx, _ in samples])
+    vals = np.concatenate([v for _, v in samples])
+    rows = np.repeat(np.arange(m), [idx.size for idx, _ in samples])
     n = model.w.size
-    lim = n - 1 if model.bias_augmented else n
-    keep = idx < lim
-    score = float(model.w[idx[keep]] @ vals[keep])
+    keep = cols < (n - 1 if model.bias_augmented else n)
+    s = np.bincount(rows[keep], weights=vals[keep] * model.w[cols[keep]],
+                    minlength=m)
+    s = s.astype(np.float64, copy=False)  # int zeros when no entry is kept
     if model.bias_augmented:
-        score += float(model.w[-1])
-    return score
+        s += model.w[-1]
+    return s
+
+
+def scores(model: Model, data: Dataset) -> np.ndarray:
+    """Raw scores ``w . x`` of every sample of ``data``; the one scoring
+    kernel behind :func:`predict`, :func:`accuracy` and :func:`mse`."""
+    return _row_scores(model, data.samples)
+
+
+def predict(model: Model, sample) -> float:
+    """Raw score w . x for one sparse sample: :func:`scores` on one row,
+    so it agrees with it bit for bit."""
+    idx, vals = sample
+    row = (np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
+    return float(_row_scores(model, [row])[0])
+
+
+def _label_pair(model: Model) -> tuple[float, float]:
+    return model.label_map if model.label_map is not None else (-1.0, 1.0)
 
 
 def predict_label(model: Model, sample) -> float:
     """Classification label in the original label space; score 0 counts
     as positive."""
-    sign = 1.0 if predict(model, sample) >= 0.0 else -1.0
-    if model.label_map is None:
-        return sign
-    lo, hi = model.label_map
-    return hi if sign > 0 else lo
+    lo, hi = _label_pair(model)
+    return hi if predict(model, sample) >= 0.0 else lo
+
+
+def predict_labels(model: Model, data: Dataset) -> np.ndarray:
+    """:func:`predict_label` of every sample of ``data``."""
+    lo, hi = _label_pair(model)
+    return np.where(scores(model, data) >= 0.0, hi, lo)
 
 
 def accuracy(model: Model, test: Dataset) -> float:
     """Percentage of correct label predictions on ``test``."""
     if test.m == 0:
         raise ValueError("empty test set")
-    correct = sum(
-        1
-        for sample, y in zip(test.samples, test.labels)
-        if predict_label(model, sample) == y
-    )
+    correct = int(np.count_nonzero(predict_labels(model, test) == test.labels))
     return 100.0 * correct / test.m
 
 
@@ -80,8 +103,4 @@ def mse(model: Model, test: Dataset) -> float:
     """Mean squared error of the raw scores on ``test``."""
     if test.m == 0:
         raise ValueError("empty test set")
-    total = sum(
-        (y - predict(model, sample)) ** 2
-        for sample, y in zip(test.samples, test.labels)
-    )
-    return total / test.m
+    return float(np.mean((test.labels - scores(model, test)) ** 2))

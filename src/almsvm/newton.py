@@ -7,7 +7,8 @@ forcing term ``mu_j = min(eta0, eta1 * |g|)`` that tightens as the
 gradient shrinks, then backtracks along ``d`` under the Armijo rule.
 Because the Hessian selection satisfies ``V - I >= 0``, CG directions
 are always well defined; a steepest-descent fallback covers the case
-where rounding still produces a non-descent direction.
+where rounding still produces a non-descent direction. CG curvature
+breakdowns and fallbacks are counted, so neither goes unseen.
 """
 
 from __future__ import annotations
@@ -67,11 +68,16 @@ class NewtonStats:
 
     ``grad_norms`` has one entry per gradient evaluation (iterations + 1
     values); ``step_sizes`` and ``active_set_sizes`` have one entry per
-    executed iteration.
+    executed iteration. ``cg_breakdowns`` counts CG solves stopped by
+    non-positive curvature ``p'Ap <= 0``, ``descent_fallbacks`` the
+    steps that replaced a non-descent CG direction by ``-grad``; both
+    stay 0 for a positive definite ``hvp``.
     """
 
     iterations: int = 0
     cg_iterations_total: int = 0
+    cg_breakdowns: int = 0
+    descent_fallbacks: int = 0
     final_grad_norm: float = float("nan")
     step_sizes: list[float] = field(default_factory=list)
     active_set_sizes: list[int] = field(default_factory=list)
@@ -83,7 +89,9 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
     """Conjugate gradients for ``hvp(x) = rhs`` from ``x0 = 0``.
 
     Stops once ``|hvp(x) - rhs| <= tol_abs`` or after ``maxit``
-    iterations, whichever comes first; returns ``(x, iterations)``. The
+    iterations, whichever comes first; returns ``(x, iterations,
+    breakdown)``. ``breakdown`` is True when a search direction had
+    curvature ``p'Ap <= 0``; ``x`` is then the iterate before it. The
     recurrence residual is replaced by the explicit one every 50
     iterations to limit drift.
     """
@@ -94,7 +102,7 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
     r = rhs.copy()
     rr = float(r @ r)
     if np.sqrt(rr) <= tol_abs:
-        return x, 0
+        return x, 0, False
     p = r.copy()
     for it in range(1, maxit + 1):
         ap = hvp(p)
@@ -103,7 +111,7 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
             raise CgBreakdownError("non-finite curvature in CG")
         if pap <= 0.0:
             # operator contract is SPD; bail out with the current iterate
-            return x, it
+            return x, it, True
         alpha = rr / pap
         x = x + alpha * p
         if it % 50 == 0:
@@ -114,10 +122,10 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
         if not np.isfinite(rr_new):
             raise CgBreakdownError("non-finite residual in CG")
         if np.sqrt(rr_new) <= tol_abs:
-            return x, it
+            return x, it, False
         p = r + (rr_new / rr) * p
         rr = rr_new
-    return x, maxit
+    return x, maxit, False
 
 
 def newton_solve(sub: Subproblem, w0, tol: float, cfg):
@@ -141,11 +149,13 @@ def newton_solve(sub: Subproblem, w0, tol: float, cfg):
             break
         stats.active_set_sizes.append(int(sub.linearize()))
         mu = min(cfg.cg_eta0, cfg.cg_eta1 * gnorm)
-        d, cg_iters = cg_solve(sub.hvp, -g, mu * gnorm, cfg.cg_maxit)
+        d, cg_iters, breakdown = cg_solve(sub.hvp, -g, mu * gnorm, cfg.cg_maxit)
         stats.cg_iterations_total += cg_iters
+        stats.cg_breakdowns += breakdown
         slope = float(g @ d)
         if slope >= 0.0:
             # rounding spoiled the CG direction; fall back to steepest descent
+            stats.descent_fallbacks += 1
             d = -g
             slope = -gnorm * gnorm
         sub.set_direction(d)

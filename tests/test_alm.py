@@ -358,6 +358,11 @@ class TestAlmSolve:
                  else build_svr(data, c, inst.eps))
             _, report = alm_solve(p)
             assert (report.k, report.it_sn) == expected[inst.name], inst.name
+            # the Hessian selection is positive definite: CG never breaks
+            # down and never needs the steepest-descent fallback
+            assert all(rec.newton.cg_breakdowns == 0
+                       and rec.newton.descent_fallbacks == 0
+                       for rec in report.outer), inst.name
 
     def test_report_bookkeeping(self):
         p = random_problem(seed=19, m=20, n=4)
@@ -369,3 +374,27 @@ class TestAlmSolve:
         assert len(report.outer) == report.k
         assert report.duality_gap >= -1e-8
         assert report.time_seconds >= 0.0
+
+    def test_records_carry_the_three_residuals(self):
+        p = random_problem(seed=19, m=20, n=4)
+        _, report = alm_solve(p, SolverConfig(max_outer=3))
+        for rec in report.outer:
+            assert min(rec.r1, rec.r2, rec.r3) >= 0.0
+        last = report.outer[-1]
+        assert max(last.r1, last.r2, last.r3) == report.kkt_residual
+
+    def test_cg_breakdown_and_fallback_warn(self, monkeypatch):
+        import almsvm.alm as alm_mod
+
+        real = alm_mod.newton_solve
+
+        def breaking(*args, **kwargs):
+            w, stats = real(*args, **kwargs)
+            stats.cg_breakdowns, stats.descent_fallbacks = 2, 1
+            return w, stats
+
+        monkeypatch.setattr(alm_mod, "newton_solve", breaking)
+        _, report = alm_solve(random_problem(seed=19, m=20, n=4),
+                              SolverConfig(max_outer=1))
+        assert ("outer 0: 2 CG curvature breakdowns, "
+                "1 steepest-descent fallbacks") in report.warnings

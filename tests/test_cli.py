@@ -252,6 +252,9 @@ class TestBench:
         for rec in outer:
             newton = rec["newton"]
             assert len(newton["grad_norms"]) == newton["iterations"] + 1
+            assert newton["cg_breakdowns"] == newton["descent_fallbacks"] == 0
+        last = outer[-1]
+        assert max(last["r1"], last["r2"], last["r3"]) == report["kkt_residual"]
 
     def test_multiple_datasets_with_jobs(self, svc_file, tmp_path, capsys):
         # two copies of the same classification set, solved one after another

@@ -1,8 +1,11 @@
 """Parsing, serialization, label normalization, splits, bias feature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from almsvm.baseline import parse_libsvm_oracle
 from almsvm.data_io import (
     Dataset,
     ParseError,
@@ -65,6 +68,11 @@ class TestParse:
             ("1 0:1\n", "< 1"),
             ("abc 1:1\n", "not numeric"),
             ("1 1:x\n", "malformed"),
+            ("5 3:4:6\n", "malformed"),
+            ("1 :1\n", "malformed"),
+            ("1 1:\n", "malformed"),
+            ("1 2:1 3 4:1:1\n", "index:value"),
+            (f"1 {2 ** 63}:1\n", "too large"),
             ("nan 1:1\n", "non-finite"),
             ("1 1:inf\n", "non-finite"),
         ],
@@ -80,6 +88,36 @@ class TestParse:
         with pytest.raises(ParseError, match="line 5: non-finite"):
             parse_libsvm(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # an index fault on line 2 stops the parse before line 3
+            ("1 1:1\n1 2:1 1:1\n1 x\n", "line 2: index 1 not strictly increasing"),
+            ("1 1:nan\n1 0:1\n", "line 2: feature index 0 < 1"),
+            ("1 1:inf\n1 1:1 x\n", "line 2: expected index:value, got 'x'"),
+            # within a line, the first bad token wins
+            ("1 0:1 x\n", "line 1: feature index 0 < 1"),
+            ("1 3:1 2:y\n", "line 1: malformed token '2:y'"),
+            ("1 3:1 2:1 y\n", "line 1: index 2 not strictly increasing"),
+            ("x 0:1\n", "line 1: label 'x' is not numeric"),
+        ],
+    )
+    def test_first_fault_in_file_order_wins(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_libsvm(text)
+        assert str(excinfo.value) == message
+        with pytest.raises(ParseError) as excinfo:
+            parse_libsvm_oracle(text)
+        assert str(excinfo.value) == message
+
+    def test_samples_are_views_of_two_flat_arrays(self):
+        d = parse_libsvm("1 1:1 3:2\n-1\n1 2:5\n")
+        (i0, v0), (i1, v1), (i2, v2) = d.samples
+        assert i0.base is not None and i0.base is i2.base
+        assert v0.base is not None and v0.base is v2.base
+        assert i1.size == 0 and v1.size == 0
+        np.testing.assert_array_equal(i2, [1])
+
     def test_n_features_override_widens(self):
         d = parse_libsvm("+1 1:1\n", n_features=10)
         assert d.n_features == 10
@@ -87,6 +125,34 @@ class TestParse:
     def test_n_features_override_cannot_narrow(self):
         with pytest.raises(ValueError, match="below max index"):
             parse_libsvm("+1 5:1\n", n_features=3)
+
+
+def _generated_text(lines=20000, per_line=5):
+    rng = np.random.default_rng(5)
+    idx = np.sort(rng.integers(0, 100, size=(lines, per_line)), axis=1)
+    idx += 100 * np.arange(per_line, dtype=np.int64)  # strictly increasing
+    vals = np.round(rng.normal(size=(lines, per_line)), 3)
+    labels = rng.choice([-1.0, 1.0], lines)
+    return serialize_libsvm(Dataset(list(zip(idx, vals)), labels, 100 * per_line))
+
+
+def _alloc_peak(parse, text):
+    tracemalloc.start()
+    try:
+        result = parse(text)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_memory_stays_within_the_oracles():
+    # the per-line parser keeps two flat arrays and views into them; it
+    # must never hold the whole file's tokens at once
+    text = _generated_text()
+    fast, fast_peak = _alloc_peak(parse_libsvm, text)
+    slow, slow_peak = _alloc_peak(parse_libsvm_oracle, text)
+    assert_datasets_equal(fast, slow)
+    assert fast_peak <= 1.25 * slow_peak, (fast_peak, slow_peak)
 
 
 class TestRoundTrip:

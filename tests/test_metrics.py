@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from almsvm.baseline import matvec_oracle
 from almsvm.data_io import Dataset
-from almsvm.metrics import Model, accuracy, mse, predict, predict_label
+from almsvm.metrics import (Model, accuracy, mse, predict, predict_label,
+                            predict_labels, scores)
+from almsvm.sparse import SparseMatrix
 
 
 def _sample(pairs):
@@ -50,6 +53,46 @@ class TestPredict:
         lhs = predict(m, (idx, 2.0 * v1 + 3.0 * v2))
         rhs = 2.0 * predict(m, (idx, v1)) + 3.0 * predict(m, (idx, v2))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _random_rows(rng, m, n_data):
+    rows = []
+    for _ in range(m):
+        k = int(rng.integers(0, 8))
+        idx = np.sort(rng.choice(n_data, size=k, replace=False)).astype(np.int64)
+        rows.append((idx, rng.normal(size=k)))
+    return rows
+
+
+class TestScores:
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_bitwise_equal_to_the_oracle_on_the_kept_columns(self, rng, bias):
+        # the data reaches past the model's dictionary (and, with a bias,
+        # onto the bias slot); those entries are dropped
+        rows = _random_rows(rng, 60, 30)
+        model = Model(w=rng.normal(size=20), task="svr", bias_augmented=bias)
+        lim = 19 if bias else 20
+        kept = [(i[i < lim], v[i < lim]) for i, v in rows]
+        expected = matvec_oracle(SparseMatrix.from_rows(kept, lim), model.w[:lim])
+        if bias:
+            expected = expected + model.w[-1]
+        got = scores(model, Dataset(rows, np.zeros(60), 30))
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == np.float64
+
+    def test_predict_is_the_same_kernel_on_one_row(self, rng):
+        rows = _random_rows(rng, 40, 12)
+        data = Dataset(rows, np.zeros(40), 12)
+        model = Model(w=rng.normal(size=12), task="svc", bias_augmented=True,
+                      label_map=(3.0, 5.0))
+        assert scores(model, data).tolist() == [predict(model, r) for r in rows]
+        assert predict_labels(model, data).tolist() == [
+            predict_label(model, r) for r in rows]
+
+    def test_empty_data(self):
+        model = Model(w=[1.0], task="svr")
+        got = scores(model, Dataset([], np.zeros(0), 1))
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 def _toy_test_set(labels):
@@ -100,6 +143,12 @@ class TestMse:
         d = Dataset([_sample([(0, float(v))]) for v in rng.normal(size=5)],
                     rng.normal(size=5), 1)
         assert mse(m, d) >= 0.0
+
+    def test_matches_the_per_sample_sum(self, rng):
+        m = Model(w=rng.normal(size=12), task="svr")
+        d = Dataset(_random_rows(rng, 50, 15), rng.normal(size=50), 15)
+        loop = sum((y - predict(m, s)) ** 2 for s, y in zip(d.samples, d.labels))
+        assert mse(m, d) == pytest.approx(loop / d.m, rel=1e-12)
 
 
 class TestModelValidation:

@@ -15,13 +15,15 @@ from almsvm.synthetic import bundled_instances, svc_blobs
 
 class TestCgSolve:
     def test_identity_one_iteration(self):
-        x, iters = cg_solve(lambda v: v, np.array([2.0, -3.0]), 1e-12, 10)
+        x, iters, breakdown = cg_solve(lambda v: v, np.array([2.0, -3.0]),
+                                       1e-12, 10)
         np.testing.assert_allclose(x, [2.0, -3.0])
         assert iters == 1
+        assert not breakdown
 
     def test_diagonal_two_iterations(self):
         a = np.diag([2.0, 4.0])
-        x, iters = cg_solve(lambda v: a @ v, np.array([2.0, 4.0]), 1e-12, 10)
+        x, iters, _ = cg_solve(lambda v: a @ v, np.array([2.0, 4.0]), 1e-12, 10)
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
         assert iters <= 2
 
@@ -29,20 +31,28 @@ class TestCgSolve:
         a = rng.normal(size=(20, 20))
         spd = a @ a.T + 20 * np.eye(20)
         rhs = rng.normal(size=20)
-        x, _ = cg_solve(lambda v: spd @ v, rhs, 1e-10, 200)
+        x, _, breakdown = cg_solve(lambda v: spd @ v, rhs, 1e-10, 200)
+        assert not breakdown
         np.testing.assert_allclose(x, np.linalg.solve(spd, rhs), rtol=1e-8)
 
     def test_zero_rhs(self):
-        x, iters = cg_solve(lambda v: v, np.zeros(3), 1e-12, 10)
+        x, iters, _ = cg_solve(lambda v: v, np.zeros(3), 1e-12, 10)
         np.testing.assert_array_equal(x, np.zeros(3))
         assert iters == 0
 
     def test_truncation_at_maxit(self, rng):
         a = rng.normal(size=(30, 30))
         spd = a @ a.T + np.eye(30)
-        x, iters = cg_solve(lambda v: spd @ v, rng.normal(size=30), 1e-14, 3)
+        x, iters, _ = cg_solve(lambda v: spd @ v, rng.normal(size=30), 1e-14, 3)
         assert iters == 3
         assert np.all(np.isfinite(x))
+
+    def test_non_positive_curvature_is_reported(self):
+        x, iters, breakdown = cg_solve(lambda v: -v, np.array([1.0, 2.0]),
+                                       1e-12, 10)
+        assert breakdown
+        assert iters == 1
+        np.testing.assert_array_equal(x, [0.0, 0.0])
 
 
 class CallbackSubproblem:
@@ -152,9 +162,9 @@ class TestNewtonSolve:
         real_cg = newton_mod.cg_solve
 
         def recording_cg(*args, **kwargs):
-            x, iters = real_cg(*args, **kwargs)
+            x, iters, breakdown = real_cg(*args, **kwargs)
             calls.append(iters)
-            return x, iters
+            return x, iters, breakdown
 
         monkeypatch.setattr(newton_mod, "cg_solve", recording_cg)
         data = svc_blobs(60, 4, separation=1.0, scale=1.0, seed=8)
@@ -178,6 +188,8 @@ class TestNewtonSolve:
                                 SolverConfig())
         assert np.linalg.norm(w) <= 1e-8
         assert not stats.hit_iteration_cap
+        assert stats.cg_breakdowns >= 1
+        assert stats.descent_fallbacks >= 1
 
     def test_inconsistent_oracle_raises_line_search_error(self, rng):
         # gradient claims descent along -w but the value grows that way
