@@ -52,13 +52,12 @@ __all__ = [
     "SolverConfig",
     "OuterRecord",
     "SolveReport",
+    "Hinge",
+    "EpsInsensitive",
     "build_svc",
     "build_svr",
     "primal_objective",
     "dual_objective",
-    "phi_value",
-    "phi_grad",
-    "hess_vec",
     "SmoothedSubproblem",
     "make_subproblem_oracle",
     "kkt_residual",
@@ -71,9 +70,67 @@ SVR = "svr"
 CONVERGED = "converged"
 MAX_OUTER = "max_outer"
 
+NEWTON_TOL_FLOOR = 1e-6
+
 
 class DivergedError(RuntimeError):
     """Solver state left the finite range."""
+
+
+def _weight(C: float) -> float:
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError("C must be positive and finite")
+    return C
+
+
+# The penalty methods look up this module's prox names at call time, so
+# a patch of one of them (perfbench/tracer.py wraps each) sees every call.
+class Hinge:
+    """``C * sum(max(s_i, 0))``; conjugate 0 on the dual box [0, C]."""
+
+    def __init__(self, C: float):
+        self.C = _weight(C)
+        self.box = (0.0, self.C)
+
+    def value(self, s) -> float:
+        return p_value(s, self.C)
+
+    def prox(self, z, M: float):
+        return prox_hinge(z, self.C, M)
+
+    def envelope(self, z, M: float) -> float:
+        return moreau_env_hinge(z, self.C, M)
+
+    def active(self, z, sigma: float) -> np.ndarray:
+        return active_set_svc(z, self.C, sigma)
+
+    def conjugate(self, lam) -> float:
+        return 0.0
+
+
+class EpsInsensitive:
+    """``C * sum(max(|s_i| - eps, 0))``; conjugate ``eps*|lam|_1`` on [-C, C]."""
+
+    def __init__(self, C: float, eps: float):
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError("eps must be nonnegative and finite")
+        self.C, self.eps = _weight(C), eps
+        self.box = (-self.C, self.C)
+
+    def value(self, s) -> float:
+        return p_eps_value(s, self.C, self.eps)
+
+    def prox(self, z, M: float):
+        return prox_eps(z, self.C, M, self.eps)
+
+    def envelope(self, z, M: float) -> float:
+        return moreau_env_eps(z, self.C, M, self.eps)
+
+    def active(self, z, sigma: float) -> np.ndarray:
+        return active_set_svr(z, self.C, sigma, self.eps)
+
+    def conjugate(self, lam) -> float:
+        return self.eps * float(np.abs(lam).sum())
 
 
 @dataclass(frozen=True)
@@ -81,7 +138,8 @@ class Problem:
     """One assembled training instance.
 
     ``d`` is the constant offset in the constraint ``s = B w + d``:
-    all-ones for classification, ``-y`` for regression.
+    all-ones for classification, ``-y`` for regression. ``penalty``, the
+    task's :class:`Hinge` or :class:`EpsInsensitive`, is chosen once here.
     """
 
     B: SparseMatrix
@@ -89,18 +147,20 @@ class Problem:
     C: float
     task: str
     eps: float = 0.0
+    penalty: Hinge | EpsInsensitive = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.task not in (SVC, SVR):
+        if self.task == SVC:
+            penalty = Hinge(self.C)
+        elif self.task == SVR:
+            penalty = EpsInsensitive(self.C, self.eps)
+        else:
             raise ValueError(f"task must be {SVC!r} or {SVR!r}")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
         if self.d.shape != (self.B.m,):
             raise ValueError("d must have one entry per row of B")
         if not np.all(np.isfinite(self.d)):
             raise ValueError("d must be finite")
-        if self.task == SVR and self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        object.__setattr__(self, "penalty", penalty)
 
     @property
     def m(self) -> int:
@@ -117,8 +177,9 @@ class SolverConfig:
 
     Defaults follow the reference parameterization: sigma starts at 0.15
     and grows by 1/theta = 1.25 per outer iteration up to 2; at most 10
-    outer iterations; inner tolerance ``max(newton_tol_floor,
-    10**-(k+1))`` at outer iteration k.
+    outer iterations; inner tolerance ``max(NEWTON_TOL_FLOOR,
+    10**-(k+1))`` at outer iteration k. The line-search and CG
+    constants are fixed in :mod:`almsvm.newton`.
     """
 
     sigma0: float = 0.15
@@ -126,28 +187,18 @@ class SolverConfig:
     theta: float = 0.8
     tol: float = 1e-6
     max_outer: int = 10
-    newton_tol_floor: float = 1e-6
-    ls_rho: float = 0.5
-    ls_c1: float = 1e-4
-    cg_eta0: float = 0.9
-    cg_eta1: float = 0.1
-    cg_maxit: int = 200
     max_newton_per_outer: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.ls_rho < 1.0:
-            raise ValueError("ls_rho must be in (0, 1)")
-        if not 0.0 < self.ls_c1 < 1.0:
-            raise ValueError("ls_c1 must be in (0, 1)")
+        if not all(map(math.isfinite, (self.sigma0, self.sigma_max, self.tol))):
+            raise ValueError("sigma0, sigma_max and tol must be finite")
         if not 0.0 < self.sigma0 <= self.sigma_max:
             raise ValueError("need 0 < sigma0 <= sigma_max")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
-        if self.tol <= 0 or self.newton_tol_floor <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.cg_eta0 <= 0 or self.cg_eta1 <= 0:
-            raise ValueError("cg_eta0 and cg_eta1 must be positive")
-        for name in ("max_outer", "cg_maxit", "max_newton_per_outer"):
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        for name in ("max_outer", "max_newton_per_outer"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -215,35 +266,11 @@ def build_svr(train: Dataset, C: float, eps: float) -> Problem:
     return Problem(B=X, d=-y, C=float(C), task=SVR, eps=float(eps))
 
 
-def _penalty(p: Problem, s) -> float:
-    if p.task == SVC:
-        return p_value(s, p.C)
-    return p_eps_value(s, p.C, p.eps)
-
-
-def _prox(p: Problem, z, M: float):
-    if p.task == SVC:
-        return prox_hinge(z, p.C, M)
-    return prox_eps(z, p.C, M, p.eps)
-
-
-def _envelope(p: Problem, z, M: float) -> float:
-    if p.task == SVC:
-        return moreau_env_hinge(z, p.C, M)
-    return moreau_env_eps(z, p.C, M, p.eps)
-
-
-def _active(p: Problem, z, sigma: float) -> np.ndarray:
-    if p.task == SVC:
-        return active_set_svc(z, p.C, sigma)
-    return active_set_svr(z, p.C, sigma, p.eps)
-
-
 def primal_objective(p: Problem, w, *, bw=None) -> float:
     """0.5*||w||^2 + penalty(B w + d); ``bw`` may pass a known ``B w``."""
     w = np.asarray(w, dtype=np.float64)
     s = (p.B.matvec(w) if bw is None else bw) + p.d
-    return 0.5 * float(w @ w) + _penalty(p, s)
+    return 0.5 * float(w @ w) + p.penalty.value(s)
 
 
 def dual_objective(p: Problem, lam):
@@ -258,47 +285,12 @@ def dual_objective(p: Problem, lam):
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (p.m,):
         raise ValueError(f"lam must have length {p.m}")
-    if p.task == SVC:
-        lam_hat = np.clip(lam, 0.0, p.C)
-    else:
-        lam_hat = np.clip(lam, -p.C, p.C)
+    lam_hat = np.clip(lam, *p.penalty.box)
     dist = float(np.linalg.norm(lam - lam_hat))
     bt = p.B.matvec_t(lam_hat)
-    value = -0.5 * float(bt @ bt) + float(lam_hat @ p.d)
-    if p.task == SVR:
-        value -= p.eps * float(np.abs(lam_hat).sum())
+    value = (-0.5 * float(bt @ bt) + float(lam_hat @ p.d)
+             - p.penalty.conjugate(lam_hat))
     return value, dist
-
-
-def _z_of(p: Problem, w, lam, sigma: float) -> np.ndarray:
-    return p.B.matvec(w) + p.d + lam / sigma
-
-
-def phi_value(p: Problem, w, lam, sigma: float) -> float:
-    """Subproblem objective phi(w) at multiplier ``lam`` and penalty
-    ``sigma``."""
-    w = np.asarray(w, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    z = _z_of(p, w, lam, sigma)
-    tau = _envelope(p, z, 1.0 / sigma)
-    return 0.5 * float(w @ w) - float(lam @ lam) / (2.0 * sigma) + sigma * tau
-
-
-def phi_grad(p: Problem, w, lam, sigma: float) -> np.ndarray:
-    """Gradient of phi: w + sigma * B.T (z - prox(z)) with z = Bw + d +
-    lam/sigma. The prox residual form avoids cancellation between the
-    multiplier and penalty terms."""
-    w = np.asarray(w, dtype=np.float64)
-    z = _z_of(p, w, lam, sigma)
-    s = _prox(p, z, 1.0 / sigma)
-    return w + sigma * p.B.matvec_t(z - s)
-
-
-def hess_vec(p: Problem, rows, h, sigma: float) -> np.ndarray:
-    """Apply the Hessian selection V = I + sigma * B[rows,:].T B[rows,:],
-    touching only the active rows."""
-    h = np.asarray(h, dtype=np.float64)
-    return h + sigma * p.B.restricted_normal_apply(rows, h)
 
 
 class SmoothedSubproblem:
@@ -340,15 +332,15 @@ class SmoothedSubproblem:
         self._trial = self._d = self._bd = self._block = None
 
     def _phi(self, w, z) -> float:
-        tau = _envelope(self.p, z, 1.0 / self.sigma)
+        tau = self.p.penalty.envelope(z, 1.0 / self.sigma)
         return 0.5 * float(w @ w) - self._lam_term + self.sigma * tau
 
     def grad(self) -> np.ndarray:
-        s = _prox(self.p, self.z, 1.0 / self.sigma)
+        s = self.p.penalty.prox(self.z, 1.0 / self.sigma)
         return self.w + self.sigma * self.p.B.matvec_t(self.z - s)
 
     def linearize(self) -> int:
-        rows = _active(self.p, self.z, self.sigma)
+        rows = self.p.penalty.active(self.z, self.sigma)
         self._block = self.p.B.gather_rows(rows)
         return rows.size
 
@@ -403,7 +395,7 @@ def kkt_residual(p: Problem, w, s, lam, *, bw=None):
     r2 = float(np.linalg.norm(w + p.B.matvec_t(lam))) / (
         1.0 + float(np.linalg.norm(w))
     )
-    r3 = float(np.linalg.norm(s - _prox(p, s + lam, 1.0))) / (
+    r3 = float(np.linalg.norm(s - p.penalty.prox(s + lam, 1.0))) / (
         1.0 + float(np.linalg.norm(s))
     )
     return r1, r2, r3
@@ -419,7 +411,7 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     """Run the outer loop and return ``(w, SolveReport)``.
 
     Starts from w = ones, lam = 0. Each outer iteration k solves the
-    subproblem to gradient tolerance ``max(newton_tol_floor,
+    subproblem to gradient tolerance ``max(NEWTON_TOL_FLOOR,
     10**-(k+1))``, recovers s through the prox at scale 1/sigma, updates
     lam = sigma * (z - s) (the multiplier step written in terms of z)
     and grows sigma by 1/theta up to sigma_max. Stops early once
@@ -436,7 +428,7 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     sigma = cfg.sigma0
     t0 = time.perf_counter()
     for k in range(cfg.max_outer):
-        tol_k = max(cfg.newton_tol_floor, 10.0 ** (-(k + 1)))
+        tol_k = max(NEWTON_TOL_FLOOR, 10.0 ** (-(k + 1)))
         sub = make_subproblem_oracle(p, lam, sigma, bw=bw)
         w, stats = newton_solve(sub, w, tol_k, cfg)
         if stats.hit_iteration_cap:
@@ -454,7 +446,7 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
 
         bw = p.B.matvec(w)
         z = bw + p.d + lam / sigma
-        s = _prox(p, z, 1.0 / sigma)
+        s = p.penalty.prox(z, 1.0 / sigma)
         lam = sigma * (z - s)
         _check_finite(w, s, lam)
 

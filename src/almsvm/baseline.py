@@ -19,9 +19,9 @@ from .alm import Problem, primal_objective
 from .data_io import Dataset, ParseError
 from .sparse import SparseMatrix
 
-__all__ = ["prox_oracle", "fd_gradient", "subgradient_solve", "hess_vec_way2",
-           "matvec_oracle", "matvec_t_oracle", "normal_apply_oracle",
-           "parse_libsvm_oracle"]
+__all__ = ["prox_oracle", "phi_value", "fd_gradient", "subgradient_solve",
+           "hess_vec_way2", "matvec_oracle", "matvec_t_oracle",
+           "normal_apply_oracle", "parse_libsvm_oracle"]
 
 
 def prox_oracle(z, C: float, M: float, eps: float | None = None):
@@ -59,6 +59,16 @@ def prox_oracle(z, C: float, M: float, eps: float | None = None):
     pick = np.argmin(flat_o, axis=0)
     best = flat_c[pick, np.arange(flat_c.shape[1])].reshape(z.shape)
     return float(best) if z.ndim == 0 else best
+
+
+def phi_value(problem: Problem, w, lam, sigma: float) -> float:
+    """phi(w) at ``lam`` and ``sigma`` from a fresh ``B w``: the reference
+    for the cached values of :class:`almsvm.alm.SmoothedSubproblem`."""
+    w = np.asarray(w, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    z = problem.B.matvec(w) + problem.d + lam / sigma
+    tau = problem.penalty.envelope(z, 1.0 / sigma)
+    return 0.5 * float(w @ w) - float(lam @ lam) / (2.0 * sigma) + sigma * tau
 
 
 def fd_gradient(f, w, h: float | None = None) -> np.ndarray:

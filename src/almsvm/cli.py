@@ -178,6 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_common(parser, args) -> None:
+    for name in ("c", "c_scale", "c_scale_svr", "epsilon", "tol", "sigma0",
+                 "sigma_max"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            parser.error(f"--{name.replace('_', '-')} must be finite, "
+                         f"got {value}")
     c = getattr(args, "c", None)
     if c is not None and c <= 0:
         parser.error("C must be positive")

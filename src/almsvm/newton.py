@@ -3,7 +3,7 @@
 Solves ``grad(w) = 0`` for a strongly convex, piecewise-smooth objective
 supplied through a :class:`Subproblem`. Each iteration solves the
 Newton system ``V d = -g`` approximately by conjugate gradients, with a
-forcing term ``mu_j = min(eta0, eta1 * |g|)`` that tightens as the
+forcing term ``mu_j = min(CG_ETA0, CG_ETA1 * |g|)`` that tightens as the
 gradient shrinks, then backtracks along ``d`` under the Armijo rule.
 Because the Hessian selection satisfies ``V - I >= 0``, CG directions
 are always well defined; a steepest-descent fallback covers the case
@@ -20,6 +20,12 @@ import numpy as np
 
 __all__ = ["Subproblem", "NewtonStats", "CgBreakdownError",
            "LineSearchError", "cg_solve", "newton_solve"]
+
+LS_RHO = 0.5  # Armijo step shrink factor
+LS_C1 = 1e-4  # Armijo sufficient-decrease constant
+CG_ETA0 = 0.9
+CG_ETA1 = 0.1
+CG_MAXIT = 200  # CG iteration cap per Newton step
 
 
 class CgBreakdownError(RuntimeError):
@@ -132,9 +138,8 @@ def newton_solve(sub: Subproblem, w0, tol: float, cfg):
     """Run the globalized Newton iteration from ``w0`` until
     ``|grad| <= tol``.
 
-    ``cfg`` supplies ls_rho, ls_c1, cg_eta0, cg_eta1, cg_maxit and
-    max_newton_per_outer. Returns ``(w, NewtonStats)``; if the iteration
-    cap fires the stats are flagged instead of raising.
+    ``cfg`` supplies max_newton_per_outer. Returns ``(w, NewtonStats)``;
+    if the iteration cap fires the stats are flagged instead of raising.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -148,8 +153,8 @@ def newton_solve(sub: Subproblem, w0, tol: float, cfg):
             stats.hit_iteration_cap = True
             break
         stats.active_set_sizes.append(int(sub.linearize()))
-        mu = min(cfg.cg_eta0, cfg.cg_eta1 * gnorm)
-        d, cg_iters, breakdown = cg_solve(sub.hvp, -g, mu * gnorm, cfg.cg_maxit)
+        mu = min(CG_ETA0, CG_ETA1 * gnorm)
+        d, cg_iters, breakdown = cg_solve(sub.hvp, -g, mu * gnorm, CG_MAXIT)
         stats.cg_iterations_total += cg_iters
         stats.cg_breakdowns += breakdown
         slope = float(g @ d)
@@ -162,9 +167,9 @@ def newton_solve(sub: Subproblem, w0, tol: float, cfg):
         f0 = sub.value(0.0)
         alpha = 1.0
         for _ in range(50):
-            if sub.value(alpha) <= f0 + cfg.ls_c1 * alpha * slope:
+            if sub.value(alpha) <= f0 + LS_C1 * alpha * slope:
                 break
-            alpha *= cfg.ls_rho
+            alpha *= LS_RHO
         else:
             raise LineSearchError(
                 "no Armijo step after 50 backtracks; "

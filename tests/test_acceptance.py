@@ -20,17 +20,15 @@ from almsvm.alm import (
     alm_solve,
     build_svc,
     build_svr,
-    hess_vec,
     make_subproblem_oracle,
-    phi_grad,
-    phi_value,
 )
-from almsvm.baseline import fd_gradient, hess_vec_way2, prox_oracle, subgradient_solve
+from almsvm.baseline import (fd_gradient, hess_vec_way2, phi_value, prox_oracle,
+                             subgradient_solve)
 from almsvm.cli import main
 from almsvm.data_io import load_libsvm, normalize_labels, split, write_libsvm
 from almsvm.metrics import Model, accuracy, mse
 from almsvm.newton import newton_solve
-from almsvm.prox import active_set_svc, prox_eps, prox_hinge
+from almsvm.prox import prox_eps, prox_hinge
 from almsvm.synthetic import bundled_instances, svc_blobs, svr_linear
 
 
@@ -101,7 +99,9 @@ def test_criterion_2_gradient_correctness():
                 if np.min(np.abs(z[:, None] - breaks[None, :])) < 1e-4:
                     continue
                 checked += 1
-                g = phi_grad(problem, w, lam, sigma)
+                sub = make_subproblem_oracle(problem, lam, sigma)
+                sub.reset(w)
+                g = sub.grad()
                 g_fd = fd_gradient(
                     lambda v: phi_value(problem, v, lam, sigma), w
                 )
@@ -117,14 +117,16 @@ def test_criterion_3_hessian_equivalence_and_definiteness():
         data = svc_blobs(40, 9, separation=1.0, scale=1.0, seed=2)
         problem = build_svc(data, 550.0 / 40)
         sigma = 0.6
+        sub = make_subproblem_oracle(problem, np.zeros(problem.m), sigma)
         for _ in range(100):
-            w = rng.normal(size=9)
+            sub.reset(rng.normal(size=9))
             h = rng.normal(size=9)
-            z = problem.B.matvec(w) + problem.d
-            rows = active_set_svc(z, problem.C, sigma)
+            size = sub.linearize()
+            rows = problem.penalty.active(sub.z, sigma)
+            assert size == rows.size
             u = np.ones(problem.m)
             u[rows] = 0.0
-            v3 = hess_vec(problem, rows, h, sigma)
+            v3 = sub.hvp(h)
             v2 = hess_vec_way2(problem, u, h, sigma)
             np.testing.assert_allclose(v3, v2, rtol=1e-10, atol=1e-12)
             assert float(h @ v3) >= float(h @ h) - 1e-10

@@ -8,20 +8,19 @@ from scipy.optimize import minimize_scalar
 from almsvm.alm import (
     CONVERGED,
     MAX_OUTER,
+    EpsInsensitive,
+    Hinge,
     Problem,
     SolverConfig,
     alm_solve,
     build_svc,
     build_svr,
     dual_objective,
-    hess_vec,
     kkt_residual,
     make_subproblem_oracle,
-    phi_grad,
-    phi_value,
     primal_objective,
 )
-from almsvm.baseline import fd_gradient
+from almsvm.baseline import fd_gradient, phi_value
 from almsvm.data_io import Dataset
 from almsvm.sparse import SparseMatrix
 from almsvm.synthetic import bundled_instances, svc_blobs, svr_linear
@@ -80,6 +79,28 @@ class TestBuild:
             Problem(B=B, d=np.array([1.0, np.inf]), C=1.0, task="svc")
         with pytest.raises(ValueError):
             Problem(B=B, d=np.ones(2), C=1.0, task="svr", eps=-0.1)
+        for bad in (np.inf, np.nan):
+            for task in ("svc", "svr"):
+                with pytest.raises(ValueError, match="C must be"):
+                    Problem(B=B, d=np.ones(2), C=bad, task=task)
+            with pytest.raises(ValueError, match="eps must be"):
+                Problem(B=B, d=np.ones(2), C=1.0, task="svr", eps=bad)
+
+    def test_penalty_is_chosen_by_task(self, rng):
+        B = SparseMatrix.from_dense(rng.normal(size=(2, 2)))
+        svc = Problem(B=B, d=np.ones(2), C=2.0, task="svc").penalty
+        svr = Problem(B=B, d=np.ones(2), C=2.0, task="svr", eps=0.3).penalty
+        assert isinstance(svc, Hinge) and svc.box == (0.0, 2.0)
+        assert isinstance(svr, EpsInsensitive) and svr.box == (-2.0, 2.0)
+        lam = np.array([0.5, -1.5])
+        assert svc.conjugate(lam) == 0.0
+        assert svr.conjugate(lam) == pytest.approx(0.3 * 2.0)
+
+    def test_solver_config_rejects_non_finite(self):
+        for name in ("sigma0", "sigma_max", "tol"):
+            for bad in (np.inf, np.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    SolverConfig(**{name: bad})
 
 
 class TestObjectives:
@@ -178,7 +199,9 @@ class TestPhi:
                 if np.min(np.abs(z[:, None] - breaks[None, :])) < 1e-4:
                     continue
                 found += 1
-                g = phi_grad(p, w, lam, sigma)
+                sub = make_subproblem_oracle(p, lam, sigma)
+                sub.reset(w)
+                g = sub.grad()
                 g_fd = fd_gradient(lambda v: phi_value(p, v, lam, sigma), w)
                 np.testing.assert_allclose(g, g_fd, rtol=1e-6, atol=1e-8)
 
@@ -190,7 +213,9 @@ class TestPhi:
         from almsvm.newton import newton_solve
 
         w, _ = newton_solve(oracle, np.ones(p.n), 1e-10, SolverConfig())
-        assert np.linalg.norm(phi_grad(p, w, lam, sigma)) <= 1e-10
+        fresh = make_subproblem_oracle(p, lam, sigma)
+        fresh.reset(w)
+        assert np.linalg.norm(fresh.grad()) <= 1e-10
 
     def test_grad_reduces_to_w_when_all_margins_clear(self):
         data = svc_blobs(30, 4, separation=9.0, scale=0.3, seed=10)
@@ -200,39 +225,42 @@ class TestPhi:
             w[idx] += y * vals
         while np.max(p.B.matvec(w) + p.d) >= 0.0:
             w *= 2.0
-        np.testing.assert_array_equal(phi_grad(p, w, np.zeros(p.m), 1.0), w)
+        sub = make_subproblem_oracle(p, np.zeros(p.m), 1.0)
+        sub.reset(w)
+        np.testing.assert_array_equal(sub.grad(), w)
 
 
 class TestHessVec:
     def test_empty_active_set_is_identity(self, rng):
+        # at w = 0, lam = 0 every z_i is 1, above C/sigma = 0.65
         p = random_problem(seed=11)
+        sub = make_subproblem_oracle(p, np.zeros(p.m), 2.0)
+        sub.reset(np.zeros(p.n))
+        assert sub.linearize() == 0
         h = rng.normal(size=p.n)
-        np.testing.assert_array_equal(
-            hess_vec(p, np.array([], dtype=np.int64), h, 0.5), h
-        )
+        np.testing.assert_array_equal(sub.hvp(h), h)
 
     def test_uniform_lower_bound(self, rng):
         # V - I is positive semidefinite, so <h, Vh> >= |h|^2
         p = random_problem(seed=12, m=20, n=6)
-        sigma = 0.8
+        sub = make_subproblem_oracle(p, np.zeros(p.m), 0.8)
         for _ in range(20):
-            w = rng.normal(size=p.n)
+            sub.reset(rng.normal(size=p.n))
+            sub.linearize()
             h = rng.normal(size=p.n)
-            z = p.B.matvec(w) + p.d
-            from almsvm.prox import active_set_svc
-
-            rows = active_set_svc(z, p.C, sigma)
-            v = hess_vec(p, rows, h, sigma)
+            v = sub.hvp(h)
             assert float(h @ v) >= float(h @ h) - 1e-10
 
     def test_symmetry(self, rng):
         p = random_problem(seed=12, m=20, n=6)
-        rows = np.array([1, 4, 9, 15])
+        sub = make_subproblem_oracle(p, np.zeros(p.m), 0.8)
         for _ in range(10):
+            sub.reset(rng.normal(size=p.n))
+            assert sub.linearize() > 0
             u = rng.normal(size=p.n)
             v = rng.normal(size=p.n)
-            lhs = float(u @ hess_vec(p, rows, v, 0.8))
-            rhs = float(hess_vec(p, rows, u, 0.8) @ v)
+            lhs = float(u @ sub.hvp(v))
+            rhs = float(sub.hvp(u) @ v)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 

@@ -4,10 +4,9 @@ subgradient reference, unrestricted Hessian-vector mirror."""
 import numpy as np
 import pytest
 
-from almsvm.alm import build_svc, hess_vec
+from almsvm.alm import build_svc, make_subproblem_oracle
 from almsvm.baseline import fd_gradient, hess_vec_way2, prox_oracle, subgradient_solve
 from almsvm.data_io import Dataset
-from almsvm.prox import active_set_svc
 
 from conftest import random_problem
 
@@ -90,14 +89,14 @@ class TestHessVecWay2:
     def test_matches_restricted_path(self, rng):
         p = random_problem(seed=9, m=15, n=6)
         sigma = 0.45
+        sub = make_subproblem_oracle(p, np.zeros(p.m), sigma)
         for _ in range(10):
-            w = rng.normal(size=p.n)
+            sub.reset(rng.normal(size=p.n))
             h = rng.normal(size=p.n)
-            z = p.B.matvec(w) + p.d
-            rows = active_set_svc(z, p.C, sigma)
+            sub.linearize()
             u = np.ones(p.m)
-            u[rows] = 0.0
+            u[p.penalty.active(sub.z, sigma)] = 0.0
             np.testing.assert_allclose(
-                hess_vec(p, rows, h, sigma), hess_vec_way2(p, u, h, sigma),
+                sub.hvp(h), hess_vec_way2(p, u, h, sigma),
                 rtol=1e-10, atol=1e-12,
             )

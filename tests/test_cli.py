@@ -85,12 +85,22 @@ class TestTrain:
                   "--model", str(tmp_path / "m"), "--seed", "1"])
         assert excinfo.value.code == 2
 
-    def test_nonpositive_c_exits_2(self, svc_file, tmp_path, capsys):
+    @pytest.mark.parametrize("flag,value", [("--c", "0")] + [
+        (flag, value)
+        for flag in ("--c", "--c-scale", "--c-scale-svr", "--epsilon", "--tol",
+                     "--sigma0", "--sigma-max")
+        for value in ("inf", "nan")])
+    def test_bad_number_flag_exits_2(self, svc_file, tmp_path, capsys, flag,
+                                     value):
+        model = tmp_path / "m"
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--task", "svc", "--data", str(svc_file),
-                  "--model", str(tmp_path / "m"), "--c", "0"])
+                  "--model", str(model), flag, value])
         assert excinfo.value.code == 2
-        assert "C must be positive" in capsys.readouterr().err
+        fragment = ("C must be positive" if value == "0"
+                    else f"{flag} must be finite")
+        assert fragment in capsys.readouterr().err
+        assert not model.exists()
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = main(["train", "--task", "svc", "--data",
@@ -300,3 +310,12 @@ def test_import_predict_and_eval_never_load_scipy(svc_file, tmp_path):
          str(tmp_path / "pred.txt")],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+def test_module_entry_point_runs_in_a_fresh_interpreter():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "almsvm", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: alm-svm" in proc.stdout

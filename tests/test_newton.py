@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import almsvm.newton as newton_mod
-from almsvm.alm import (SolverConfig, alm_solve, build_svc,
-                        make_subproblem_oracle, phi_value)
+from almsvm.alm import SolverConfig, alm_solve, build_svc, make_subproblem_oracle
+from almsvm.baseline import phi_value
 from almsvm.newton import cg_solve, newton_solve
 from almsvm.sparse import SparseMatrix
 from almsvm.synthetic import bundled_instances, svc_blobs
