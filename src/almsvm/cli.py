@@ -193,6 +193,13 @@ def _validate_common(parser, args) -> None:
         parser.error("epsilon must be nonnegative")
     if getattr(args, "split", None) is not None and not 0.0 < args.split < 1.0:
         parser.error("--split must be in (0, 1)")
+    if hasattr(args, "max_outer"):
+        # the solver's own range checks, so that a bad flag exits before
+        # a data file is parsed
+        try:
+            _config(args)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _config(args) -> SolverConfig:

@@ -9,6 +9,7 @@ serialize boundary only.
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -31,6 +32,22 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # feature indices are stored as int64
 _INDEX_MAX = (1 << 63) - 1
+
+# The bytes of the fast parse path's language, and their classes.
+_FAST_BYTES = b"0123456789.+-eE: \n"
+_DIGIT, _OTHER_NUMBER, _COLON, _SPACE, _NEWLINE = 1, 2, 3, 4, 5
+_BYTE_CLASS = bytes(
+    _DIGIT if b in b"0123456789" else _OTHER_NUMBER if b in b".+-eE"
+    else _COLON if b == ord(":") else _SPACE if b == ord(" ")
+    else _NEWLINE if b == ord("\n") else 0
+    for b in range(256)
+)
+_EDGE = bytes([_NEWLINE])
+# bytes per block of the fast path, extended to the next line end; the
+# per-byte temporaries of one block take about ten times this
+_FAST_BLOCK = 1 << 16
+# a 15-digit index is below 2**53, so int64 reads it exactly
+_FAST_INDEX_DIGITS = 15
 
 
 class ParseError(ValueError):
@@ -63,24 +80,69 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     labels and values must be finite.
     ``#`` starts a comment running to end of line; blank lines are
     skipped. ``n_features`` may widen (never narrow) the inferred
-    feature count.
+    feature count. ``text`` is a ``str`` or UTF-8 ``bytes``.
+
+    ASCII text is first read by a vectorized fast path, block by block
+    (:func:`_parse_blocks`). It accepts only a plain subset of the
+    format and returns ``None`` on anything else; the whole text then
+    goes to the per-line parser (:func:`_parse_lines`), which accepts
+    the full format. Both end in the same index and finiteness checks.
+    The first fault in file order is reported with its 1-based line:
+    within a line the first bad token, and a non-finite label or value
+    only when no line has any other fault. Bytes that are not UTF-8 are
+    a fault on the line that holds the first of them.
+    """
+    if isinstance(text, str):
+        parsed = _parse_blocks(text.encode("ascii")) if text.isascii() else None
+    else:
+        parsed = _parse_blocks(text)
+        if parsed is None:
+            text = _decode(text)
+    if parsed is None:
+        parsed = _parse_lines(text)
+    cols, y, values, ends, linenos = parsed
+    _check_indices(cols, ends, linenos)
+    _check_finite(y, values, ends, linenos)
+    max_idx = int(cols.max()) if cols.size else 0
+    cols -= 1
+    ends = ends.tolist()
+    samples = [(cols[a:b], values[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
+    n = max_idx
+    if n_features is not None:
+        if n_features < max_idx:
+            raise ValueError(
+                f"n_features={n_features} below max index {max_idx} in data"
+            )
+        n = n_features
+    return Dataset(samples, y, n)
+
+
+def _decode(buf: bytes) -> str:
+    """``buf`` as text; a byte that is not UTF-8 is a fault on its line."""
+    try:
+        return buf.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the first bad byte is valid UTF-8; a character
+        # appended to it lands on the bad byte's line
+        lineno = len((buf[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            f"line {lineno}: invalid UTF-8 byte 0x{buf[exc.start]:02x}"
+        ) from None
+
+
+def _parse_lines(text: str):
+    """The per-line parser: the flat 1-based indices, labels and values,
+    each row's end in the flat arrays and each row's 1-based line.
 
     One Python iteration per line: the line is split once, its feature
     tokens are checked as a group (each holds one colon between
     non-empty sides) and converted by ``int`` and ``float`` into two
-    flat arrays; every sample is a pair of views into them. That indices
-    are at least 1 and increase within each line, and that labels and
-    values are finite, is checked once for the whole file with numpy.
-    The first fault in file order is reported with its 1-based line:
-    within a line the first bad token, and a non-finite label or value
-    only when no line has any other fault.
+    flat arrays. A line with a bad token raises at once, after the index
+    checks of the rows before it.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     labels, ends, linenos = array("d"), array("q"), array("q")
     idx, vals = array("q"), array("d")
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -106,24 +168,114 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
         labels.append(label)
         ends.append(len(idx))
         linenos.append(lineno)
-    del lines  # freed before the per-sample views are made
-    cols = np.frombuffer(idx, dtype=np.int64)
-    y = np.frombuffer(labels, dtype=np.float64)
-    values = np.frombuffer(vals, dtype=np.float64)
-    _check_indices(cols, ends, linenos)
-    _check_finite(y, values, ends, linenos)
-    max_idx = int(cols.max()) if cols.size else 0
-    cols -= 1
-    starts = [0, *ends[:-1]]
-    samples = [(cols[a:b], values[a:b]) for a, b in zip(starts, ends)]
-    n = max_idx
-    if n_features is not None:
-        if n_features < max_idx:
-            raise ValueError(
-                f"n_features={n_features} below max index {max_idx} in data"
-            )
-        n = n_features
-    return Dataset(samples, y, n)
+    return (np.frombuffer(idx, dtype=np.int64),
+            np.frombuffer(labels, dtype=np.float64),
+            np.frombuffer(vals, dtype=np.float64), ends, linenos)
+
+
+def _parse_blocks(buf: bytes):
+    """The fast path: what :func:`_parse_lines` returns, or ``None`` when
+    ``buf`` is outside the fast language.
+
+    The fast language is LIBSVM text made of the bytes ``0-9 . + - e E
+    : space newline`` only, in which every line is ``label (idx:val)*``
+    between optional spaces and every index is at most 15 digits. On it
+    the per-line parser reads every token without a fault, so the two
+    paths differ only in speed. ``buf`` is cut into blocks of about
+    ``_FAST_BLOCK`` bytes of whole lines, which bounds the per-byte
+    temporaries; ``cols`` and ``values`` are allocated once, one entry
+    per colon.
+    """
+    if buf.translate(None, _FAST_BYTES):
+        return None
+    nnz = buf.count(b":")
+    cols = np.empty(nnz, dtype=np.int64)
+    values = np.empty(nnz, dtype=np.float64)
+    labels = [np.empty(0, dtype=np.float64)]
+    ends = [np.empty(0, dtype=np.int64)]
+    linenos = [np.empty(0, dtype=np.int64)]
+    done = lines = start = 0
+    while start < len(buf):
+        stop = buf.find(b"\n", start + _FAST_BLOCK - 1)
+        stop = len(buf) if stop < 0 else stop + 1
+        block = buf[start:stop]
+        parsed = _parse_block(block)
+        if parsed is None:
+            return None
+        y, idx, vals, row_ends, row_lines = parsed
+        cols[done:done + idx.size] = idx
+        values[done:done + idx.size] = vals
+        labels.append(y)
+        ends.append(row_ends + done)
+        linenos.append(row_lines + lines)
+        done += idx.size
+        lines += block.count(b"\n")
+        start = stop
+    return (cols, np.concatenate(labels), values, np.concatenate(ends),
+            np.concatenate(linenos))
+
+
+def _parse_block(block: bytes):
+    """Read one block of whole lines of the fast language: labels, 1-based
+    indices, values, each row's end and each row's 1-based line within
+    the block; ``None`` when the block is outside the language."""
+    codes = block.translate(_BYTE_CLASS)
+    # a newline on either side: cls[p + 1] is the class of block[p]
+    cls = np.frombuffer(_EDGE + codes + _EDGE, dtype=np.uint8)
+    number = cls <= _OTHER_NUMBER
+    # a field is a run of number bytes, block[starts[j]:stops[j]]
+    edges = np.flatnonzero(number[1:] != number[:-1])
+    starts, stops = edges[0::2], edges[1::2]
+    before = cls[starts] == _COLON
+    after = cls[stops + 1] == _COLON
+    # with as many colons as fields before and after colons, every colon
+    # joins two fields
+    n_colons = block.count(b":")
+    if int(before.sum()) != n_colons or int(after.sum()) != n_colons:
+        return None
+    # line i (1-based) of the block holds fields bounds[i-1]:bounds[i]
+    bounds = np.searchsorted(starts, np.flatnonzero(cls == _NEWLINE) - 1)
+    rows = np.flatnonzero(bounds[1:] > bounds[:-1])
+    first = np.zeros(starts.size, dtype=bool)
+    first[bounds[rows]] = True
+    # a line is label idx:val idx:val ...: its first field touches no
+    # colon, and every other field is either an index or a value
+    if np.any(np.where(first, before | after, before == after)):
+        return None
+    istart, istop = starts[after], stops[after]
+    width = istop - istart
+    digits = int(width.max(initial=0))
+    if digits > _FAST_INDEX_DIGITS:
+        return None
+    raw = np.frombuffer(block, dtype=np.uint8)
+    # the block with its index fields and colons blanked
+    blanked = raw.copy()
+    blanked[istop] = ord(" ")
+    idx = np.zeros(istart.size, dtype=np.int64)
+    for k in range(digits):
+        live = width > k
+        pos = istart[live] + k
+        if np.any(cls[pos + 1] != _DIGIT):
+            return None
+        idx[live] = idx[live] * 10 + (raw[pos] - ord("0"))
+        blanked[pos] = ord(" ")
+    # labels and values, in field order
+    n_numbers = starts.size - istart.size
+    nums = np.empty(0)
+    if n_numbers:
+        # numpy 2.4 raises on text that is not a number; older numpy
+        # warns and returns what it read
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                nums = np.fromstring(blanked.tobytes(), sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
+        if nums.size != n_numbers:
+            return None
+    is_label = first[~after]
+    row_ends = np.cumsum(after)[bounds[rows + 1] - 1]
+    return nums[is_label], idx, nums[~is_label], row_ends, rows + 1
 
 
 def _raise_line_fault(lineno: int, tokens) -> None:
@@ -192,8 +344,14 @@ def _check_finite(labels: np.ndarray, values: np.ndarray, ends, linenos) -> None
 
 
 def load_libsvm(path, n_features: int | None = None) -> Dataset:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_libsvm(f.read(), n_features=n_features)
+    """Parse a LIBSVM file; a :class:`ParseError` names the file."""
+    try:
+        with open(path, "rb") as f:
+            # not bound to a name here: a fallback parse frees the bytes
+            # once they are decoded
+            return parse_libsvm(f.read(), n_features=n_features)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def format_float(x: float) -> str:

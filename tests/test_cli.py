@@ -102,12 +102,56 @@ class TestTrain:
         assert fragment in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--theta", "nan"], "theta must be in (0, 1]"),
+        (["--theta", "0"], "theta must be in (0, 1]"),
+        (["--theta", "1.5"], "theta must be in (0, 1]"),
+        (["--sigma0", "-1"], "need 0 < sigma0 <= sigma_max"),
+        (["--sigma0", "1", "--sigma-max", "0.5"],
+         "need 0 < sigma0 <= sigma_max"),
+        (["--max-outer", "0"], "max_outer must be >= 1"),
+    ])
+    def test_bad_solver_flag_exits_2_before_reading_data(
+            self, tmp_path, capsys, command, flags, message):
+        # the data file does not exist: reading it would exit 1
+        missing, model = tmp_path / "nope.libsvm", tmp_path / "m"
+        argv = {"train": ["train", "--task", "svc", "--data", str(missing),
+                          "--model", str(model)],
+                "bench": ["bench", "--task", "svc", "--data", str(missing)]}
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv[command] + flags)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = main(["train", "--task", "svc", "--data",
                    str(tmp_path / "nope.libsvm"), "--model",
                    str(tmp_path / "m")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("content,message", [
+    (b"1 1:1\n\xff 2:1\n", "line 2: invalid UTF-8 byte 0xff"),
+    (b"1 1:1\r\n-1 2:1 1:1\r\n", "line 2: index 1 not strictly increasing"),
+    (b"1 1:1\n-1 2:x\n", "line 2: malformed token '2:x'"),
+])
+def test_data_file_errors_name_the_file_and_line(tmp_path, capsys, command,
+                                                 content, message):
+    data, model = tmp_path / "bad.libsvm", tmp_path / "m.model"
+    data.write_bytes(content)
+    if command == "train":
+        argv = ["train", "--task", "svc", "--data", str(data),
+                "--model", str(model)]
+    else:
+        write_model(Model(w=[0.5, -0.5], task="svc", label_map=(-1.0, 1.0),
+                          c_used=1.0), model)
+        argv = ["predict", "--model", str(model), "--data", str(data)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
 
 
 class TestModelFile:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from almsvm import data_io
 from almsvm.baseline import parse_libsvm_oracle
 from almsvm.data_io import (
     Dataset,
@@ -125,6 +126,65 @@ class TestParse:
     def test_n_features_override_cannot_narrow(self):
         with pytest.raises(ValueError, match="below max index"):
             parse_libsvm("+1 5:1\n", n_features=3)
+
+
+class TestFastPath:
+    """The vectorized path reads the plain subset of the format; all
+    other text goes to the per-line parser."""
+
+    def test_valid_document_takes_the_fast_path(self):
+        text = "  +1 1:0.5 007:-2.5E-3\n\n   \n-1 999999999999999:1e3  \n.5"
+        assert data_io._parse_blocks(text.encode()) is not None
+        d = parse_libsvm(text)
+        assert_datasets_equal(d, parse_libsvm_oracle(text))
+        assert d.n_features == 999999999999999
+
+    @pytest.mark.parametrize("text", [
+        "+1 1:1\r\n-1 2:1\r\n",
+        "+1\t1:1\n",
+        "+1 1:1 # note\n",
+        "+1 1:1_0\n",
+        "+1\u00a01:1\n",
+        "+1 +3:1\n",
+    ])
+    def test_other_text_falls_back_to_the_per_line_parser(self, text):
+        assert data_io._parse_blocks(text.encode()) is None
+        expected = parse_libsvm_oracle(text)
+        assert_datasets_equal(parse_libsvm(text), expected)
+        assert_datasets_equal(parse_libsvm(text.encode()), expected)
+
+    def test_a_byte_outside_the_language_is_seen_before_any_block(
+            self, monkeypatch):
+        def parse_block(block):
+            raise AssertionError("a block was parsed")
+        monkeypatch.setattr(data_io, "_parse_block", parse_block)
+        assert data_io._parse_blocks(b"1 1:1\n" * 100 + b"# end\n") is None
+
+    @pytest.mark.parametrize("fourth,fast,message", [
+        ("1 3:1 3:2", True, "line 4: index 3 not strictly increasing"),
+        ("1 3:1e999", True, "line 4: non-finite label or value"),
+        ("1 1e3:1", False, "line 4: malformed token '1e3:1'"),
+    ])
+    def test_fault_on_the_first_line_of_a_block_names_its_line(
+            self, monkeypatch, fourth, fast, message):
+        # a block of 12 bytes ends at the first newline from byte 11 on:
+        # the first block holds lines 1-3 and line 4 opens the second
+        text = f"1 1:1\n\n-1 2:1\n{fourth}\n-1 1:1\n"
+        monkeypatch.setattr(data_io, "_FAST_BLOCK", 12)
+        assert (data_io._parse_blocks(text.encode()) is not None) == fast
+        for parse in (parse_libsvm, parse_libsvm_oracle):
+            with pytest.raises(ParseError) as excinfo:
+                parse(text)
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("buf,lineno", [
+        (b"\xff 1:1\n", 1),
+        (b"1 1:1\r\n-1 2:1\r\n\xfe", 3),
+        (b"1 1:1\n1 2:1 3:\xc3", 2),
+    ])
+    def test_invalid_utf8_names_its_line(self, buf, lineno):
+        with pytest.raises(ParseError, match=f"^line {lineno}: invalid UTF-8"):
+            parse_libsvm(buf)
 
 
 def _generated_text(lines=20000, per_line=5):

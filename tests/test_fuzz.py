@@ -2,16 +2,19 @@
 
 ``parse_libsvm`` must accept exactly what the token-at-a-time oracle
 accepts, return bitwise the same arrays, and reject every corrupted text
-with the oracle's message. ``read_model`` must turn every corrupted
-header into a ``ValueError`` that names the file.
+with the oracle's message, on its fast path as well as on the per-line
+one. ``read_model`` must turn every corrupted header into a
+``ValueError`` that names the file.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from almsvm import data_io
 from almsvm.baseline import parse_libsvm_oracle
 from almsvm.cli import read_model, write_model
 from almsvm.data_io import ParseError, parse_libsvm
@@ -157,6 +160,78 @@ def test_corrupted_texts_fail_with_the_oracles_message(data):
     text = render(data.draw, lines)
     expected = outcome(parse_libsvm_oracle, text)
     assert outcome(parse_libsvm, text) == expected
+
+
+# Documents of the fast path's language: the bytes 0-9 . + - e E : space
+# and newline only.
+FAST_NUMBERS = st.one_of(
+    st.sampled_from(["+1", "-1", "1", "0", "1e3", "-2.5E-3", ".5", "5.",
+                     "+0.0", "-0.0", "007", "1E+2"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+FAST_SPACES = st.sampled_from([" ", "  ", "   "])
+# each replaces the label or one idx:val token ({i} its index, {v} its
+# value): a bad index, a bad value, or a colon out of place
+FAST_FAULTS = st.sampled_from([
+    "0:{v}", "1.5:{v}", "1e3:{v}", "+3:{v}", "1000000000000000:{v}",
+    "{i}:1e", "{i}:1.5.3", "{i}:e5", "{i}:1e999", "1e", "1.5.3", "e5",
+    "1e999", ":{v}", "{i}:", "{i}::{v}", ":",
+])
+
+
+@st.composite
+def fast_sample_lines(draw):
+    """Tokens of one well-formed line of the fast language; indices up to
+    15 digits, some with leading zeros."""
+    indices = sorted(draw(st.sets(
+        st.one_of(st.integers(1, 3000), st.integers(10**14, 10**15 - 1)),
+        max_size=6)))
+    tokens = [draw(FAST_NUMBERS)]
+    for i in indices:
+        lead = "0" if i < 10**14 and draw(st.booleans()) else ""
+        tokens.append(f"{lead}{i}:{draw(FAST_NUMBERS)}")
+    return tokens
+
+
+def _fast_corrupt(draw, tokens):
+    """Put a fault in place of the label or of one idx:val token."""
+    pos = draw(st.integers(0, len(tokens) - 1))
+    i_s, _, v_s = tokens[pos].partition(":")
+    tokens[pos] = draw(FAST_FAULTS).format(i=i_s, v=v_s or i_s)
+
+
+def render_fast(draw, lines) -> str:
+    out = []
+    for line in lines:
+        text = line if isinstance(line, str) else draw(FAST_SPACES).join(line)
+        if draw(st.booleans()):
+            text = draw(FAST_SPACES) + text
+        if draw(st.booleans()):
+            text += draw(FAST_SPACES)
+        out.append(text)
+    text = "\n".join(out)
+    return text + "\n" if out and draw(st.booleans()) else text
+
+
+@FUZZ
+@given(st.data())
+def test_fast_language_parses_like_the_oracle(data):
+    """Blocks of a few bytes put block edges everywhere; a document
+    without injected faults is read by the fast path."""
+    lines = data.draw(st.lists(st.one_of(
+        fast_sample_lines(), fast_sample_lines(), fast_sample_lines(),
+        st.just(""), FAST_SPACES), max_size=10))
+    samples = [line for line in lines if not isinstance(line, str)]
+    faults = data.draw(st.integers(0, 2)) if samples else 0
+    for _ in range(faults):
+        _fast_corrupt(data.draw, data.draw(st.sampled_from(samples)))
+    text = render_fast(data.draw, lines)
+    expected = outcome(parse_libsvm_oracle, text)
+    with mock.patch.object(data_io, "_FAST_BLOCK", data.draw(st.integers(1, 48))):
+        assert outcome(parse_libsvm, text) == expected
+        assert outcome(parse_libsvm, text.encode()) == expected
+        if not faults:
+            assert data_io._parse_blocks(text.encode()) is not None
 
 
 def _model_header(draw):
