@@ -106,13 +106,28 @@ def _model_from(fields: dict, weights: list) -> Model:
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, found {len(weights)}")
     return Model(
-        w=np.array([float(v) for v in weights]),
+        w=_weights(weights),
         task=fields["task"],
         bias_augmented=fields["bias"] == "1",
         label_map=label_map,
         c_used=c,
         eps_used=eps,
     )
+
+
+def _weights(lines: list) -> np.ndarray:
+    """The weight lines as floats; a fault names its line of the file,
+    where the first weight is line 2."""
+    w = np.empty(len(lines))
+    for i, text in enumerate(lines):
+        try:
+            w[i] = float(text)
+        except ValueError:
+            raise ValueError(
+                f"line {i + 2}: weight {text!r} is not a number") from None
+        if not math.isfinite(w[i]):
+            raise ValueError(f"line {i + 2}: weight {text!r} is not finite")
+    return w
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:

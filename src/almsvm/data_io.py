@@ -1,5 +1,5 @@
-"""LIBSVM-format parsing, writing, label normalization, deterministic
-splits and bias augmentation.
+"""The CSR sample store, LIBSVM-format parsing and writing, label
+normalization, deterministic splits and bias augmentation.
 
 Feature ids are 1-based on disk (LIBSVM convention) and 0-based
 everywhere inside this package; the conversion happens at the parse and
@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ParseError",
+    "Samples",
     "Dataset",
     "XorShift64Star",
     "parse_libsvm",
@@ -33,12 +35,13 @@ _MASK64 = (1 << 64) - 1
 # feature indices are stored as int64
 _INDEX_MAX = (1 << 63) - 1
 
-# The bytes of the fast parse path's language, and their classes.
-_FAST_BYTES = b"0123456789.+-eE: \n"
+# The bytes of the fast parse path's language, and their classes; a
+# carriage return is read as a space, and only in front of a newline
+_FAST_BYTES = b"0123456789.+-eE: \r\n"
 _DIGIT, _OTHER_NUMBER, _COLON, _SPACE, _NEWLINE = 1, 2, 3, 4, 5
 _BYTE_CLASS = bytes(
     _DIGIT if b in b"0123456789" else _OTHER_NUMBER if b in b".+-eE"
-    else _COLON if b == ord(":") else _SPACE if b == ord(" ")
+    else _COLON if b == ord(":") else _SPACE if b in b" \r"
     else _NEWLINE if b == ord("\n") else 0
     for b in range(256)
 )
@@ -54,19 +57,115 @@ class ParseError(ValueError):
     """Malformed input; the message names the offending 1-based line."""
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+class Samples(Sequence):
+    """The rows of a dataset, held as one CSR store.
+
+    Row ``r`` is the pair ``(indices[starts[r]:ends[r]],
+    values[starts[r]:ends[r]])`` of 0-based int64 feature indices and
+    float64 values, both read-only views into two flat arrays. Indexing
+    with an integer gives that pair; a slice or an array of row numbers
+    gives a :class:`Samples` that shares the flat arrays and holds only
+    its own ``starts`` and ``ends``.
+    """
+
+    __slots__ = ("indices", "values", "starts", "ends")
+
+    def __init__(self, indices, values, starts, ends):
+        self.indices = _readonly(np.asarray(indices, dtype=np.int64))
+        self.values = _readonly(np.asarray(values, dtype=np.float64))
+        self.starts = _readonly(np.asarray(starts, dtype=np.int64))
+        self.ends = _readonly(np.asarray(ends, dtype=np.int64))
+
+    @classmethod
+    def from_csr(cls, row_ptr, indices, values) -> "Samples":
+        """Wrap CSR arrays: row ``r`` spans ``row_ptr[r]:row_ptr[r + 1]``."""
+        row_ptr = np.asarray(row_ptr, dtype=np.int64)
+        return cls(indices, values, row_ptr[:-1], row_ptr[1:])
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "Samples":
+        """Concatenate an iterable of ``(indices, values)`` pairs once."""
+        idx_parts, val_parts = [], []
+        for idx, val in pairs:
+            idx = np.asarray(idx, dtype=np.int64)
+            val = np.asarray(val, dtype=np.float64)
+            if idx.ndim != 1 or idx.shape != val.shape:
+                raise ValueError("indices and values must have equal length")
+            idx_parts.append(idx)
+            val_parts.append(val)
+        row_ptr = np.zeros(len(idx_parts) + 1, dtype=np.int64)
+        np.cumsum([idx.size for idx in idx_parts], out=row_ptr[1:])
+        return cls.from_csr(
+            row_ptr,
+            np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64),
+            np.concatenate(val_parts) if val_parts else np.empty(0),
+        )
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            a, b = int(self.starts[key]), int(self.ends[key])
+            return self.indices[a:b], self.values[a:b]
+        return Samples(self.indices, self.values, self.starts[key],
+                       self.ends[key])
+
+    def __iter__(self):
+        idx, vals = self.indices, self.values
+        for a, b in zip(self.starts.tolist(), self.ends.tolist()):
+            yield idx[a:b], vals[a:b]
+
+    def csr(self):
+        """``(row_ptr, indices, values)`` of these rows in order: views of
+        the flat arrays when the rows lie back to back in them, as after a
+        parse or a cut, and a gathered copy otherwise."""
+        starts, ends = self.starts, self.ends
+        m = starts.size
+        if m == 0:
+            return np.zeros(1, dtype=np.int64), self.indices[:0], self.values[:0]
+        row_ptr = np.empty(m + 1, dtype=np.int64)
+        if np.array_equal(starts[1:], ends[:-1]):
+            lo, hi = int(starts[0]), int(ends[-1])
+            row_ptr[0] = lo
+            row_ptr[1:] = ends
+            row_ptr -= lo
+            return row_ptr, self.indices[lo:hi], self.values[lo:hi]
+        counts = ends - starts
+        row_ptr[0] = 0
+        np.cumsum(counts, out=row_ptr[1:])
+        sel = np.repeat(starts - row_ptr[:-1], counts)
+        sel += np.arange(sel.size)
+        return row_ptr, self.indices[sel], self.values[sel]
+
+
 @dataclass
 class Dataset:
     """Labeled sparse samples.
 
-    ``samples[i]`` is an ``(indices, values)`` pair with 0-based,
-    strictly increasing indices below ``n_features``; ``labels`` has one
-    real per sample. Instances are treated as immutable; derived
-    datasets share the per-sample arrays.
+    ``samples`` is a :class:`Samples` store whose rows have strictly
+    increasing indices below ``n_features``; any other sequence of
+    ``(indices, values)`` pairs is concatenated into one when the
+    dataset is built. ``labels`` has one real per sample. Instances are
+    treated as immutable; derived datasets share the sample store.
     """
 
-    samples: list[tuple[np.ndarray, np.ndarray]]
+    samples: Samples
     labels: np.ndarray
     n_features: int
+
+    def __post_init__(self):
+        if not isinstance(self.samples, Samples):
+            self.samples = Samples.from_pairs(self.samples)
+        if len(self.labels) != len(self.samples):
+            raise ValueError(f"{len(self.labels)} labels for "
+                             f"{len(self.samples)} samples")
 
     @property
     def m(self) -> int:
@@ -90,7 +189,9 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     The first fault in file order is reported with its 1-based line:
     within a line the first bad token, and a non-finite label or value
     only when no line has any other fault. Bytes that are not UTF-8 are
-    a fault on the line that holds the first of them.
+    a fault on the line that holds the first of them. The parsed index
+    and value arrays become the dataset's :class:`Samples` store as
+    they are.
     """
     if isinstance(text, str):
         parsed = _parse_blocks(text.encode("ascii")) if text.isascii() else None
@@ -105,8 +206,8 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     _check_finite(y, values, ends, linenos)
     max_idx = int(cols.max()) if cols.size else 0
     cols -= 1
-    ends = ends.tolist()
-    samples = [(cols[a:b], values[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
+    row_ptr = np.zeros(len(y) + 1, dtype=np.int64)
+    row_ptr[1:] = np.frombuffer(ends, dtype=np.int64)
     n = max_idx
     if n_features is not None:
         if n_features < max_idx:
@@ -114,7 +215,7 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
                 f"n_features={n_features} below max index {max_idx} in data"
             )
         n = n_features
-    return Dataset(samples, y, n)
+    return Dataset(Samples.from_csr(row_ptr, cols, values), y, n)
 
 
 def _decode(buf: bytes) -> str:
@@ -179,14 +280,17 @@ def _parse_blocks(buf: bytes):
 
     The fast language is LIBSVM text made of the bytes ``0-9 . + - e E
     : space newline`` only, in which every line is ``label (idx:val)*``
-    between optional spaces and every index is at most 15 digits. On it
-    the per-line parser reads every token without a fault, so the two
-    paths differ only in speed. ``buf`` is cut into blocks of about
-    ``_FAST_BLOCK`` bytes of whole lines, which bounds the per-byte
-    temporaries; ``cols`` and ``values`` are allocated once, one entry
-    per colon.
+    between optional spaces and every index is at most 15 digits; a
+    carriage return right before a newline counts as a space, so CRLF
+    line ends belong to it. Any other carriage return ends a line for
+    ``str.splitlines`` and is left to the per-line parser. On the fast
+    language the per-line parser reads every token without a fault, so
+    the two paths differ only in speed. ``buf`` is cut into blocks of
+    about ``_FAST_BLOCK`` bytes of whole lines, which bounds the
+    per-byte temporaries; ``cols`` and ``values`` are allocated once,
+    one entry per colon.
     """
-    if buf.translate(None, _FAST_BYTES):
+    if buf.translate(None, _FAST_BYTES) or buf.count(b"\r") != buf.count(b"\r\n"):
         return None
     nnz = buf.count(b":")
     cols = np.empty(nnz, dtype=np.int64)
@@ -429,9 +533,9 @@ class XorShift64Star:
 
 
 def _take(d: Dataset, ids) -> Dataset:
-    samples = [d.samples[i] for i in ids]
-    labels = d.labels[np.asarray(ids, dtype=np.intp)].copy()
-    return Dataset(samples, labels, d.n_features)
+    """The rows ``ids`` of ``d``, sharing its sample store."""
+    ids = np.asarray(ids, dtype=np.intp)
+    return Dataset(d.samples[ids], d.labels[ids], d.n_features)
 
 
 def split(d: Dataset, train_fraction: float, seed: int):
@@ -459,8 +563,8 @@ def augment_bias(d: Dataset) -> Dataset:
     sample. Applying this twice appends two constant features; whether
     that makes sense is the caller's business."""
     n = d.n_features
-    samples = [
-        (np.append(idx, np.int64(n)), np.append(vals, 1.0))
-        for idx, vals in d.samples
-    ]
+    row_ptr, idx, vals = d.samples.csr()
+    ends = row_ptr[1:]
+    samples = Samples.from_csr(row_ptr + np.arange(d.m + 1),
+                               np.insert(idx, ends, n), np.insert(vals, ends, 1.0))
     return Dataset(samples, d.labels, n + 1)

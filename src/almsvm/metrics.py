@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import Dataset
+from .data_io import Dataset, Samples
 
 __all__ = ["Model", "scores", "predict", "predict_label", "predict_labels",
            "accuracy", "mse"]
@@ -36,9 +36,9 @@ class Model:
             raise ValueError("model weights must be finite")
 
 
-def _row_scores(model: Model, samples) -> np.ndarray:
+def _row_scores(model: Model, samples: Samples) -> np.ndarray:
     """``w . x`` for each sparse row, gathered, multiplied and summed
-    left to right per row by ``np.bincount``.
+    left to right per row by ``np.bincount`` over the flat CSR arrays.
 
     Features beyond the model's dictionary contribute zero (test files
     routinely carry indices the training file never saw). For a
@@ -47,9 +47,8 @@ def _row_scores(model: Model, samples) -> np.ndarray:
     m = len(samples)
     if m == 0:
         return np.zeros(0)
-    cols = np.concatenate([idx for idx, _ in samples])
-    vals = np.concatenate([v for _, v in samples])
-    rows = np.repeat(np.arange(m), [idx.size for idx, _ in samples])
+    row_ptr, cols, vals = samples.csr()
+    rows = np.repeat(np.arange(m), np.diff(row_ptr))
     n = model.w.size
     keep = cols < (n - 1 if model.bias_augmented else n)
     s = np.bincount(rows[keep], weights=vals[keep] * model.w[cols[keep]],
@@ -69,9 +68,7 @@ def scores(model: Model, data: Dataset) -> np.ndarray:
 def predict(model: Model, sample) -> float:
     """Raw score w . x for one sparse sample: :func:`scores` on one row,
     so it agrees with it bit for bit."""
-    idx, vals = sample
-    row = (np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
-    return float(_row_scores(model, [row])[0])
+    return float(_row_scores(model, Samples.from_pairs([sample]))[0])
 
 
 def _label_pair(model: Model) -> tuple[float, float]:

@@ -18,13 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data_io import Samples, _readonly
+
 __all__ = ["SparseMatrix", "RowBlock"]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
 
 
 class SparseMatrix:
@@ -104,29 +100,16 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, rows, n_cols: int) -> "SparseMatrix":
-        """Build from an iterable of (indices, values) pairs.
+        """Build from (indices, values) pairs: a :class:`Samples` store,
+        whose flat arrays are wrapped without a copy when its rows lie back
+        to back, or any iterable of pairs, concatenated once.
 
         Indices are 0-based and strictly increasing within each pair.
         """
-        idx_parts, val_parts, counts = [], [], []
-        for idx, val in rows:
-            idx = np.asarray(idx, dtype=np.int64)
-            val = np.asarray(val, dtype=np.float64)
-            if idx.shape != val.shape:
-                raise ValueError("indices and values must have equal length")
-            counts.append(idx.size)
-            idx_parts.append(idx)
-            val_parts.append(val)
-        m = len(counts)
-        row_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptr[1:])
-        col_idx = (
-            np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.int64)
-        )
-        values = (
-            np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.float64)
-        )
-        return cls(row_ptr, col_idx, values, (m, n_cols))
+        if not isinstance(rows, Samples):
+            rows = Samples.from_pairs(rows)
+        row_ptr, col_idx, values = rows.csr()
+        return cls(row_ptr, col_idx, values, (len(rows), n_cols))
 
     @classmethod
     def from_dense(cls, a) -> "SparseMatrix":

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data_io import Dataset
+from .data_io import Dataset, Samples
 
 __all__ = [
     "svc_blobs",
@@ -35,10 +35,15 @@ __all__ = [
 ]
 
 
-def _dense_rows(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    n = x.shape[1]
-    all_idx = np.arange(n, dtype=np.int64)
-    return [(all_idx, np.asarray(row, dtype=np.float64)) for row in x]
+def _fixed_width_rows(cols: np.ndarray, vals: np.ndarray) -> Samples:
+    """Sample ``i`` is row ``i`` of the ``(m, k)`` arrays ``cols`` and ``vals``."""
+    m, k = cols.shape
+    return Samples.from_csr(k * np.arange(m + 1), cols.reshape(-1), vals.reshape(-1))
+
+
+def _dense_rows(x: np.ndarray) -> Samples:
+    m, n = x.shape
+    return _fixed_width_rows(np.tile(np.arange(n), (m, 1)), x)
 
 
 def svc_blobs(
@@ -84,17 +89,16 @@ def svc_sparse_binary(
     rng = np.random.default_rng(seed)
     k = max(1, int(round(density * n)))
     hidden = rng.normal(size=n)
-    samples = []
+    cols = np.empty((m, k), dtype=np.int64)
     raw = np.empty(m)
     for i in range(m):
-        cols = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
-        samples.append((cols, np.ones(k)))
-        raw[i] = hidden[cols].sum()
+        cols[i] = np.sort(rng.choice(n, size=k, replace=False))
+        raw[i] = hidden[cols[i]].sum()
     score = raw - np.median(raw) + margin_noise * rng.normal(size=m)
     y = np.where(score >= 0.0, 1.0, -1.0)
     if flip > 0.0:
         y = np.where(rng.random(m) < flip, -y, y)
-    return Dataset(samples, y, n)
+    return Dataset(_fixed_width_rows(cols, np.ones((m, k))), y, n)
 
 
 def svc_margin_gap(
@@ -125,11 +129,11 @@ def svc_margin_gap(
     rng = np.random.default_rng(seed)
     k = max(1, int(round(density * n)))
     C = c_scale / m
-    supports = [
-        np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
-        for _ in range(m)
-    ]
-    vals = [value_scale * rng.normal(size=k) for _ in range(m)]
+    # row i of supports and vals is sample i
+    supports = np.empty((m, k), dtype=np.int64)
+    for i in range(m):
+        supports[i] = np.sort(rng.choice(n, size=k, replace=False))
+    vals = value_scale * rng.normal(size=(m, k))
     n_viol = max(1, int(round(viol_frac * m)))
     viol = rng.choice(m, size=n_viol, replace=False)
     y = rng.choice([-1.0, 1.0], size=m)
@@ -180,8 +184,8 @@ def svc_margin_gap(
         y[i] = 1.0 if t > 0 else -1.0
         target = safe_lo + safe_span * rng.random()
         vals[i] = vals[i] * (target / abs(t))
-    samples = [(s, v.astype(np.float64)) for s, v in zip(supports, vals)]
-    return Dataset(samples, np.asarray(y, dtype=np.float64), n)
+    return Dataset(_fixed_width_rows(supports, vals),
+                   np.asarray(y, dtype=np.float64), n)
 
 
 def svr_linear(

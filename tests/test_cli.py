@@ -199,6 +199,22 @@ class TestModelFile:
         assert err.startswith("error: ")
         assert str(path) in err and fragment in err
 
+    @pytest.mark.parametrize("weight,reason", [
+        ("abc", "is not a number"),
+        ("", "is not a number"),
+        ("nan", "is not finite"),
+        ("1e999", "is not finite"),
+    ])
+    def test_bad_weight_names_its_line(self, svc_file, tmp_path, capsys,
+                                       weight, reason):
+        path = tmp_path / "m.model"
+        path.write_text("alm-svm v1 task=svc n=3 bias=0 c=1.0 eps=0.0 "
+                        f"labels=none\n0.5\n{weight}\nx\n")
+        rc = main(["predict", "--model", str(path), "--data", str(svc_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: weight {weight!r} {reason}\n")
+
 
 class TestPredictEval:
     def test_predictions_match_library_calls(self, svc_file, tmp_path, capsys):

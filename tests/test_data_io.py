@@ -139,8 +139,26 @@ class TestFastPath:
         assert_datasets_equal(d, parse_libsvm_oracle(text))
         assert d.n_features == 999999999999999
 
+    @pytest.mark.parametrize("text,message", [
+        ("+1 1:1\r\n\r\n  -1 2:1 3:0.5 \r\n+1\r\n", None),
+        ("+1 1:1\r\n-1 2:1\r\n+1 3:1 2:1\r\n",
+         "line 3: index 2 not strictly increasing"),
+        ("+1 1:1\r\n\r\n-1 2:1e999\r\n", "line 3: non-finite label or value"),
+    ])
+    def test_crlf_line_ends_take_the_fast_path(self, text, message):
+        assert data_io._parse_blocks(text.encode()) is not None
+        if message is None:
+            assert_datasets_equal(parse_libsvm(text), parse_libsvm_oracle(text))
+            return
+        for parse in (parse_libsvm, parse_libsvm_oracle):
+            with pytest.raises(ParseError) as excinfo:
+                parse(text)
+            assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("text", [
-        "+1 1:1\r\n-1 2:1\r\n",
+        "+1 1:1\r-1 2:1\n",
+        "+1 1:1\r\r\n-1 2:1\r\n",
+        "+1 1:1\r\n-1 2:1\r",
         "+1\t1:1\n",
         "+1 1:1 # note\n",
         "+1 1:1_0\n",
@@ -206,13 +224,78 @@ def _alloc_peak(parse, text):
 
 
 def test_parse_memory_stays_within_the_oracles():
-    # the per-line parser keeps two flat arrays and views into them; it
-    # must never hold the whole file's tokens at once
+    # the per-line parser keeps two flat arrays; it must never hold the
+    # whole file's tokens at once
     text = _generated_text()
     fast, fast_peak = _alloc_peak(parse_libsvm, text)
     slow, slow_peak = _alloc_peak(parse_libsvm_oracle, text)
     assert_datasets_equal(fast, slow)
     assert fast_peak <= 1.25 * slow_peak, (fast_peak, slow_peak)
+
+
+def test_parse_holds_no_per_row_objects():
+    # the parse peaks at about twice the bytes of its result (the text and
+    # one block's temporaries come on top); two views and a tuple per row
+    # would take it past four times
+    d, peak = _alloc_peak(parse_libsvm, _generated_text())
+    row_ptr, idx, vals = d.samples.csr()
+    own = row_ptr.nbytes + idx.nbytes + vals.nbytes + d.labels.nbytes
+    assert peak <= 3 * own, (peak, own)
+
+
+class TestSamples:
+    def test_rows_are_read_only_views_of_the_flat_arrays(self):
+        d = Dataset([(np.array([0, 2]), np.array([0.5, 2.0])),
+                     ([1], [3])], np.array([1.0, -1.0]), 3)
+        s = d.samples
+        assert s.indices.dtype == np.int64 and s.values.dtype == np.float64
+        np.testing.assert_array_equal(s.indices, [0, 2, 1])
+        idx, vals = s[-1]
+        assert idx.dtype == np.int64 and vals.dtype == np.float64
+        assert np.shares_memory(idx, s.indices)
+        assert np.shares_memory(vals, s.values)
+        with pytest.raises(ValueError, match="read-only"):
+            vals[0] = 1.0
+        with pytest.raises(IndexError):
+            s[2]
+
+    def test_a_pair_list_is_concatenated_once(self):
+        rows = [(np.array([0]), np.array([1.0])), (np.array([], np.int64),
+                                                   np.array([]))]
+        row_ptr, idx, vals = Dataset(rows, np.zeros(2), 1).samples.csr()
+        np.testing.assert_array_equal(row_ptr, [0, 1, 1])
+        assert idx.dtype == np.int64 and vals.dtype == np.float64
+
+    @pytest.mark.parametrize("rows,labels,message", [
+        ([(np.array([0, 1]), np.array([1.0]))], [1.0], "equal length"),
+        ([(np.array([0]), np.array([1.0]))], [1.0, 2.0], "2 labels for 1"),
+    ])
+    def test_inconsistent_input_is_rejected(self, rows, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(rows, np.array(labels), 2)
+
+    def test_slices_and_selections_share_the_store(self):
+        d = parse_libsvm("1 1:1 3:2\n-1\n1 2:5\n1 1:4 2:4\n")
+        for part in (d.samples[1:], d.samples[np.array([3, 0])]):
+            assert part.indices.base is d.samples.indices.base
+            assert part.values.base is d.samples.values.base
+        np.testing.assert_array_equal(d.samples[1:][1][0], [1])
+
+    def test_csr_is_a_view_for_back_to_back_rows(self):
+        d = parse_libsvm("1 1:1 3:2\n-1\n1 2:5\n1 1:4 2:4\n")
+        row_ptr, idx, vals = d.samples[1:3].csr()
+        np.testing.assert_array_equal(row_ptr, [0, 0, 1])
+        assert np.shares_memory(idx, d.samples.indices)
+        np.testing.assert_array_equal(vals, [5.0])
+
+    def test_csr_gathers_selected_rows_in_order(self):
+        d = parse_libsvm("1 1:1 3:2\n-1\n1 2:5\n1 1:4 2:4\n")
+        row_ptr, idx, vals = d.samples[np.array([3, 1, 0])].csr()
+        np.testing.assert_array_equal(row_ptr, [0, 2, 2, 4])
+        np.testing.assert_array_equal(idx, [0, 1, 0, 2])
+        np.testing.assert_array_equal(vals, [4.0, 4.0, 1.0, 2.0])
+        empty = d.samples[:0].csr()
+        assert empty[0].tolist() == [0] and empty[1].size == 0
 
 
 class TestRoundTrip:
@@ -316,6 +399,16 @@ class TestSplit:
         t1, _ = split(d, 0.8, seed=1)
         t2, _ = split(d, 0.8, seed=2)
         assert list(t1.labels) != list(t2.labels)
+
+    def test_parts_share_the_parents_store(self):
+        d = _trivial_dataset(10)
+        d = Dataset(d.samples, d.labels % 2, 1)
+        train, test = split(d, 0.8, seed=1)
+        out, _ = normalize_labels(train)
+        for part in (train, test, out):
+            assert part.samples.values.base is d.samples.values.base
+        assert out.samples is train.samples
+        np.testing.assert_array_equal([v[0] for _, v in test.samples], [8, 5])
 
     def test_partition(self):
         d = _trivial_dataset(23)

@@ -163,13 +163,14 @@ def test_corrupted_texts_fail_with_the_oracles_message(data):
 
 
 # Documents of the fast path's language: the bytes 0-9 . + - e E : space
-# and newline only.
+# and newline only, with LF or CRLF line ends.
 FAST_NUMBERS = st.one_of(
     st.sampled_from(["+1", "-1", "1", "0", "1e3", "-2.5E-3", ".5", "5.",
                      "+0.0", "-0.0", "007", "1E+2"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
 FAST_SPACES = st.sampled_from([" ", "  ", "   "])
+FAST_EOLS = st.sampled_from(["\n", "\r\n"])
 # each replaces the label or one idx:val token ({i} its index, {v} its
 # value): a bad index, a bad value, or a colon out of place
 FAST_FAULTS = st.sampled_from([
@@ -209,8 +210,11 @@ def render_fast(draw, lines) -> str:
         if draw(st.booleans()):
             text += draw(FAST_SPACES)
         out.append(text)
-    text = "\n".join(out)
-    return text + "\n" if out and draw(st.booleans()) else text
+    eols = [draw(FAST_EOLS) for _ in out]
+    text = "".join(line + eol for line, eol in zip(out, eols))
+    if text and draw(st.booleans()):
+        text = text[: -len(eols[-1])]
+    return text
 
 
 @FUZZ
