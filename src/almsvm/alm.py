@@ -345,7 +345,10 @@ class SmoothedSubproblem:
         return rows.size
 
     def hvp(self, h) -> np.ndarray:
-        return h + self.sigma * self._block.normal_apply(h)
+        v = self._block.normal_apply(h)
+        v *= self.sigma
+        v += h
+        return v
 
     def set_direction(self, d) -> None:
         self._d = np.asarray(d, dtype=np.float64)

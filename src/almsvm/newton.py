@@ -13,6 +13,7 @@ breakdowns and fallbacks are counted, so neither goes unseen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -99,7 +100,9 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
     breakdown)``. ``breakdown`` is True when a search direction had
     curvature ``p'Ap <= 0``; ``x`` is then the iterate before it. The
     recurrence residual is replaced by the explicit one every 50
-    iterations to limit drift.
+    iterations to limit drift. ``x``, ``r`` and ``p`` are updated in
+    place through one scratch vector, with the same roundings as the
+    textbook out-of-place recurrence.
     """
     if tol_abs <= 0:
         raise ValueError("tol_abs must be positive")
@@ -107,29 +110,31 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
     x = np.zeros_like(rhs)
     r = rhs.copy()
     rr = float(r @ r)
-    if np.sqrt(rr) <= tol_abs:
+    if math.sqrt(rr) <= tol_abs:
         return x, 0, False
     p = r.copy()
+    step = np.empty_like(rhs)
     for it in range(1, maxit + 1):
         ap = hvp(p)
         pap = float(p @ ap)
-        if not np.isfinite(pap):
+        if not math.isfinite(pap):
             raise CgBreakdownError("non-finite curvature in CG")
         if pap <= 0.0:
             # operator contract is SPD; bail out with the current iterate
             return x, it, True
         alpha = rr / pap
-        x = x + alpha * p
+        x += np.multiply(alpha, p, out=step)
         if it % 50 == 0:
-            r = rhs - hvp(x)
+            np.subtract(rhs, hvp(x), out=r)
         else:
-            r = r - alpha * ap
+            r -= np.multiply(alpha, ap, out=step)
         rr_new = float(r @ r)
-        if not np.isfinite(rr_new):
+        if not math.isfinite(rr_new):
             raise CgBreakdownError("non-finite residual in CG")
-        if np.sqrt(rr_new) <= tol_abs:
+        if math.sqrt(rr_new) <= tol_abs:
             return x, it, False
-        p = r + (rr_new / rr) * p
+        p *= rr_new / rr
+        p += r
         rr = rr_new
     return x, maxit, False
 

@@ -58,10 +58,13 @@ def prox_eps(z, C: float, M: float, eps: float):
 
 
 def moreau_env_hinge(z, C: float, M: float) -> float:
+    # for s = prox_hinge(z), max(s, 0) is the prox's own max(z - C*M, 0)
+    # term, so the penalty sum reads that term and the prox is inlined
     z = np.asarray(z, dtype=np.float64)
-    s = prox_hinge(z, C, M)
-    diff = s - z
-    return 0.5 * float(diff @ diff) + M * p_value(s, C)
+    excess = np.maximum(z - C * M, 0.0)
+    diff = excess + np.minimum(z, 0.0)  # prox_hinge(z)
+    diff -= z
+    return 0.5 * float(diff @ diff) + M * (C * float(excess.sum()))
 
 
 def moreau_env_eps(z, C: float, M: float, eps: float) -> float:

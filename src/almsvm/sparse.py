@@ -8,6 +8,14 @@ Both are therefore bit for bit equal to the row-major reference
 kernels kept as oracles in :mod:`almsvm.baseline`, and single-threaded
 runs reproduce exactly.
 
+When at most one ``y_i`` in eight is nonzero, ``A.T @ y`` scatters only
+the rows with ``y_i != 0``, still in row order. A skipped row adds the
+products ``a_ij * (+-0)``, which are zeros, to accumulators that start
+at ``+0.0``; an accumulator that starts at ``+0.0`` is never ``-0.0``,
+and adding a zero leaves any other value as it is, so every column
+receives the same nonzero terms in the same order and the result is the
+full kernel's, bit for bit.
+
 scipy is imported when the first matrix is built, not when this module
 is: reading a model, predicting and scoring never build one, and
 importing ``scipy.sparse`` takes about 0.2 s, which every start of the
@@ -117,8 +125,10 @@ class SparseMatrix:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("expected a 2-D array")
-        rows = [(np.flatnonzero(row), row[np.flatnonzero(row)]) for row in a]
-        return cls.from_rows(rows, a.shape[1])
+        rows, cols = np.nonzero(a)  # row-major order
+        row_ptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=a.shape[0]), out=row_ptr[1:])
+        return cls(row_ptr, cols, a[rows, cols], a.shape)
 
     def to_dense(self) -> np.ndarray:
         return self._a.toarray()
@@ -131,11 +141,19 @@ class SparseMatrix:
         return self._a @ x
 
     def matvec_t(self, y) -> np.ndarray:
-        """Return ``A.T @ y`` by scattering row contributions in row order."""
+        """Return ``A.T @ y`` by scattering row contributions in row order.
+
+        When at most ``m/8`` entries of ``y`` are nonzero only their rows
+        are gathered and scattered; the result is bitwise the same (see
+        the module docstring).
+        """
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.m,):
             raise ValueError(f"y must have length {self.m}, got {y.shape}")
-        return self._at @ y
+        if 8 * np.count_nonzero(y) > self.m:
+            return self._at @ y
+        rows = np.flatnonzero(y)
+        return self._at[:, rows] @ y[rows]
 
     def restricted_normal_apply(self, rows, h) -> np.ndarray:
         """Return ``A[rows, :].T @ (A[rows, :] @ h)``; only the nonzeros

@@ -55,6 +55,88 @@ class TestCgSolve:
         np.testing.assert_array_equal(x, [0.0, 0.0])
 
 
+def _cg_out_of_place(hvp, rhs, tol_abs, maxit):
+    """The textbook CG loop with a fresh array per update, as
+    :func:`cg_solve` ran before it updated in place."""
+    rhs = np.asarray(rhs, dtype=np.float64)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    rr = float(r @ r)
+    if np.sqrt(rr) <= tol_abs:
+        return x, 0, False
+    p = r.copy()
+    for it in range(1, maxit + 1):
+        ap = hvp(p)
+        pap = float(p @ ap)
+        if pap <= 0.0:
+            return x, it, True
+        alpha = rr / pap
+        x = x + alpha * p
+        if it % 50 == 0:
+            r = rhs - hvp(x)
+        else:
+            r = r - alpha * ap
+        rr_new = float(r @ r)
+        if np.sqrt(rr_new) <= tol_abs:
+            return x, it, False
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return x, maxit, False
+
+
+def _spd(rng, n, cond):
+    """Random symmetric matrix with eigenvalues spread over [1, cond]."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (q * np.geomspace(1.0, cond, n)) @ q.T
+
+
+class TestCgInPlaceMatchesOutOfPlace:
+    """``cg_solve`` updates in place with the roundings of the
+    out-of-place loop: every result is the oracle's, bit for bit."""
+
+    @staticmethod
+    def _check(hvp, rhs, tol_abs, maxit):
+        before = rhs.copy()
+        x, it, breakdown = cg_solve(hvp, rhs, tol_abs, maxit)
+        x_ref, it_ref, breakdown_ref = _cg_out_of_place(hvp, rhs, tol_abs, maxit)
+        assert x.tobytes() == x_ref.tobytes()
+        assert (it, breakdown) == (it_ref, breakdown_ref)
+        assert rhs.tobytes() == before.tobytes()
+        return it, breakdown
+
+    @pytest.mark.parametrize("n, cond", [(5, 10.0), (40, 1e3), (120, 1e4)])
+    def test_random_spd(self, n, cond, rng):
+        a = _spd(rng, n, cond)
+        for tol in (1e-1, 1e-6, 1e-12):
+            self._check(lambda v: a @ v, rng.normal(size=n), tol, 200)
+
+    def test_run_past_residual_replacement(self, rng):
+        a = _spd(rng, 150, 1e5)
+        it, breakdown = self._check(lambda v: a @ v, rng.normal(size=150),
+                                    1e-13, 200)
+        assert it > 100 and not breakdown
+
+    def test_truncation_at_maxit(self, rng):
+        a = _spd(rng, 60, 1e4)
+        assert self._check(lambda v: a @ v, rng.normal(size=60),
+                           1e-14, 7) == (7, False)
+
+    def test_curvature_breakdown(self, rng):
+        # indefinite: CG makes progress first, then meets p'Ap <= 0
+        q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+        a = (q * np.r_[np.linspace(1.0, 50.0, 29), -5.0]) @ q.T
+        it, breakdown = self._check(lambda v: a @ v, rng.normal(size=30),
+                                    1e-12, 200)
+        assert breakdown and it > 1
+
+    def test_zero_rhs(self):
+        assert self._check(lambda v: 2.0 * v, np.zeros(4), 1e-12, 10) == (0, False)
+
+    def test_operator_returning_its_argument(self, rng):
+        # an operator may hand back the very vector it was given
+        assert self._check(lambda v: v, rng.normal(size=6), 1e-12, 10) == (1, False)
+
+
 class CallbackSubproblem:
     """The Subproblem protocol over plain value/grad/hvp callbacks of w,
     with an empty active set."""

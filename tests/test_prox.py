@@ -141,6 +141,31 @@ class TestMoreauEnvelopes:
             fd = (moreau_env_hinge(zp, C, M) - moreau_env_hinge(zm, C, M)) / (2 * h)
             assert fd == pytest.approx(g_expected[i], rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("C, M", [(1.3, 0.8), (550.0 / 8000, 1 / 0.15),
+                                      (0.1, 3.0), (2.0, 0.5)])
+    def test_hinge_equals_prox_then_penalty_bitwise(self, C, M, rng):
+        # the envelope reads the penalty sum from the prox's own
+        # max(z - C*M, 0) term; that must be the value of the two-step
+        # form 0.5*|prox(z) - z|^2 + M*p_value(prox(z)) to the last bit,
+        # at the breakpoints 0.0, -0.0 and C*M too
+        special = np.array([0.0, -0.0, C * M])
+        for size in (1, 7, 300):
+            for scale in (0.5 * C * M, 3.0 * C * M):
+                z = rng.normal(size=size) * scale
+                pick = rng.random(size) < 0.3
+                z[pick] = rng.choice(special, size=int(pick.sum()))
+                s = prox_hinge(z, C, M)
+                diff = s - z
+                expect = 0.5 * float(diff @ diff) + M * p_value(s, C)
+                got = moreau_env_hinge(z, C, M)
+                assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+        for z in (special, -special, np.full(5, -0.0), np.zeros(0)):
+            s = prox_hinge(z, C, M)
+            diff = s - z
+            expect = 0.5 * float(diff @ diff) + M * p_value(s, C)
+            got = moreau_env_hinge(z, C, M)
+            assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
 
 class TestActiveSets:
     def test_svc_basic(self):

@@ -242,6 +242,77 @@ class TestAgainstBincountOracles:
                                           normal_apply_oracle(a, rows, h))
 
 
+def _same_bits(got, expect):
+    np.testing.assert_array_equal(got, expect)
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+class TestMatvecTSkipsZeroRows:
+    """With at most m/8 nonzero entries in ``y`` only their rows are
+    scattered; the result stays the full kernel's, bit for bit, zero
+    signs included."""
+
+    @pytest.mark.parametrize("make", [_empty_row_matrix, _zero_nnz_matrix])
+    @pytest.mark.parametrize("count", ["none", "one", "m//8", "m//8+1", "m"])
+    def test_equals_full_kernel_and_oracle(self, make, count, rng):
+        a = make(rng)
+        k = {"none": 0, "one": 1, "m//8": a.m // 8, "m//8+1": a.m // 8 + 1,
+             "m": a.m}[count]
+        for _ in range(5):
+            y = np.zeros(a.m)
+            rows = rng.choice(a.m, size=k, replace=False)
+            y[rows] = rng.normal(size=k)
+            y[rng.random(a.m) < 0.3 * (y == 0)] = -0.0
+            _same_bits(a.matvec_t(y), a._at @ y)
+            # np.bincount of no entries gives int64 zeros
+            _same_bits(a.matvec_t(y), matvec_t_oracle(a, y).astype(np.float64))
+
+    def test_negative_zeros_only(self, rng):
+        a = _empty_row_matrix(rng)
+        y = np.full(a.m, -0.0)
+        _same_bits(a.matvec_t(y), a._at @ y)
+        _same_bits(a.matvec_t(y), np.zeros(a.n))
+
+    def test_products_that_cancel_to_zero(self):
+        # a column whose kept products cancel exactly: +0.0 in both kernels
+        a = SparseMatrix.from_dense([[1.0, 2.0]] + [[0.0, 0.0]] * 6
+                                    + [[-1.0, 3.0]] + [[1.0, 1.0]] * 8)
+        y = np.zeros(a.m)
+        y[[0, 7]] = 1.0
+        _same_bits(a.matvec_t(y), a._at @ y)
+        _same_bits(a.matvec_t(y), np.array([0.0, 5.0]))
+
+
+class TestFromDense:
+    """``from_dense`` builds the matrix that per-row pairs did."""
+
+    @staticmethod
+    def _from_row_pairs(a):
+        a = np.asarray(a, dtype=np.float64)
+        rows = [(np.flatnonzero(row), row[np.flatnonzero(row)]) for row in a]
+        return SparseMatrix.from_rows(rows, a.shape[1])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 7), (200, 40),
+                                       (0, 3), (3, 0), (0, 0)])
+    def test_matches_per_row_pairs_bitwise(self, shape, rng):
+        dense = np.where(rng.random(shape) < 0.4, rng.normal(size=shape), 0.0)
+        if shape[0] > 2:
+            dense[[0, shape[0] - 1]] = 0.0
+        if dense.size:
+            dense.flat[rng.integers(dense.size)] = -0.0
+        for a in (dense, np.asfortranarray(dense), dense[:, ::-1][:, ::-1]):
+            got, expect = SparseMatrix.from_dense(a), self._from_row_pairs(a)
+            assert got.shape == expect.shape
+            for name in ("row_ptr", "col_idx", "values"):
+                _same_bits(getattr(got, name), getattr(expect, name))
+
+    def test_rejects_non_finite_and_wrong_rank(self):
+        with pytest.raises(ValueError, match="finite"):
+            SparseMatrix.from_dense([[1.0, np.nan]])
+        with pytest.raises(ValueError, match="2-D"):
+            SparseMatrix.from_dense([1.0, 2.0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_adjointness(seed):
