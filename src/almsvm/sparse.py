@@ -1,20 +1,34 @@
-"""CSR sparse-matrix kernels on ``scipy.sparse``.
+"""CSR sparse-matrix kernels: scipy's compiled CSR routines, called directly.
 
-A :class:`SparseMatrix` holds one ``scipy.sparse.csr_array`` and its
-transpose view. ``A @ x`` runs scipy's CSR kernel, which accumulates
-each row left to right in stored order; ``A.T @ y`` runs the CSC kernel
-of the transpose view, which scatters row contributions in row order.
-Both are therefore bit for bit equal to the row-major reference
-kernels kept as oracles in :mod:`almsvm.baseline`, and single-threaded
-runs reproduce exactly.
+A :class:`SparseMatrix` holds three validated arrays, ``row_ptr``,
+``col_idx`` (int64) and ``values`` (float64), and nothing else. Each
+operation calls the compiled routine of ``scipy.sparse._sparsetools``
+that scipy's own ``csr_array`` runs for the same operation, without
+building a scipy array object:
 
-When at most one ``y_i`` in eight is nonzero, ``A.T @ y`` scatters only
-the rows with ``y_i != 0``, still in row order. A skipped row adds the
-products ``a_ij * (+-0)``, which are zeros, to accumulators that start
-at ``+0.0``; an accumulator that starts at ``+0.0`` is never ``-0.0``,
-and adding a zero leaves any other value as it is, so every column
-receives the same nonzero terms in the same order and the result is the
-full kernel's, bit for bit.
+* ``A @ x`` is ``csr_matvec``, which accumulates each row left to
+  right in stored order;
+* ``A.T @ y`` is ``csc_matvec`` on the same three arrays, read as the
+  CSC form of ``A.T``; it scatters row contributions in row order;
+* a row gather ``A[rows, :]`` is ``csr_row_index`` into arrays sized
+  from the cumulative row lengths, in the order of ``rows``;
+* ``to_dense`` is ``csr_todense``.
+
+Both products are therefore bit for bit equal to the row-major
+reference kernels kept as oracles in :mod:`almsvm.baseline` and to
+scipy's public ``csr_array`` operators, and single-threaded runs
+reproduce exactly. ``_sparsetools`` is private to scipy; these four
+routines and their argument order are those of scipy 1.17.1, the tested
+version, and the tests compare every product bitwise against the
+public operators, so a change in them shows there.
+
+When at most one ``y_i`` in four is nonzero, ``A.T @ y`` gathers and
+scatters only the rows with ``y_i != 0``, still in row order. A skipped
+row adds the products ``a_ij * (+-0)``, which are zeros, to
+accumulators that start at ``+0.0``; an accumulator that starts at
+``+0.0`` is never ``-0.0``, and adding a zero leaves any other value as
+it is, so every column receives the same nonzero terms in the same
+order and the result is the full kernel's, bit for bit.
 
 scipy is imported when the first matrix is built, not when this module
 is: reading a model, predicting and scoring never build one, and
@@ -30,6 +44,28 @@ from .data_io import Samples, _readonly
 
 __all__ = ["SparseMatrix", "RowBlock"]
 
+# scipy.sparse._sparsetools, bound when the first matrix is built
+_kernels = None
+
+
+def _load_kernels():
+    global _kernels
+    if _kernels is None:
+        from scipy.sparse import _sparsetools  # deferred: see the module docstring
+
+        _kernels = _sparsetools
+
+
+def _gather(row_ptr, col_idx, values, rows):
+    """CSR arrays of the rows ``rows`` (int64), in the order given."""
+    ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(row_ptr[rows + 1] - row_ptr[rows], out=ptr[1:])
+    nnz = int(ptr[-1])
+    idx = np.empty(nnz, dtype=np.int64)
+    val = np.empty(nnz, dtype=np.float64)
+    _kernels.csr_row_index(rows.size, rows, row_ptr, col_idx, values, idx, val)
+    return ptr, idx, val
+
 
 class SparseMatrix:
     """Immutable CSR matrix with float64 values and 0-based indices.
@@ -40,7 +76,7 @@ class SparseMatrix:
     derived matrices share the structure arrays instead of copying them.
     """
 
-    __slots__ = ("_a", "_at")
+    __slots__ = ("_ptr", "_idx", "_val", "_m", "_n")
 
     def __init__(self, row_ptr, col_idx, values, shape):
         m, n = int(shape[0]), int(shape[1])
@@ -70,38 +106,39 @@ class SparseMatrix:
                 )
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        from scipy.sparse import csr_array  # deferred: see the module docstring
-
-        self._a = csr_array((values, col_idx, row_ptr), shape=(m, n))
-        self._at = self._a.T
+        _load_kernels()
+        self._ptr = _readonly(row_ptr)
+        self._idx = _readonly(col_idx)
+        self._val = _readonly(values)
+        self._m, self._n = m, n
 
     @property
     def row_ptr(self) -> np.ndarray:
-        return _readonly(self._a.indptr)
+        return self._ptr
 
     @property
     def col_idx(self) -> np.ndarray:
-        return _readonly(self._a.indices)
+        return self._idx
 
     @property
     def values(self) -> np.ndarray:
-        return _readonly(self._a.data)
+        return self._val
 
     @property
     def m(self) -> int:
-        return self._a.shape[0]
+        return self._m
 
     @property
     def n(self) -> int:
-        return self._a.shape[1]
+        return self._n
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._a.shape
+        return self._m, self._n
 
     @property
     def nnz(self) -> int:
-        return self._a.nnz
+        return self._val.size
 
     def __repr__(self) -> str:
         return f"SparseMatrix(shape=({self.m}, {self.n}), nnz={self.nnz})"
@@ -131,29 +168,41 @@ class SparseMatrix:
         return cls(row_ptr, cols, a[rows, cols], a.shape)
 
     def to_dense(self) -> np.ndarray:
-        return self._a.toarray()
+        out = np.zeros(self.shape)
+        _kernels.csr_todense(self._m, self._n, self._ptr, self._idx, self._val, out)
+        return out
 
     def matvec(self, x) -> np.ndarray:
         """Return ``A @ x``, accumulating each row left to right."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError(f"x must have length {self.n}, got {x.shape}")
-        return self._a @ x
+        if x.shape != (self._n,):
+            raise ValueError(f"x must have length {self._n}, got {x.shape}")
+        out = np.zeros(self._m)
+        _kernels.csr_matvec(self._m, self._n, self._ptr, self._idx, self._val,
+                            x, out)
+        return out
 
     def matvec_t(self, y) -> np.ndarray:
         """Return ``A.T @ y`` by scattering row contributions in row order.
 
-        When at most ``m/8`` entries of ``y`` are nonzero only their rows
+        When at most ``m/4`` entries of ``y`` are nonzero only their rows
         are gathered and scattered; the result is bitwise the same (see
         the module docstring).
         """
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.m,):
-            raise ValueError(f"y must have length {self.m}, got {y.shape}")
-        if 8 * np.count_nonzero(y) > self.m:
-            return self._at @ y
-        rows = np.flatnonzero(y)
-        return self._at[:, rows] @ y[rows]
+        if y.shape != (self._m,):
+            raise ValueError(f"y must have length {self._m}, got {y.shape}")
+        out = np.zeros(self._n)
+        mask = y != 0.0
+        k = np.count_nonzero(mask)
+        if 4 * k > self._m:
+            _kernels.csc_matvec(self._n, self._m, self._ptr, self._idx,
+                                self._val, y, out)
+        else:
+            rows = np.flatnonzero(mask)
+            ptr, idx, val = _gather(self._ptr, self._idx, self._val, rows)
+            _kernels.csc_matvec(self._n, k, ptr, idx, val, y[rows], out)
+        return out
 
     def restricted_normal_apply(self, rows, h) -> np.ndarray:
         """Return ``A[rows, :].T @ (A[rows, :] @ h)``; only the nonzeros
@@ -168,44 +217,47 @@ class SparseMatrix:
         """Copy the rows ``A[rows, :]`` out once, for repeated
         ``normal_apply`` calls on the same row set."""
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.m):
+        if rows.size and (rows.min() < 0 or rows.max() >= self._m):
             raise ValueError("row index out of range")
-        return RowBlock(self._a[rows])
+        return RowBlock(*_gather(self._ptr, self._idx, self._val, rows), self._n)
 
     def scale_rows(self, c) -> "SparseMatrix":
         """Return a copy with row i multiplied by ``c[i]``; the sparsity
         pattern (including stored zeros) is preserved."""
         c = np.asarray(c, dtype=np.float64)
-        if c.shape != (self.m,):
-            raise ValueError(f"c must have length {self.m}, got {c.shape}")
-        a = self._a
+        if c.shape != (self._m,):
+            raise ValueError(f"c must have length {self._m}, got {c.shape}")
         return SparseMatrix(
-            a.indptr, a.indices, a.data * np.repeat(c, np.diff(a.indptr)),
+            self._ptr, self._idx, self._val * np.repeat(c, np.diff(self._ptr)),
             self.shape,
         )
 
 
 class RowBlock:
     """A row subset ``A[rows, :]`` of a :class:`SparseMatrix`, held as
-    its own CSR matrix and transpose view."""
+    its own CSR arrays; built by :meth:`SparseMatrix.gather_rows`."""
 
-    __slots__ = ("_a", "_at")
+    __slots__ = ("_ptr", "_idx", "_val", "_n")
 
-    def __init__(self, a):
-        self._a = a
-        self._at = a.T
+    def __init__(self, row_ptr, col_idx, values, n):
+        self._ptr, self._idx, self._val, self._n = row_ptr, col_idx, values, n
 
     @property
     def size(self) -> int:
-        return self._a.shape[0]
+        return self._ptr.size - 1
 
     @property
     def n(self) -> int:
-        return self._a.shape[1]
+        return self._n
 
     def normal_apply(self, h) -> np.ndarray:
         """Return ``A[rows, :].T @ (A[rows, :] @ h)``."""
         h = np.asarray(h, dtype=np.float64)
-        if h.shape != (self.n,):
-            raise ValueError(f"h must have length {self.n}, got {h.shape}")
-        return self._at @ (self._a @ h)
+        if h.shape != (self._n,):
+            raise ValueError(f"h must have length {self._n}, got {h.shape}")
+        k = self.size
+        t = np.zeros(k)
+        _kernels.csr_matvec(k, self._n, self._ptr, self._idx, self._val, h, t)
+        out = np.zeros(self._n)
+        _kernels.csc_matvec(self._n, k, self._ptr, self._idx, self._val, t, out)
+        return out

@@ -394,6 +394,20 @@ class TestSplit:
         order = list(train.labels.astype(int)) + list(test.labels.astype(int))
         assert order == [0, 1, 9, 4, 3, 7, 2, 6, 8, 5]
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1011, 2**64 - 1])
+    @pytest.mark.parametrize("m", [2, 3, 10, 257, 10000])
+    def test_shuffle_draws_the_generators_sequence(self, seed, m):
+        # split's loop steps the generator inline; it must draw exactly
+        # what next_below would
+        rng = XorShift64Star(seed)
+        perm = list(range(m))
+        for i in range(m - 1, 0, -1):
+            j = rng.next_below(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        train, test = split(_trivial_dataset(m), 0.5, seed=seed)
+        order = list(train.labels.astype(int)) + list(test.labels.astype(int))
+        assert order == perm
+
     def test_different_seeds_differ(self):
         d = _trivial_dataset(100)
         t1, _ = split(d, 0.8, seed=1)

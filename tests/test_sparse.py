@@ -247,30 +247,38 @@ def _same_bits(got, expect):
     assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
 
 
+def _scipy(a):
+    """The same matrix as scipy's public ``csr_array``."""
+    from scipy.sparse import csr_array
+
+    return csr_array((a.values, a.col_idx, a.row_ptr), shape=a.shape)
+
+
 class TestMatvecTSkipsZeroRows:
-    """With at most m/8 nonzero entries in ``y`` only their rows are
+    """With at most m/4 nonzero entries in ``y`` only their rows are
     scattered; the result stays the full kernel's, bit for bit, zero
     signs included."""
 
     @pytest.mark.parametrize("make", [_empty_row_matrix, _zero_nnz_matrix])
-    @pytest.mark.parametrize("count", ["none", "one", "m//8", "m//8+1", "m"])
+    @pytest.mark.parametrize("count", ["none", "one", "m//8", "m//8+1", "m//4",
+                                       "m//4+1", "m"])
     def test_equals_full_kernel_and_oracle(self, make, count, rng):
         a = make(rng)
         k = {"none": 0, "one": 1, "m//8": a.m // 8, "m//8+1": a.m // 8 + 1,
-             "m": a.m}[count]
+             "m//4": a.m // 4, "m//4+1": a.m // 4 + 1, "m": a.m}[count]
         for _ in range(5):
             y = np.zeros(a.m)
             rows = rng.choice(a.m, size=k, replace=False)
             y[rows] = rng.normal(size=k)
             y[rng.random(a.m) < 0.3 * (y == 0)] = -0.0
-            _same_bits(a.matvec_t(y), a._at @ y)
+            _same_bits(a.matvec_t(y), _scipy(a).T @ y)
             # np.bincount of no entries gives int64 zeros
             _same_bits(a.matvec_t(y), matvec_t_oracle(a, y).astype(np.float64))
 
     def test_negative_zeros_only(self, rng):
         a = _empty_row_matrix(rng)
         y = np.full(a.m, -0.0)
-        _same_bits(a.matvec_t(y), a._at @ y)
+        _same_bits(a.matvec_t(y), _scipy(a).T @ y)
         _same_bits(a.matvec_t(y), np.zeros(a.n))
 
     def test_products_that_cancel_to_zero(self):
@@ -279,8 +287,68 @@ class TestMatvecTSkipsZeroRows:
                                     + [[-1.0, 3.0]] + [[1.0, 1.0]] * 8)
         y = np.zeros(a.m)
         y[[0, 7]] = 1.0
-        _same_bits(a.matvec_t(y), a._at @ y)
+        _same_bits(a.matvec_t(y), _scipy(a).T @ y)
         _same_bits(a.matvec_t(y), np.array([0.0, 5.0]))
+
+
+def _strided(v):
+    """``v`` as a non-contiguous view of a larger array."""
+    big = np.full(3 * v.size, np.nan)
+    big[::3] = v
+    return big[::3]
+
+
+class TestAgainstScipyPublicOperators:
+    """Each product equals scipy's public ``csr_array`` operator on the
+    same arrays bit for bit, for contiguous and strided inputs."""
+
+    @pytest.mark.parametrize("make", [_empty_row_matrix, _zero_nnz_matrix])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, _strided])
+    def test_matvec(self, make, layout, rng):
+        a = make(rng)
+        s = _scipy(a)
+        for _ in range(3):
+            x = layout(rng.normal(size=a.n))
+            assert x.flags.c_contiguous == (layout is np.ascontiguousarray)
+            _same_bits(a.matvec(x), s @ x)
+
+    @pytest.mark.parametrize("make", [_empty_row_matrix, _zero_nnz_matrix])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, _strided])
+    @pytest.mark.parametrize("k", [0, 1, 3, "m//4", "m"])
+    def test_matvec_t_both_paths(self, make, layout, k, rng):
+        # k <= m/4 nonzeros take the row-skipping path, k = m the full kernel
+        a = make(rng)
+        k = {"m//4": a.m // 4, "m": a.m}.get(k, k)
+        s = _scipy(a)
+        for _ in range(3):
+            y = np.zeros(a.m)
+            y[rng.choice(a.m, size=k, replace=False)] = rng.normal(size=k)
+            y[rng.random(a.m) < 0.3 * (y == 0)] = -0.0
+            y = layout(y)
+            _same_bits(a.matvec_t(y), s.T @ y)
+
+    @pytest.mark.parametrize("make", [_empty_row_matrix, _zero_nnz_matrix])
+    @pytest.mark.parametrize("pick", ["empty", "sorted", "unsorted",
+                                      "duplicates", "empty_rows", "all"])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, _strided])
+    def test_gathered_normal_apply(self, make, pick, layout, rng):
+        a = make(rng)
+        rows = {"empty": np.array([], dtype=np.int64),
+                "sorted": np.flatnonzero(rng.random(a.m) < 0.4),
+                "unsorted": rng.permutation(a.m)[: a.m // 2 + 1],
+                "duplicates": rng.integers(0, a.m, size=2 * a.m),
+                "empty_rows": np.array([a.m - 1, 0, a.m - 1]),
+                "all": np.arange(a.m)}[pick]
+        block = a.gather_rows(rows)
+        sub = _scipy(a)[rows]
+        assert block.size == rows.size
+        for _ in range(3):
+            h = layout(rng.normal(size=a.n))
+            _same_bits(block.normal_apply(h), sub.T @ (sub @ h))
+
+    def test_to_dense(self, rng):
+        for a in (_empty_row_matrix(rng), _zero_nnz_matrix(rng)):
+            _same_bits(a.to_dense(), _scipy(a).toarray())
 
 
 class TestFromDense:
