@@ -71,6 +71,7 @@ CONVERGED = "converged"
 MAX_OUTER = "max_outer"
 
 NEWTON_TOL_FLOOR = 1e-6
+NEWTON_MAXIT = 50  # Newton step cap per outer iteration
 
 
 class DivergedError(RuntimeError):
@@ -173,12 +174,13 @@ class Problem:
 
 @dataclass
 class SolverConfig:
-    """Tunables of the outer loop and the Newton-CG subsolver.
+    """Tunables of the outer loop.
 
     Defaults follow the reference parameterization: sigma starts at 0.15
     and grows by 1/theta = 1.25 per outer iteration up to 2; at most 10
-    outer iterations; inner tolerance ``max(NEWTON_TOL_FLOOR,
-    10**-(k+1))`` at outer iteration k. The line-search and CG
+    outer iterations. Each outer iteration k runs at most
+    ``NEWTON_MAXIT`` Newton steps to the inner tolerance
+    ``max(NEWTON_TOL_FLOOR, 10**-(k+1))``; the line-search and CG
     constants are fixed in :mod:`almsvm.newton`.
     """
 
@@ -187,7 +189,6 @@ class SolverConfig:
     theta: float = 0.8
     tol: float = 1e-6
     max_outer: int = 10
-    max_newton_per_outer: int = 50
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.sigma0, self.sigma_max, self.tol))):
@@ -198,9 +199,8 @@ class SolverConfig:
             raise ValueError("theta must be in (0, 1]")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        for name in ("max_outer", "max_newton_per_outer"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
 
 
 @dataclass
@@ -415,13 +415,14 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
 
     Starts from w = ones, lam = 0. Each outer iteration k solves the
     subproblem to gradient tolerance ``max(NEWTON_TOL_FLOOR,
-    10**-(k+1))``, recovers s through the prox at scale 1/sigma, updates
-    lam = sigma * (z - s) (the multiplier step written in terms of z)
-    and grows sigma by 1/theta up to sigma_max. Stops early once
-    max(r1, r2, r3) drops to ``cfg.tol``. The multiplier update, the
-    certificate and the next Newton solve's start share one ``B w``
-    computed afresh from ``w``, so no rounding drift of the Newton
-    iteration reaches a reported number.
+    10**-(k+1))`` in at most ``NEWTON_MAXIT`` Newton steps, recovers s
+    through the prox at scale 1/sigma, updates lam = sigma * (z - s)
+    (the multiplier step written in terms of z) and grows sigma by
+    1/theta up to sigma_max. Stops early once max(r1, r2, r3) drops to
+    ``cfg.tol``. The multiplier update, the certificate and the next
+    Newton solve's start share one ``B w`` computed afresh from ``w``,
+    so no rounding drift of the Newton iteration reaches a reported
+    number.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     report = SolveReport()
@@ -433,7 +434,7 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     for k in range(cfg.max_outer):
         tol_k = max(NEWTON_TOL_FLOOR, 10.0 ** (-(k + 1)))
         sub = make_subproblem_oracle(p, lam, sigma, bw=bw)
-        w, stats = newton_solve(sub, w, tol_k, cfg)
+        w, stats = newton_solve(sub, w, tol_k, NEWTON_MAXIT)
         if stats.hit_iteration_cap:
             report.warnings.append(
                 f"outer {k}: Newton iteration cap reached at "

@@ -227,31 +227,25 @@ def _config(args) -> SolverConfig:
     )
 
 
-def _resolve_c(args, task: str, train: Dataset) -> float:
-    if args.c is not None:
-        return args.c
-    if task == "svc":
-        return args.c_scale / train.m
-    return args.c_scale_svr / train.n_features
-
-
-def _prepare(args, task: str, data: Dataset):
-    """Normalize labels (classification), optionally add a bias feature."""
-    label_map = None
-    if task == "svc":
-        data, label_map = normalize_labels(data)
-    if args.bias:
-        data = augment_bias(data)
-    return data, label_map
-
-
 def _train_on(args, task: str, train: Dataset):
-    train, label_map = _prepare(args, task, train)
-    c_value = _resolve_c(args, task, train)
+    """Optionally add a bias feature, then assemble and solve the task's
+    problem; classification labels are mapped to {-1, +1} first."""
+    if args.bias:
+        train = augment_bias(train)
+    if train.m == 0:
+        raise ValueError("the training set has no samples")
+    if train.n_features == 0:
+        raise ValueError("the training set has no features")
     if task == "svc":
+        train, label_map = normalize_labels(train)
+        c_value = args.c_scale / train.m if args.c is None else args.c
         problem = build_svc(train, c_value)
+        eps_used = 0.0
     else:
+        label_map = None
+        c_value = args.c_scale_svr / train.n_features if args.c is None else args.c
         problem = build_svr(train, c_value, args.epsilon)
+        eps_used = args.epsilon
     w, report = alm_solve(problem, _config(args))
     model = Model(
         w=w,
@@ -259,7 +253,7 @@ def _train_on(args, task: str, train: Dataset):
         bias_augmented=args.bias,
         label_map=label_map,
         c_used=c_value,
-        eps_used=args.epsilon if task == "svr" else 0.0,
+        eps_used=eps_used,
     )
     return model, report
 

@@ -139,12 +139,12 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
     return x, maxit, False
 
 
-def newton_solve(sub: Subproblem, w0, tol: float, cfg):
+def newton_solve(sub: Subproblem, w0, tol: float, max_iter: int):
     """Run the globalized Newton iteration from ``w0`` until
-    ``|grad| <= tol``.
+    ``|grad| <= tol`` or for at most ``max_iter`` steps.
 
-    ``cfg`` supplies max_newton_per_outer. Returns ``(w, NewtonStats)``;
-    if the iteration cap fires the stats are flagged instead of raising.
+    Returns ``(w, NewtonStats)``; if the iteration cap fires the stats
+    are flagged instead of raising.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -154,7 +154,7 @@ def newton_solve(sub: Subproblem, w0, tol: float, cfg):
     gnorm = float(np.linalg.norm(g))
     stats.grad_norms.append(gnorm)
     while gnorm > tol:
-        if stats.iterations >= cfg.max_newton_per_outer:
+        if stats.iterations >= max_iter:
             stats.hit_iteration_cap = True
             break
         stats.active_set_sizes.append(int(sub.linearize()))

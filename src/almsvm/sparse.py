@@ -14,8 +14,8 @@ building a scipy array object:
   from the cumulative row lengths, in the order of ``rows``;
 * ``to_dense`` is ``csr_todense``.
 
-Both products are therefore bit for bit equal to the row-major
-reference kernels kept as oracles in :mod:`almsvm.baseline` and to
+Both products are therefore bit for bit equal to row-major reference
+kernels (the test suite keeps ``np.bincount`` ones as oracles) and to
 scipy's public ``csr_array`` operators, and single-threaded runs
 reproduce exactly. ``_sparsetools`` is private to scipy; these four
 routines and their argument order are those of scipy 1.17.1, the tested
@@ -104,12 +104,15 @@ class SparseMatrix:
                 raise ValueError(
                     "column indices must be strictly increasing within a row"
                 )
+        _load_kernels()
+        self._set(_readonly(row_ptr), _readonly(col_idx), values, m, n)
+
+    def _set(self, row_ptr, col_idx, values, m, n) -> None:
+        """Store validated structure arrays with new ``values``, whose
+        finiteness is the one check left."""
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        _load_kernels()
-        self._ptr = _readonly(row_ptr)
-        self._idx = _readonly(col_idx)
-        self._val = _readonly(values)
+        self._ptr, self._idx, self._val = row_ptr, col_idx, _readonly(values)
         self._m, self._n = m, n
 
     @property
@@ -223,14 +226,15 @@ class SparseMatrix:
 
     def scale_rows(self, c) -> "SparseMatrix":
         """Return a copy with row i multiplied by ``c[i]``; the sparsity
-        pattern (including stored zeros) is preserved."""
+        pattern (including stored zeros) is preserved and shared, so only
+        the new values are checked."""
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self._m,):
             raise ValueError(f"c must have length {self._m}, got {c.shape}")
-        return SparseMatrix(
-            self._ptr, self._idx, self._val * np.repeat(c, np.diff(self._ptr)),
-            self.shape,
-        )
+        scaled = SparseMatrix.__new__(SparseMatrix)
+        scaled._set(self._ptr, self._idx,
+                    self._val * np.repeat(c, np.diff(self._ptr)), self._m, self._n)
+        return scaled
 
 
 class RowBlock:

@@ -1,8 +1,8 @@
 """Deterministic synthetic datasets for tests, benchmarks and examples.
 
 Every generator is a pure function of its arguments (numpy's PCG64
-stream under a fixed seed), so the "bundled" instances used across the
-test suite are reproducible without shipping data files.
+stream under a fixed seed), so the instances the test suite and the
+benchmark train on are reproducible without shipping data files.
 
 Two families exist. The blob/linear generators produce ordinary noisy
 data. The planted generators construct datasets whose training optimum
@@ -17,8 +17,6 @@ the instances on which tight optimality certification is exercised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,8 +28,6 @@ __all__ = [
     "svc_margin_gap",
     "svr_linear",
     "svr_planted",
-    "BundledInstance",
-    "bundled_instances",
 ]
 
 
@@ -230,63 +226,3 @@ def svr_planted(
     y = x @ w_star - rng.uniform(-0.8 * eps, 0.8 * eps, size=m)
     y[out] = x[out] @ w_star - signs * (eps + 0.5 + rng.random(n_out))
     return Dataset(_dense_rows(x), y, n)
-
-
-@dataclass(frozen=True)
-class BundledInstance:
-    """A named dataset recipe with its default training parameters."""
-
-    name: str
-    task: str
-    make: Callable[[], Dataset]
-    c_of: Callable[[Dataset], float]
-    eps: float = 0.0
-
-    def dataset(self) -> Dataset:
-        return self.make()
-
-    def c(self, d: Dataset) -> float:
-        return self.c_of(d)
-
-
-def bundled_instances() -> list[BundledInstance]:
-    """The fixed instance suite used by the certification tests.
-
-    Sizes span m in [50, 5000] and n in [2, 500] over both tasks; C
-    follows the defaults (550/m for classification, 5/n for regression,
-    eps = 0.1).
-    """
-    return [
-        BundledInstance(
-            name="blobs50x2",
-            task="svc",
-            make=lambda: svc_blobs(50, 2, separation=8.0, scale=1.5, seed=11),
-            c_of=lambda d: 550.0 / d.m,
-        ),
-        BundledInstance(
-            name="blobs200x10",
-            task="svc",
-            make=lambda: svc_blobs(200, 10, separation=8.0, scale=1.5, seed=7),
-            c_of=lambda d: 550.0 / d.m,
-        ),
-        BundledInstance(
-            name="gap5000x123",
-            task="svc",
-            make=lambda: svc_margin_gap(5000, 123, density=0.11, seed=23),
-            c_of=lambda d: 550.0 / d.m,
-        ),
-        BundledInstance(
-            name="svr500x50",
-            task="svr",
-            make=lambda: svr_planted(500, 50, out_frac=0.05, seed=31),
-            c_of=lambda d: 5.0 / d.n_features,
-            eps=0.1,
-        ),
-        BundledInstance(
-            name="svr300x500",
-            task="svr",
-            make=lambda: svr_planted(300, 500, out_frac=0.08, seed=41),
-            c_of=lambda d: 5.0 / d.n_features,
-            eps=0.1,
-        ),
-    ]

@@ -1,9 +1,13 @@
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
 from almsvm.alm import build_svc, build_svr
+from almsvm.data_io import Dataset
 from almsvm.sparse import SparseMatrix
-from almsvm.synthetic import svc_blobs, svr_linear
+from almsvm.synthetic import svc_blobs, svc_margin_gap, svr_linear, svr_planted
 
 
 def random_sparse(rng, m, n, density=0.5):
@@ -22,6 +26,60 @@ def random_problem(seed=0, m=12, n=5, task="svc", C=1.3, eps=0.1):
         return build_svc(data, C)
     data = svr_linear(m, n, noise=0.3, seed=seed)
     return build_svr(data, C, eps)
+
+
+@dataclass(frozen=True)
+class BundledInstance:
+    """A named dataset recipe with its default training parameters."""
+
+    name: str
+    task: str
+    make: Callable[[], Dataset]
+    c_of: Callable[[Dataset], float]
+    eps: float = 0.0
+
+
+def bundled_instances() -> list[BundledInstance]:
+    """The fixed instance suite used by the certification tests.
+
+    Sizes span m in [50, 5000] and n in [2, 500] over both tasks; C
+    follows the defaults (550/m for classification, 5/n for regression,
+    eps = 0.1).
+    """
+    return [
+        BundledInstance(
+            name="blobs50x2",
+            task="svc",
+            make=lambda: svc_blobs(50, 2, separation=8.0, scale=1.5, seed=11),
+            c_of=lambda d: 550.0 / d.m,
+        ),
+        BundledInstance(
+            name="blobs200x10",
+            task="svc",
+            make=lambda: svc_blobs(200, 10, separation=8.0, scale=1.5, seed=7),
+            c_of=lambda d: 550.0 / d.m,
+        ),
+        BundledInstance(
+            name="gap5000x123",
+            task="svc",
+            make=lambda: svc_margin_gap(5000, 123, density=0.11, seed=23),
+            c_of=lambda d: 550.0 / d.m,
+        ),
+        BundledInstance(
+            name="svr500x50",
+            task="svr",
+            make=lambda: svr_planted(500, 50, out_frac=0.05, seed=31),
+            c_of=lambda d: 5.0 / d.n_features,
+            eps=0.1,
+        ),
+        BundledInstance(
+            name="svr300x500",
+            task="svr",
+            make=lambda: svr_planted(300, 500, out_frac=0.08, seed=41),
+            c_of=lambda d: 5.0 / d.n_features,
+            eps=0.1,
+        ),
+    ]
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
-"""Independent verification oracles.
+"""Independent verification oracles for the test suite.
 
-Nothing here is used on the production solve path. These routines
+Nothing here is part of the package or its solve path. These routines
 re-derive the quantities the solver computes in closed form — proximal
 points by piecewise-quadratic enumeration, gradients by central
 differences, the Hessian-vector product by the unrestricted formula,
@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-from .alm import Problem, primal_objective
-from .data_io import Dataset, ParseError
-from .sparse import SparseMatrix
+from almsvm.alm import Problem, primal_objective
+from almsvm.data_io import Dataset, ParseError
+from almsvm.sparse import SparseMatrix
 
 __all__ = ["prox_oracle", "phi_value", "fd_gradient", "subgradient_solve",
            "hess_vec_way2", "matvec_oracle", "matvec_t_oracle",

@@ -16,20 +16,21 @@ import numpy as np
 import pytest
 
 from almsvm.alm import (
-    SolverConfig,
     alm_solve,
     build_svc,
     build_svr,
     make_subproblem_oracle,
 )
-from almsvm.baseline import (fd_gradient, hess_vec_way2, phi_value, prox_oracle,
-                             subgradient_solve)
 from almsvm.cli import main
 from almsvm.data_io import load_libsvm, normalize_labels, split, write_libsvm
 from almsvm.metrics import Model, accuracy, mse
 from almsvm.newton import newton_solve
 from almsvm.prox import prox_eps, prox_hinge
-from almsvm.synthetic import bundled_instances, svc_blobs, svr_linear
+from almsvm.synthetic import svc_blobs, svr_linear
+
+from conftest import bundled_instances
+from oracles import (fd_gradient, hess_vec_way2, phi_value, prox_oracle,
+                     subgradient_solve)
 
 
 @contextmanager
@@ -48,8 +49,8 @@ def criterion(num, name, budget_seconds):
 
 
 def _build(inst):
-    data = inst.dataset()
-    c = inst.c(data)
+    data = inst.make()
+    c = inst.c_of(data)
     if inst.task == "svc":
         return build_svc(data, c)
     return build_svr(data, c, inst.eps)
@@ -140,8 +141,7 @@ def test_criterion_4_fast_local_convergence():
         for c_scale in (550.0, 1000.0):
             problem = build_svc(data, c_scale / 40)
             oracle = make_subproblem_oracle(problem, np.zeros(40), 0.15)
-            cfg = SolverConfig(max_newton_per_outer=100)
-            _, stats = newton_solve(oracle, np.ones(500), 1e-11, cfg)
+            _, stats = newton_solve(oracle, np.ones(500), 1e-11, 100)
             tail = stats.grad_norms[-3:]
             assert len(tail) == 3, "need at least three Newton residuals"
             for a, b in zip(tail, tail[1:]):
@@ -171,7 +171,7 @@ def test_criterion_6_active_set_sparsity():
     5% of the rows during the first outer loop."""
     with criterion(6, "active-set sparsity", 30.0):
         inst = next(i for i in bundled_instances() if i.name == "gap5000x123")
-        data = inst.dataset()
+        data = inst.make()
         assert data.m == 5000 and data.n_features == 123
         nnz = sum(len(s) for s, _ in data.samples)
         assert abs(nnz / (data.m * data.n_features) - 0.11) < 0.01

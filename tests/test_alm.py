@@ -8,6 +8,7 @@ from scipy.optimize import minimize_scalar
 from almsvm.alm import (
     CONVERGED,
     MAX_OUTER,
+    NEWTON_MAXIT,
     EpsInsensitive,
     Hinge,
     Problem,
@@ -20,12 +21,12 @@ from almsvm.alm import (
     make_subproblem_oracle,
     primal_objective,
 )
-from almsvm.baseline import fd_gradient, phi_value
 from almsvm.data_io import Dataset
 from almsvm.sparse import SparseMatrix
-from almsvm.synthetic import bundled_instances, svc_blobs, svr_linear
+from almsvm.synthetic import svc_blobs, svr_linear
 
-from conftest import random_problem
+from conftest import bundled_instances, random_problem
+from oracles import fd_gradient, phi_value
 
 
 def _dataset(rows, labels, n):
@@ -212,7 +213,7 @@ class TestPhi:
         oracle = make_subproblem_oracle(p, lam, sigma)
         from almsvm.newton import newton_solve
 
-        w, _ = newton_solve(oracle, np.ones(p.n), 1e-10, SolverConfig())
+        w, _ = newton_solve(oracle, np.ones(p.n), 1e-10, NEWTON_MAXIT)
         fresh = make_subproblem_oracle(p, lam, sigma)
         fresh.reset(w)
         assert np.linalg.norm(fresh.grad()) <= 1e-10
@@ -380,8 +381,8 @@ class TestAlmSolve:
                     "gap5000x123": (2, 32), "svr500x50": (3, 14),
                     "svr300x500": (3, 20)}
         for inst in bundled_instances():
-            data = inst.dataset()
-            c = inst.c(data)
+            data = inst.make()
+            c = inst.c_of(data)
             p = (build_svc(data, c) if inst.task == "svc"
                  else build_svr(data, c, inst.eps))
             _, report = alm_solve(p)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from almsvm.alm import build_svc, make_subproblem_oracle
-from almsvm.baseline import fd_gradient, hess_vec_way2, prox_oracle, subgradient_solve
 from almsvm.data_io import Dataset
 
 from conftest import random_problem
+from oracles import fd_gradient, hess_vec_way2, prox_oracle, subgradient_solve
 
 
 class TestProxOracle:

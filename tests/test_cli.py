@@ -125,6 +125,19 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("content,flags,message", [
+        (b"1\n2\n", ["--task", "svr"], "the training set has no features"),
+        (b"", ["--task", "svr", "--bias"], "the training set has no samples"),
+    ])
+    def test_empty_training_set_is_an_error(self, tmp_path, capsys, content,
+                                            flags, message):
+        data, model = tmp_path / "empty.libsvm", tmp_path / "m.model"
+        data.write_bytes(content)
+        rc = main(["train", *flags, "--data", str(data), "--model", str(model)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = main(["train", "--task", "svc", "--data",
                    str(tmp_path / "nope.libsvm"), "--model",
@@ -301,6 +314,15 @@ class TestBench:
             main(["bench", "--data", str(svc_file), "--task", "svc",
                   "--split", "1.5"])
         assert excinfo.value.code == 2
+
+    def test_training_split_without_features_is_an_error(self, tmp_path,
+                                                          capsys):
+        data = tmp_path / "labels.libsvm"
+        data.write_bytes(b"1\n2\n3\n4\n5\n")
+        assert main(["bench", "--data", str(data), "--task", "svr"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the training set has no features\n"
+        assert captured.out == ""
 
     def test_pretty_output(self, svc_file, capsys):
         assert main(["bench", "--data", str(svc_file), "--task", "svc",

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from almsvm import data_io
-from almsvm.baseline import parse_libsvm_oracle
 from almsvm.data_io import (
     Dataset,
     ParseError,
@@ -17,6 +16,8 @@ from almsvm.data_io import (
     serialize_libsvm,
     split,
 )
+
+from oracles import parse_libsvm_oracle
 
 
 def assert_datasets_equal(a: Dataset, b: Dataset):

@@ -15,10 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from almsvm import data_io
-from almsvm.baseline import parse_libsvm_oracle
 from almsvm.cli import read_model, write_model
 from almsvm.data_io import ParseError, parse_libsvm
 from almsvm.metrics import Model
+
+from oracles import parse_libsvm_oracle
 
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from almsvm.baseline import matvec_oracle
 from almsvm.data_io import Dataset
 from almsvm.metrics import (Model, accuracy, mse, predict, predict_label,
                             predict_labels, scores)
 from almsvm.sparse import SparseMatrix
+
+from oracles import matvec_oracle
 
 
 def _sample(pairs):

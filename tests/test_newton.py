@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import almsvm.newton as newton_mod
-from almsvm.alm import SolverConfig, alm_solve, build_svc, make_subproblem_oracle
-from almsvm.baseline import phi_value
+from almsvm.alm import NEWTON_MAXIT, alm_solve, build_svc, make_subproblem_oracle
 from almsvm.newton import cg_solve, newton_solve
 from almsvm.sparse import SparseMatrix
-from almsvm.synthetic import bundled_instances, svc_blobs
+from almsvm.synthetic import svc_blobs
+
+from conftest import bundled_instances
+from oracles import phi_value
 
 
 class TestCgSolve:
@@ -179,13 +181,13 @@ def _quadratic_oracle(n):
 class TestNewtonSolve:
     def test_quadratic_single_step(self, rng):
         w0 = rng.normal(size=6) * 10
-        w, stats = newton_solve(_quadratic_oracle(6), w0, 1e-10, SolverConfig())
+        w, stats = newton_solve(_quadratic_oracle(6), w0, 1e-10, NEWTON_MAXIT)
         assert stats.iterations == 1
         assert np.linalg.norm(w) <= 1e-10
 
     def test_already_optimal_returns_immediately(self):
         w, stats = newton_solve(_quadratic_oracle(4), np.zeros(4), 1e-8,
-                                SolverConfig())
+                                NEWTON_MAXIT)
         assert stats.iterations == 0
         assert stats.final_grad_norm == 0.0
         np.testing.assert_array_equal(w, np.zeros(4))
@@ -194,7 +196,7 @@ class TestNewtonSolve:
         data = svc_blobs(200, 10, separation=2.0, scale=1.0, seed=7)
         p = build_svc(data, 550.0 / data.m)
         oracle = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
-        _, stats = newton_solve(oracle, np.ones(p.n), 1e-10, SolverConfig())
+        _, stats = newton_solve(oracle, np.ones(p.n), 1e-10, NEWTON_MAXIT)
         g = stats.grad_norms
         checked = 0
         for j in range(len(g) - 1):
@@ -215,7 +217,7 @@ class TestNewtonSolve:
             return inner_grad()
 
         oracle.grad = logging_grad
-        _, stats = newton_solve(oracle, np.ones(p.n), 1e-8, SolverConfig())
+        _, stats = newton_solve(oracle, np.ones(p.n), 1e-8, NEWTON_MAXIT)
         assert all(b < a for a, b in zip(values, values[1:]))
         for alpha in stats.step_sizes:
             assert 0.0 < alpha <= 1.0
@@ -226,7 +228,7 @@ class TestNewtonSolve:
         data = svc_blobs(60, 4, separation=1.0, scale=1.0, seed=6)
         p = build_svc(data, 550.0 / data.m)
         oracle = make_subproblem_oracle(p, np.zeros(p.m), 0.3)
-        _, stats = newton_solve(oracle, np.ones(p.n), 1e-7, SolverConfig())
+        _, stats = newton_solve(oracle, np.ones(p.n), 1e-7, NEWTON_MAXIT)
         assert not stats.hit_iteration_cap
         assert stats.final_grad_norm <= 1e-7
 
@@ -234,8 +236,7 @@ class TestNewtonSolve:
         data = svc_blobs(60, 4, separation=1.0, scale=1.0, seed=6)
         p = build_svc(data, 550.0 / data.m)
         oracle = make_subproblem_oracle(p, np.zeros(p.m), 0.3)
-        cfg = SolverConfig(max_newton_per_outer=1)
-        _, stats = newton_solve(oracle, np.ones(p.n), 1e-10, cfg)
+        _, stats = newton_solve(oracle, np.ones(p.n), 1e-10, 1)
         assert stats.hit_iteration_cap
         assert stats.iterations == 1
 
@@ -252,7 +253,7 @@ class TestNewtonSolve:
         data = svc_blobs(60, 4, separation=1.0, scale=1.0, seed=8)
         p = build_svc(data, 550.0 / data.m)
         oracle = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
-        _, stats = newton_solve(oracle, np.ones(p.n), 1e-8, SolverConfig())
+        _, stats = newton_solve(oracle, np.ones(p.n), 1e-8, NEWTON_MAXIT)
         assert stats.cg_iterations_total == sum(calls)
         assert len(calls) == stats.iterations
 
@@ -267,7 +268,7 @@ class TestNewtonSolve:
             hvp=lambda h: -h,
         )
         w, stats = newton_solve(broken, rng.normal(size=5), 1e-8,
-                                SolverConfig())
+                                NEWTON_MAXIT)
         assert np.linalg.norm(w) <= 1e-8
         assert not stats.hit_iteration_cap
         assert stats.cg_breakdowns >= 1
@@ -282,13 +283,13 @@ class TestNewtonSolve:
             hvp=lambda h: h.copy(),
         )
         with pytest.raises(newton_mod.LineSearchError):
-            newton_solve(lying, np.ones(3), 1e-10, SolverConfig())
+            newton_solve(lying, np.ones(3), 1e-10, NEWTON_MAXIT)
 
     def test_history_lengths_consistent(self):
         data = svc_blobs(40, 3, separation=1.0, scale=1.0, seed=9)
         p = build_svc(data, 550.0 / data.m)
         oracle = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
-        _, stats = newton_solve(oracle, np.ones(p.n), 1e-8, SolverConfig())
+        _, stats = newton_solve(oracle, np.ones(p.n), 1e-8, NEWTON_MAXIT)
         assert len(stats.step_sizes) == stats.iterations
         assert len(stats.active_set_sizes) == stats.iterations
         assert len(stats.grad_norms) == stats.iterations + 1
@@ -296,8 +297,8 @@ class TestNewtonSolve:
 
 def _bundled_svc(name):
     inst = next(i for i in bundled_instances() if i.name == name)
-    data = inst.dataset()
-    return build_svc(data, inst.c(data))
+    data = inst.make()
+    return build_svc(data, inst.c_of(data))
 
 
 def _count_kernels(monkeypatch):
@@ -321,7 +322,7 @@ class TestSubproblemContract:
         p = _bundled_svc("gap5000x123")
         counts = _count_kernels(monkeypatch)
         sub = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
-        _, stats = newton_solve(sub, np.ones(p.n), 1e-8, SolverConfig())
+        _, stats = newton_solve(sub, np.ones(p.n), 1e-8, NEWTON_MAXIT)
         assert stats.iterations >= 5
         assert counts["matvec"] <= stats.iterations + 1
         assert counts["matvec_t"] <= stats.iterations + 1
@@ -346,8 +347,8 @@ class TestSubproblemContract:
         w0 = rng.normal(size=p.n) * 0.1
         fresh = make_subproblem_oracle(p, lam, 0.4)
         handed = make_subproblem_oracle(p, lam, 0.4, bw=p.B.matvec(w0))
-        w_fresh, st_fresh = newton_solve(fresh, w0, 1e-8, SolverConfig())
-        w_handed, st_handed = newton_solve(handed, w0, 1e-8, SolverConfig())
+        w_fresh, st_fresh = newton_solve(fresh, w0, 1e-8, NEWTON_MAXIT)
+        w_handed, st_handed = newton_solve(handed, w0, 1e-8, NEWTON_MAXIT)
         np.testing.assert_array_equal(w_handed, w_fresh)
         assert st_handed.grad_norms == st_fresh.grad_norms
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from almsvm.baseline import prox_oracle
 from almsvm.prox import (
     active_set_svc,
     active_set_svr,
@@ -22,6 +21,8 @@ from almsvm.prox import (
     prox_eps,
     prox_hinge,
 )
+
+from oracles import prox_oracle
 
 
 class TestPenaltyValues:

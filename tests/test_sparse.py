@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almsvm.baseline import matvec_oracle, matvec_t_oracle, normal_apply_oracle
 from almsvm.sparse import SparseMatrix
 
 from conftest import random_sparse
+from oracles import matvec_oracle, matvec_t_oracle, normal_apply_oracle
 
 
 class TestConstruction:
@@ -204,6 +204,26 @@ class TestScaleRows:
         b = a.scale_rows(np.array([3.0, -1.0]))
         assert b.nnz == 3
         np.testing.assert_array_equal(b.values, [0.0, 6.0, -0.0])
+
+    def test_shares_structure_and_stores_read_only(self, rng):
+        a = random_sparse(rng, 5, 4)
+        b = a.scale_rows(rng.normal(size=5))
+        assert np.shares_memory(b.row_ptr, a.row_ptr)
+        assert np.shares_memory(b.col_idx, a.col_idx)
+        assert b.shape == a.shape
+        assert not b.values.flags.writeable
+
+    def test_rejects_infinite_factor(self):
+        a = SparseMatrix.from_dense([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="values must be finite"):
+            a.scale_rows(np.array([1.0, np.inf]))
+
+    def test_rejects_overflowing_factor(self):
+        a = SparseMatrix.from_dense([[1e10, 1.0], [0.0, 2.0]])
+        # the finite product 1e300 * 1e10 overflows to inf
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="values must be finite"):
+                a.scale_rows(np.array([1e300, 1.0]))
 
 
 def _empty_row_matrix(rng):
