@@ -73,6 +73,11 @@ MAX_OUTER = "max_outer"
 NEWTON_TOL_FLOOR = 1e-6
 NEWTON_MAXIT = 50  # Newton step cap per outer iteration
 
+# the reference parameterization
+C_SCALE_SVC = 550.0  # classification C = C_SCALE_SVC / m
+C_SCALE_SVR = 5.0  # regression C = C_SCALE_SVR / n, with eps = EPSILON
+EPSILON = 0.1
+
 
 class DivergedError(RuntimeError):
     """Solver state left the finite range."""

@@ -23,6 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .alm import (
+    C_SCALE_SVC,
+    C_SCALE_SVR,
+    EPSILON,
     DivergedError,
     SolverConfig,
     alm_solve,
@@ -45,6 +48,10 @@ from .metrics import (Model, accuracy, mse, predict, predict_label,  # noqa: F40
 from .newton import CgBreakdownError, LineSearchError
 
 __all__ = ["main", "write_model", "read_model"]
+
+# what a command reports as one ``error:`` line and exit code 1
+_RUN_ERRORS = (ParseError, OSError, ValueError, DivergedError,
+               LineSearchError, CgBreakdownError)
 
 
 def write_model(model: Model, path) -> None:
@@ -83,16 +90,11 @@ def _model_from(fields: dict, weights: list) -> Model:
                if k not in fields]
     if missing:
         raise ValueError(f"model header lacks {', '.join(missing)}")
-    if fields["task"] not in ("svc", "svr"):
-        raise ValueError(f"unknown task {fields['task']!r}")
     if fields["bias"] not in ("0", "1"):
         raise ValueError(f"bias must be 0 or 1, got {fields['bias']!r}")
     n = int(fields["n"])
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    c, eps = float(fields["c"]), float(fields["eps"])
-    if not (math.isfinite(c) and math.isfinite(eps)):
-        raise ValueError("c and eps must be finite")
     label_map = None
     if fields["labels"] != "none":
         pair = fields["labels"].split(":")
@@ -101,8 +103,6 @@ def _model_from(fields: dict, weights: list) -> Model:
                 f"labels must be none or a:b, got {fields['labels']!r}"
             )
         label_map = (float(pair[0]), float(pair[1]))
-        if not all(map(math.isfinite, label_map)):
-            raise ValueError("labels must be finite")
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, found {len(weights)}")
     return Model(
@@ -110,8 +110,8 @@ def _model_from(fields: dict, weights: list) -> Model:
         task=fields["task"],
         bias_augmented=fields["bias"] == "1",
         label_map=label_map,
-        c_used=c,
-        eps_used=eps,
+        c_used=float(fields["c"]),
+        eps_used=float(fields["eps"]),
     )
 
 
@@ -133,11 +133,11 @@ def _weights(lines: list) -> np.ndarray:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, default=None,
                    help="penalty weight C (overrides the scale rules)")
-    p.add_argument("--c-scale", type=float, default=550.0,
+    p.add_argument("--c-scale", type=float, default=C_SCALE_SVC,
                    help="classification default C = c_scale / m_train")
-    p.add_argument("--c-scale-svr", type=float, default=5.0,
+    p.add_argument("--c-scale-svr", type=float, default=C_SCALE_SVR,
                    help="regression default C = c_scale_svr / n_features")
-    p.add_argument("--epsilon", type=float, default=0.1,
+    p.add_argument("--epsilon", type=float, default=EPSILON,
                    help="regression tube half-width")
     p.add_argument("--bias", action="store_true",
                    help="append a constant feature before training")
@@ -183,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--split", type=float, default=0.8)
     b.add_argument("--seed", type=int, default=42,
                    help="seed of the train/test split")
-    b.add_argument("--pretty", action="store_true",
-                   help="aligned table instead of CSV")
     b.add_argument("--trace", default=None, metavar="PATH",
                    help="write every dataset's solve report as JSON")
     _add_solver_flags(b)
@@ -300,13 +298,16 @@ def cmd_eval(args) -> int:
 
 
 def _bench_one(args, path: str):
-    data = load_libsvm(path, n_features=args.n_features)
-    train, test = split(data, args.split, args.seed)
-    model, report = _train_on(args, args.task, train)
-    if args.task == "svc":
-        metric = accuracy(model, test)
-    else:
-        metric = mse(model, test)
+    """Load, split, train and score one dataset; an error names the file."""
+    try:
+        data = load_libsvm(path, n_features=args.n_features)
+        train, test = split(data, args.split, args.seed)
+        model, report = _train_on(args, args.task, train)
+        metric = (accuracy if args.task == "svc" else mse)(model, test)
+    except (ParseError, OSError):
+        raise  # these already name the file
+    except _RUN_ERRORS as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return Path(path).stem, report, metric
 
 
@@ -317,19 +318,9 @@ def cmd_bench(args) -> int:
          f"{r.time_seconds:.3f}", f"{metric:.6f}")
         for name, r, metric in results
     ]
-    header = ("dataset", "k", "it_sn", "it_cg", "time_s", "metric")
-    if args.pretty:
-        widths = [
-            max(len(h), *(len(row[i]) for row in rows))
-            for i, h in enumerate(header)
-        ]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
+    print("dataset,k,it_sn,it_cg,time_s,metric")
+    for row in rows:
+        print(",".join(row))
     if args.trace is not None:
         traces = [{"dataset": name, **dataclasses.asdict(r)}
                   for name, r, _metric in results]
@@ -344,8 +335,7 @@ def main(argv=None) -> int:
     _validate_common(parser, args)
     try:
         return args.func(args)
-    except (ParseError, OSError, ValueError, DivergedError,
-            LineSearchError, CgBreakdownError) as exc:
+    except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ class Model:
     ``label_map = (lo, hi)`` records which original labels were mapped
     to -1 and +1 during training; ``bias_augmented`` says whether the
     last weight is a bias applied to an implicit constant feature.
+    Construction enforces what a model file must hold: ``task`` is
+    ``"svc"`` or ``"svr"``, and the weights, ``c_used``, ``eps_used`` and
+    the label pair are finite.
     """
 
     w: np.ndarray
@@ -34,6 +38,15 @@ class Model:
             raise ValueError("model has no weights")
         if not np.all(np.isfinite(self.w)):
             raise ValueError("model weights must be finite")
+        if self.task not in ("svc", "svr"):
+            raise ValueError(f"unknown task {self.task!r}")
+        if not (math.isfinite(self.c_used) and math.isfinite(self.eps_used)):
+            raise ValueError("c and eps must be finite")
+        if self.label_map is not None:
+            if len(self.label_map) != 2:
+                raise ValueError("labels must be none or a pair")
+            if not all(map(math.isfinite, self.label_map)):
+                raise ValueError("labels must be finite")
 
 
 def _row_scores(model: Model, samples: Samples) -> np.ndarray:

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .alm import C_SCALE_SVC, C_SCALE_SVR, EPSILON
 from .data_io import Dataset, Samples
 
 __all__ = [
@@ -48,22 +49,18 @@ def svc_blobs(
     *,
     separation: float = 2.0,
     scale: float = 1.0,
-    flip: float = 0.0,
     seed: int = 0,
 ) -> Dataset:
     """Two Gaussian clouds pushed apart along a random unit direction.
 
     ``separation`` is the class offset along that direction before
-    isotropic noise of standard deviation ``scale`` is added; ``flip``
-    flips that fraction of labels to make the classes overlap.
+    isotropic noise of standard deviation ``scale`` is added.
     """
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=n)
     direction /= np.linalg.norm(direction)
     y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
     x = scale * rng.normal(size=(m, n)) + np.outer(y * separation, direction)
-    if flip > 0.0:
-        y = np.where(rng.random(m) < flip, -y, y)
     return Dataset(_dense_rows(x), y, n)
 
 
@@ -72,15 +69,14 @@ def svc_sparse_binary(
     n: int,
     *,
     density: float = 0.11,
-    margin_noise: float = 0.5,
-    flip: float = 0.0,
     seed: int = 0,
 ) -> Dataset:
     """Sparse 0/1 feature rows labeled by a noisy linear rule.
 
     Every row activates ``round(density * n)`` distinct features with
     value one; scores against a hidden weight vector are centered at
-    their median and perturbed before taking the sign.
+    their median and perturbed by Gaussian noise of standard deviation
+    0.5 before taking the sign.
     """
     rng = np.random.default_rng(seed)
     k = max(1, int(round(density * n)))
@@ -90,10 +86,8 @@ def svc_sparse_binary(
     for i in range(m):
         cols[i] = np.sort(rng.choice(n, size=k, replace=False))
         raw[i] = hidden[cols[i]].sum()
-    score = raw - np.median(raw) + margin_noise * rng.normal(size=m)
+    score = raw - np.median(raw) + 0.5 * rng.normal(size=m)
     y = np.where(score >= 0.0, 1.0, -1.0)
-    if flip > 0.0:
-        y = np.where(rng.random(m) < flip, -y, y)
     return Dataset(_fixed_width_rows(cols, np.ones((m, k))), y, n)
 
 
@@ -102,40 +96,34 @@ def svc_margin_gap(
     n: int,
     *,
     density: float = 0.11,
-    viol_frac: float = 0.03,
-    value_scale: float = 0.3,
-    window_hi: float = 0.2,
-    safe_lo: float = 1.05,
-    safe_span: float = 2.0,
-    c_scale: float = 550.0,
     seed: int = 0,
 ) -> Dataset:
     """Sparse classification data with a planted margin gap.
 
-    A violator set V of ``viol_frac * m`` rows is chosen and the
-    training optimum is planted as ``w* = C * sum_V y_i x_i`` with
-    ``C = c_scale / m``. Violator labels are flipped (or their rows
-    shrunk) until every violator margin sits at or below ``window_hi``;
+    A violator set V of 3% of the rows is chosen and the training
+    optimum is planted as ``w* = C * sum_V y_i x_i`` with the reference
+    ``C = alm.C_SCALE_SVC / m``. Violator labels are flipped (or their
+    rows shrunk) until every violator margin sits at or below 0.2;
     every other row is labeled by the sign of its score and rescaled so
-    its margin lands in ``[safe_lo, safe_lo + safe_span]``. No sample
-    then has a margin in ``(window_hi, safe_lo)``, the optimum is a
-    strict-complementarity vertex, and the fraction of rows inside the
-    solver's curvature window stays small throughout a solve.
+    its margin lands in ``[1.05, 3.05]``. No sample then has a margin in
+    ``(0.2, 1.05)``, the optimum is a strict-complementarity vertex, and
+    the fraction of rows inside the solver's curvature window stays
+    small throughout a solve.
     """
     rng = np.random.default_rng(seed)
     k = max(1, int(round(density * n)))
-    C = c_scale / m
+    C = C_SCALE_SVC / m
     # row i of supports and vals is sample i
     supports = np.empty((m, k), dtype=np.int64)
     for i in range(m):
         supports[i] = np.sort(rng.choice(n, size=k, replace=False))
-    vals = value_scale * rng.normal(size=(m, k))
-    n_viol = max(1, int(round(viol_frac * m)))
+    vals = 0.3 * rng.normal(size=(m, k))
+    n_viol = max(1, int(round(0.03 * m)))
     viol = rng.choice(m, size=n_viol, replace=False)
     y = rng.choice([-1.0, 1.0], size=m)
 
     # Gauss-Seidel repair on the violators: each visit either flips the
-    # label or shrinks the row until margin_i <= window_hi everywhere.
+    # label or shrinks the row until margin_i <= 0.2 everywhere.
     clean = False
     for _ in range(60):
         w = np.zeros(n)
@@ -144,18 +132,18 @@ def svc_margin_gap(
         clean = True
         for i in viol:
             margin = y[i] * float(vals[i] @ w[supports[i]])
-            if margin <= window_hi:
+            if margin <= 0.2:
                 continue
             clean = False
             self_term = C * float(vals[i] @ vals[i])
             cross = margin - self_term
-            if self_term - cross <= window_hi:
+            if self_term - cross <= 0.2:
                 w[supports[i]] -= 2.0 * C * y[i] * vals[i]
                 y[i] = -y[i]
             else:
                 # margin(c) = self*c^2 + cross*c; pick the positive root
                 # hitting half the allowed ceiling
-                target = 0.5 * window_hi
+                target = 0.1
                 c = (-cross + math.sqrt(cross * cross + 4.0 * self_term * target))
                 c /= 2.0 * self_term
                 w[supports[i]] -= C * y[i] * vals[i]
@@ -175,10 +163,10 @@ def svc_margin_gap(
             continue
         t = float(vals[i] @ w[supports[i]])
         while abs(t) < 0.05:
-            vals[i] = value_scale * rng.normal(size=k)
+            vals[i] = 0.3 * rng.normal(size=k)
             t = float(vals[i] @ w[supports[i]])
         y[i] = 1.0 if t > 0 else -1.0
-        target = safe_lo + safe_span * rng.random()
+        target = 1.05 + 2.0 * rng.random()
         vals[i] = vals[i] * (target / abs(t))
     return Dataset(_fixed_width_rows(supports, vals),
                    np.asarray(y, dtype=np.float64), n)
@@ -188,13 +176,12 @@ def svr_linear(
     m: int,
     n: int,
     *,
-    scale: float = 1.0,
     noise: float = 0.1,
     seed: int = 0,
 ) -> Dataset:
     """Dense regression rows y = x . hidden + Gaussian noise."""
     rng = np.random.default_rng(seed)
-    x = scale * rng.normal(size=(m, n))
+    x = rng.normal(size=(m, n))
     hidden = rng.normal(size=n) / np.sqrt(n)
     y = x @ hidden + noise * rng.normal(size=m)
     return Dataset(_dense_rows(x), y, n)
@@ -205,24 +192,23 @@ def svr_planted(
     n: int,
     *,
     out_frac: float = 0.05,
-    eps: float = 0.1,
-    c_scale: float = 5.0,
     seed: int = 0,
 ) -> Dataset:
     """Dense regression data with a planted vertex optimum.
 
-    With ``C = c_scale / n``, an outlier set O with random residual
-    signs defines the optimum ``w* = -C * sum_O s_i x_i``. Targets are
-    then chosen so outliers land strictly outside the eps tube on their
-    sign's side and every other sample strictly inside it.
+    With the reference ``C = alm.C_SCALE_SVR / n`` and ``eps =
+    alm.EPSILON``, an outlier set O with random residual signs defines
+    the optimum ``w* = -C * sum_O s_i x_i``. Targets are then chosen so
+    outliers land strictly outside the eps tube on their sign's side and
+    every other sample strictly inside it.
     """
     rng = np.random.default_rng(seed)
-    C = c_scale / n
+    C = C_SCALE_SVR / n
     x = rng.normal(size=(m, n))
     n_out = max(1, int(round(out_frac * m)))
     out = rng.choice(m, size=n_out, replace=False)
     signs = rng.choice([-1.0, 1.0], size=n_out)
     w_star = -C * (signs[:, None] * x[out]).sum(axis=0)
-    y = x @ w_star - rng.uniform(-0.8 * eps, 0.8 * eps, size=m)
-    y[out] = x[out] @ w_star - signs * (eps + 0.5 + rng.random(n_out))
+    y = x @ w_star - rng.uniform(-0.8 * EPSILON, 0.8 * EPSILON, size=m)
+    y[out] = x[out] @ w_star - signs * (EPSILON + 0.5 + rng.random(n_out))
     return Dataset(_dense_rows(x), y, n)

@@ -4,7 +4,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from almsvm.alm import build_svc, build_svr
+from almsvm.alm import C_SCALE_SVC, C_SCALE_SVR, EPSILON, build_svc, build_svr
 from almsvm.data_io import Dataset
 from almsvm.sparse import SparseMatrix
 from almsvm.synthetic import svc_blobs, svc_margin_gap, svr_linear, svr_planted
@@ -42,42 +42,41 @@ class BundledInstance:
 def bundled_instances() -> list[BundledInstance]:
     """The fixed instance suite used by the certification tests.
 
-    Sizes span m in [50, 5000] and n in [2, 500] over both tasks; C
-    follows the defaults (550/m for classification, 5/n for regression,
-    eps = 0.1).
+    Sizes span m in [50, 5000] and n in [2, 500] over both tasks; C and
+    eps follow the reference parameterization of ``almsvm.alm``.
     """
     return [
         BundledInstance(
             name="blobs50x2",
             task="svc",
             make=lambda: svc_blobs(50, 2, separation=8.0, scale=1.5, seed=11),
-            c_of=lambda d: 550.0 / d.m,
+            c_of=lambda d: C_SCALE_SVC / d.m,
         ),
         BundledInstance(
             name="blobs200x10",
             task="svc",
             make=lambda: svc_blobs(200, 10, separation=8.0, scale=1.5, seed=7),
-            c_of=lambda d: 550.0 / d.m,
+            c_of=lambda d: C_SCALE_SVC / d.m,
         ),
         BundledInstance(
             name="gap5000x123",
             task="svc",
             make=lambda: svc_margin_gap(5000, 123, density=0.11, seed=23),
-            c_of=lambda d: 550.0 / d.m,
+            c_of=lambda d: C_SCALE_SVC / d.m,
         ),
         BundledInstance(
             name="svr500x50",
             task="svr",
             make=lambda: svr_planted(500, 50, out_frac=0.05, seed=31),
-            c_of=lambda d: 5.0 / d.n_features,
-            eps=0.1,
+            c_of=lambda d: C_SCALE_SVR / d.n_features,
+            eps=EPSILON,
         ),
         BundledInstance(
             name="svr300x500",
             task="svr",
             make=lambda: svr_planted(300, 500, out_frac=0.08, seed=41),
-            c_of=lambda d: 5.0 / d.n_features,
-            eps=0.1,
+            c_of=lambda d: C_SCALE_SVR / d.n_features,
+            eps=EPSILON,
         ),
     ]
 

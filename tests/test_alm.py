@@ -21,7 +21,7 @@ from almsvm.alm import (
     make_subproblem_oracle,
     primal_objective,
 )
-from almsvm.data_io import Dataset
+from almsvm.data_io import Dataset, Samples
 from almsvm.sparse import SparseMatrix
 from almsvm.synthetic import svc_blobs, svr_linear
 
@@ -60,6 +60,12 @@ class TestBuild:
     def test_svc_rejects_unnormalized_labels(self):
         with pytest.raises(ValueError, match="normalize"):
             build_svc(_dataset([[1.0]], [2.0], 1), 1.0)
+
+    def test_svc_rejects_an_unchecked_sample_store(self):
+        # Dataset and Samples check no row structure; building B does
+        store = Samples.from_pairs([([2, 1], [1.0, 1.0])])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_svc(Dataset(store, np.array([1.0]), 3), 1.0)
 
     def test_svr_layout(self, rng):
         x = rng.normal(size=(3, 4))

@@ -177,6 +177,33 @@ class TestModelFile:
         write_model(read_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(task="svc"),
+        dict(task="svr", bias_augmented=True, c_used=0.1, eps_used=0.25),
+        dict(task="svc", label_map=(-2.5, 7.0), c_used=1e-300),
+        dict(task="svr", c_used=-1.0, eps_used=-0.0),
+    ])
+    def test_every_accepted_model_reads_back(self, tmp_path, kwargs):
+        model = Model(w=[0.5, -0.0, 1e-310], **kwargs)
+        path = tmp_path / "m.model"
+        write_model(model, path)
+        back = read_model(path)
+        assert back.w.tobytes() == model.w.tobytes()
+        for name in ("task", "bias_augmented", "label_map", "c_used",
+                     "eps_used"):
+            assert getattr(back, name) == getattr(model, name)
+
+    @pytest.mark.parametrize("kwargs,fragment", [
+        (dict(task="SVC"), "unknown task 'SVC'"),
+        (dict(task="svc", c_used=float("inf")), "finite"),
+        (dict(task="svr", eps_used=float("nan")), "finite"),
+        (dict(task="svc", label_map=(0.0, float("nan"))), "labels must be finite"),
+        (dict(task="svc", label_map=(0.0, 1.0, 2.0)), "pair"),
+    ])
+    def test_model_rejects_what_read_model_rejects(self, kwargs, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            Model(w=[1.0], **kwargs)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("not a model\n")
@@ -321,15 +348,29 @@ class TestBench:
         data.write_bytes(b"1\n2\n3\n4\n5\n")
         assert main(["bench", "--data", str(data), "--task", "svr"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: the training set has no features\n"
+        assert captured.err == (
+            f"error: {data}: the training set has no features\n")
         assert captured.out == ""
 
-    def test_pretty_output(self, svc_file, capsys):
-        assert main(["bench", "--data", str(svc_file), "--task", "svc",
-                     "--pretty"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0].split() == ["dataset", "k", "it_sn", "it_cg", "time_s",
-                                  "metric"]
+    def test_error_names_the_dataset_it_came_from(self, svc_file, tmp_path,
+                                                  capsys):
+        # the first file trains; the second has labels and no features
+        labels_only = tmp_path / "labels.libsvm"
+        labels_only.write_bytes(b"1\n-1\n1\n-1\n1\n")
+        assert main(["bench", "--data", str(svc_file), str(labels_only),
+                     "--task", "svc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {labels_only}: the training set has no features\n")
+        assert captured.out == ""
+
+    def test_parse_error_names_the_file_once(self, svc_file, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_bytes(b"1 1:1\n-1 2:x\n")
+        assert main(["bench", "--data", str(svc_file), str(bad),
+                     "--task", "svc"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 2: malformed token '2:x'\n")
 
     def test_history_dumps(self, svc_file, tmp_path, capsys):
         trace = tmp_path / "trace.json"

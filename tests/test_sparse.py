@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almsvm.data_io import Samples
 from almsvm.sparse import SparseMatrix
 
 from conftest import random_sparse
@@ -54,6 +55,20 @@ class TestConstruction:
             SparseMatrix.from_rows(
                 [(np.array([0]), np.array([1.0])),
                  (np.array([0, 2]), np.array([bad, 2.0]))], 3)
+
+    @pytest.mark.parametrize("cols,vals,message", [
+        ([2, 0], [1.0, 2.0], "strictly increasing"),
+        ([1, 1], [1.0, 2.0], "strictly increasing"),
+        ([0, 3], [1.0, 2.0], "out of range"),
+        ([-1, 0], [1.0, 2.0], "out of range"),
+        ([0, 2], [np.nan, 2.0], "finite"),
+    ], ids=["unsorted", "repeated", "above", "negative", "nan"])
+    def test_rejects_a_bad_samples_store(self, cols, vals, message):
+        # Samples checks nothing, so its rows are checked here as a list
+        # of pairs is
+        store = Samples.from_pairs([([0], [1.0]), (cols, vals)])
+        with pytest.raises(ValueError, match=message):
+            SparseMatrix.from_rows(store, 3)
 
     def test_structure_arrays_are_read_only(self, rng):
         a = random_sparse(rng, 4, 3)
