@@ -38,9 +38,9 @@ _INDEX_MAX = (1 << 63) - 1
 # The bytes of the fast parse path's language, and their classes; a
 # carriage return is read as a space, and only in front of a newline
 _FAST_BYTES = b"0123456789.+-eE: \r\n"
-_DIGIT, _OTHER_NUMBER, _COLON, _SPACE, _NEWLINE = 1, 2, 3, 4, 5
+_NUMBER, _COLON, _SPACE, _NEWLINE = 1, 2, 3, 4
 _BYTE_CLASS = bytes(
-    _DIGIT if b in b"0123456789" else _OTHER_NUMBER if b in b".+-eE"
+    _NUMBER if b in b"0123456789.+-eE"
     else _COLON if b == ord(":") else _SPACE if b in b" \r"
     else _NEWLINE if b == ord("\n") else 0
     for b in range(256)
@@ -49,8 +49,10 @@ _EDGE = bytes([_NEWLINE])
 # bytes per block of the fast path, extended to the next line end; the
 # per-byte temporaries of one block take about ten times this
 _FAST_BLOCK = 1 << 16
-# a 15-digit index is below 2**53, so int64 reads it exactly
-_FAST_INDEX_DIGITS = 15
+# a 15-digit integer is below 2**53, so int64 and float64 hold it exactly
+_FAST_DIGITS = 15
+# 10**k for k <= _FAST_DIGITS, each exact in float64
+_POW10 = np.array([float(10**k) for k in range(_FAST_DIGITS + 1)])
 
 
 class ParseError(ValueError):
@@ -211,7 +213,7 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     n = max_idx
     if n_features is not None:
         if n_features < max_idx:
-            raise ValueError(
+            raise ParseError(
                 f"n_features={n_features} below max index {max_idx} in data"
             )
         n = n_features
@@ -326,7 +328,7 @@ def _parse_block(block: bytes):
     codes = block.translate(_BYTE_CLASS)
     # a newline on either side: cls[p + 1] is the class of block[p]
     cls = np.frombuffer(_EDGE + codes + _EDGE, dtype=np.uint8)
-    number = cls <= _OTHER_NUMBER
+    number = cls == _NUMBER
     # a field is a run of number bytes, block[starts[j]:stops[j]]
     edges = np.flatnonzero(number[1:] != number[:-1])
     starts, stops = edges[0::2], edges[1::2]
@@ -346,40 +348,100 @@ def _parse_block(block: bytes):
     # colon, and every other field is either an index or a value
     if np.any(np.where(first, before | after, before == after)):
         return None
+    # a newline after the block: no field runs up to the end of raw
+    raw = np.frombuffer(block + b"\n", dtype=np.uint8)
+    # 1-based indices: at most _FAST_DIGITS digits and nothing else
     istart, istop = starts[after], stops[after]
-    width = istop - istart
-    digits = int(width.max(initial=0))
-    if digits > _FAST_INDEX_DIGITS:
+    iwidth = istop - istart
+    if int(iwidth.max(initial=0)) > _FAST_DIGITS:
         return None
-    raw = np.frombuffer(block, dtype=np.uint8)
-    # the block with its index fields and colons blanked
-    blanked = raw.copy()
-    blanked[istop] = ord(" ")
-    idx = np.zeros(istart.size, dtype=np.int64)
-    for k in range(digits):
-        live = width > k
-        pos = istart[live] + k
-        if np.any(cls[pos + 1] != _DIGIT):
-            return None
-        idx[live] = idx[live] * 10 + (raw[pos] - ord("0"))
-        blanked[pos] = ord(" ")
-    # labels and values, in field order
-    n_numbers = starts.size - istart.size
-    nums = np.empty(0)
-    if n_numbers:
-        # numpy 2.4 raises on text that is not a number; older numpy
-        # warns and returns what it read
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            try:
-                nums = np.fromstring(blanked.tobytes(), sep=" ")
-            except (ValueError, DeprecationWarning):
-                return None
-        if nums.size != n_numbers:
+    read = _read_decimals(raw, istart, istop)
+    if read is None or np.any(read[1] != iwidth):
+        return None
+    idx = read[0]
+    # labels and values, in field order. The digit reader is tried when
+    # no field is wider than a sign and a dot around _FAST_DIGITS digits
+    # and the block has no exponent; np.fromstring reads any other block.
+    nums = None
+    if (int((stops - starts).max(initial=0)) <= _FAST_DIGITS + 2
+            and b"e" not in block and b"E" not in block):
+        read = _read_decimals(raw, starts[~after], stops[~after])
+        if read is not None:
+            mantissa, _, scale, negative = read
+            nums = mantissa / _POW10[scale]
+            np.negative(nums, out=nums, where=negative)
+    if nums is None:
+        nums = _read_floats(raw[:-1], istart, istop, starts.size - istart.size)
+        if nums is None:
             return None
     is_label = first[~after]
     row_ends = np.cumsum(after)[bounds[rows + 1] - 1]
     return nums[is_label], idx, nums[~is_label], row_ends, rows + 1
+
+
+def _read_decimals(raw, starts, stops):
+    """Read the fields ``raw[starts[j]:stops[j]]``, each at most
+    ``_FAST_DIGITS + 2`` bytes, as decimals ``[+-]?digits[.digits]``,
+    ``[+-]?digits.`` or ``[+-]?.digits`` of 1 to ``_FAST_DIGITS``
+    digits: each field's digits as one int64 mantissa, its number of
+    digits, its number of digits after the dot and whether it starts
+    with ``-``; ``None`` when a field has another form. ``raw[stops[j]]``
+    must be neither a digit nor a dot.
+
+    The reader walks one byte column at a time over all fields; past its
+    end a field reads ``raw[stops[j]]``, which changes nothing. At most
+    15 digits keep the mantissa below 2**53, so ``mantissa / 10**scale``
+    divides two exact doubles once: the correctly rounded value of the
+    decimal, which is what ``strtod`` returns.
+    """
+    lead = raw[starts]
+    negative = lead == ord("-")
+    signed = negative | (lead == ord("+"))
+    width = stops - starts
+    mantissa = np.zeros(starts.size, dtype=np.int64)
+    digits = np.zeros(starts.size, dtype=np.uint8)
+    dots = np.zeros(starts.size, dtype=np.uint8)
+    scale = np.zeros(starts.size, dtype=np.uint8)
+    pos = starts.copy()
+    for _ in range(int(width.max(initial=0))):
+        byte = raw[pos]
+        digit = byte - np.uint8(ord("0"))
+        is_digit = (digit < 10).view(np.uint8)
+        # mantissa * 10 + digit on a digit, mantissa elsewhere
+        digit *= is_digit
+        mantissa *= 1 + 9 * is_digit
+        mantissa += digit
+        digits += is_digit
+        scale += is_digit & dots
+        dots += byte == ord(".")
+        pos += 1
+        np.minimum(pos, stops, out=pos)
+    # every byte is a digit, at most one is a dot and only the first may
+    # be a sign
+    if (np.any(digits + dots + signed != width) or np.any(dots > 1)
+            or np.any(digits < 1) or np.any(digits > _FAST_DIGITS)):
+        return None
+    return mantissa, digits, scale, negative
+
+
+def _read_floats(raw, istart, istop, count):
+    """Read the labels and values of a block by ``np.fromstring``, with
+    its index fields and colons blanked: ``count`` numbers, or ``None``
+    when the rest is not ``count`` numbers."""
+    if not count:
+        return np.empty(0)
+    blanked = raw.copy()
+    for k in range(int((istop - istart).max(initial=0)) + 1):
+        blanked[np.minimum(istart + k, istop)] = ord(" ")
+    # numpy 2.4 raises on text that is not a number; older numpy warns
+    # and returns what it read
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            nums = np.fromstring(blanked.tobytes(), sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    return nums if nums.size == count else None
 
 
 def _raise_line_fault(lineno: int, tokens) -> None:

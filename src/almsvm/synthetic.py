@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# redraws of one non-violator row in svc_margin_gap before it gives up
+_MAX_REDRAWS = 1000
+
+
 def _fixed_width_rows(cols: np.ndarray, vals: np.ndarray) -> Samples:
     """Sample ``i`` is row ``i`` of the ``(m, k)`` arrays ``cols`` and ``vals``."""
     m, k = cols.shape
@@ -162,9 +166,16 @@ def svc_margin_gap(
         if i in viol_set:
             continue
         t = float(vals[i] @ w[supports[i]])
+        redraws = 0
         while abs(t) < 0.05:
+            # where w* is zero or tiny on the row's support, no redraw of
+            # its values reaches the score
+            if redraws == _MAX_REDRAWS:
+                raise RuntimeError(f"margin-gap row {i} did not reach a "
+                                   f"score of 0.05 in {_MAX_REDRAWS} redraws")
             vals[i] = 0.3 * rng.normal(size=k)
             t = float(vals[i] @ w[supports[i]])
+            redraws += 1
         y[i] = 1.0 if t > 0 else -1.0
         target = 1.05 + 2.0 * rng.random()
         vals[i] = vals[i] * (target / abs(t))

@@ -167,6 +167,18 @@ def test_data_file_errors_name_the_file_and_line(tmp_path, capsys, command,
     assert capsys.readouterr().err == f"error: {data}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_narrow_n_features_names_the_file_once(tmp_path, capsys, command):
+    data = tmp_path / "wide.libsvm"
+    data.write_bytes(b"1 5:1\n-1 2:1\n")
+    argv = [command, "--task", "svc", "--data", str(data), "--n-features", "1"]
+    if command == "train":
+        argv += ["--model", str(tmp_path / "m.model")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: n_features=1 below max index 5 in data\n")
+
+
 class TestModelFile:
     def test_round_trip_is_byte_identical(self, tmp_path, rng):
         model = Model(w=rng.normal(size=7), task="svc",

@@ -29,6 +29,15 @@ def assert_datasets_equal(a: Dataset, b: Dataset):
         np.testing.assert_array_equal(va, vb)
 
 
+
+def assert_bitwise_equal(a: Dataset, b: Dataset):
+    """Equal arrays down to the bit, so -0.0 differs from 0.0."""
+    assert a.n_features == b.n_features
+    assert a.labels.tobytes() == b.labels.tobytes()
+    for x, y in zip(a.samples.csr(), b.samples.csr()):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 class TestParse:
     def test_basic(self):
         d = parse_libsvm("+1 1:0.5 3:2\n-1 2:1\n")
@@ -183,6 +192,11 @@ class TestFastPath:
         ("1 3:1 3:2", True, "line 4: index 3 not strictly increasing"),
         ("1 3:1e999", True, "line 4: non-finite label or value"),
         ("1 1e3:1", False, "line 4: malformed token '1e3:1'"),
+        # forms the digit reader and np.fromstring both turn down
+        ("1 3:1.5.3", False, "line 4: malformed token '3:1.5.3'"),
+        ("1 3:+-1", False, "line 4: malformed token '3:+-1'"),
+        ("1 3:.", False, "line 4: malformed token '3:.'"),
+        ("1 3:5-", False, "line 4: malformed token '3:5-'"),
     ])
     def test_fault_on_the_first_line_of_a_block_names_its_line(
             self, monkeypatch, fourth, fast, message):
@@ -195,6 +209,54 @@ class TestFastPath:
             with pytest.raises(ParseError) as excinfo:
                 parse(text)
             assert str(excinfo.value) == message
+
+    @staticmethod
+    def _fromstring_blocks(monkeypatch):
+        """The blocks whose labels and values np.fromstring reads."""
+        calls = []
+        read_floats = data_io._read_floats
+
+        def spy(*args):
+            calls.append(args)
+            return read_floats(*args)
+        monkeypatch.setattr(data_io, "_read_floats", spy)
+        return calls
+
+    @pytest.mark.parametrize("number", [
+        "1.0", "0.125", "-0", "-0.0", "+3", ".5", "1.", "007.50", "-.5",
+        "999999999999999", "-0.00000000000001", "1234567.8901234",
+    ])
+    def test_short_decimals_are_read_from_their_digits(self, monkeypatch,
+                                                         number):
+        calls = self._fromstring_blocks(monkeypatch)
+        text = f"{number} 1:{number} 7:1\n-1 2:{number}\n"
+        assert_bitwise_equal(parse_libsvm(text), parse_libsvm_oracle(text))
+        assert calls == []
+
+    @pytest.mark.parametrize("number", [
+        "1234567890123456", "9007199254740993", "1234567890123456.",
+        "0.1234567890123456", "-0.5488135039273248", "1e3", "4.5E-2",
+    ])
+    def test_long_decimals_and_exponents_are_read_by_fromstring(
+            self, monkeypatch, number):
+        calls = self._fromstring_blocks(monkeypatch)
+        text = f"{number} 1:{number} 7:1\n-1 2:{number}\n"
+        assert_bitwise_equal(parse_libsvm(text), parse_libsvm_oracle(text))
+        assert len(calls) == 1
+
+    def test_blocks_pick_their_reader_one_by_one(self, monkeypatch):
+        calls = self._fromstring_blocks(monkeypatch)
+        lines = ["1 1:0.5 2:-0", "-1 3:1e3 4:0.25", "+1 1:.25",
+                 "-1 2:4.5E-2 9:7.", "1 5:9007199254740993", "-1 6:-1.0"]
+        text = "\n".join(lines) + "\n"
+        expected = parse_libsvm_oracle(text)
+        # one block holds both kinds of number
+        assert_bitwise_equal(parse_libsvm(text), expected)
+        assert len(calls) == 1
+        # a block of 1 byte ends at the first newline: one line per block
+        monkeypatch.setattr(data_io, "_FAST_BLOCK", 1)
+        assert_bitwise_equal(parse_libsvm(text), expected)
+        assert len(calls) == 1 + 3
 
     @pytest.mark.parametrize("buf,lineno", [
         (b"\xff 1:1\n", 1),

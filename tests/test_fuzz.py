@@ -165,10 +165,20 @@ def test_corrupted_texts_fail_with_the_oracles_message(data):
 
 # Documents of the fast path's language: the bytes 0-9 . + - e E : space
 # and newline only, with LF or CRLF line ends.
+DIGITS = st.text("0123456789", max_size=9)
+# [+-]?digits[.digits] and its forms with an empty side, up to 18 digits:
+# the fast path reads those of at most 15 digits from the digits, and
+# gives the others to np.fromstring
+SHORT_DECIMALS = st.builds(
+    lambda sign, whole, point, frac: sign + whole + point + frac,
+    st.sampled_from(["", "+", "-"]), DIGITS, st.sampled_from(["", "."]),
+    DIGITS,
+).filter(lambda s: any(c.isdigit() for c in s))
 FAST_NUMBERS = st.one_of(
     st.sampled_from(["+1", "-1", "1", "0", "1e3", "-2.5E-3", ".5", "5.",
                      "+0.0", "-0.0", "007", "1E+2"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    SHORT_DECIMALS,
 )
 FAST_SPACES = st.sampled_from([" ", "  ", "   "])
 FAST_EOLS = st.sampled_from(["\n", "\r\n"])

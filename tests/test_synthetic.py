@@ -8,6 +8,7 @@ its feature count.
 """
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -65,3 +66,12 @@ def test_random_problem_data(make, digest):
 ], ids=["svc_sparse_lowactive", "cli_roundtrip"])
 def test_benchmark_inputs(make, digest):
     assert _digest(make()) == digest
+
+
+def test_margin_gap_gives_up_on_a_row_it_cannot_score():
+    # w* is zero or tiny on row 0's support, so no redraw of the row's
+    # values reaches a score of 0.05 and the bounded redraw gives up
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="^margin-gap row 0 did not reach"):
+        synthetic.svc_margin_gap(200, 30, seed=0)
+    assert time.perf_counter() - t0 < 1.0
