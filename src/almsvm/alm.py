@@ -5,8 +5,8 @@ Both supported models share one template::
 
     minimize  0.5 * ||w||^2 + penalty(B w + d)
 
-* classification (task "svc"):  B = -diag(y) X, d = ones, hinge penalty;
-* regression (task "svr"):      B = X, d = -y, eps-insensitive penalty.
+* classification (:func:`build_svc`): B = -diag(y) X, d = ones, hinge penalty;
+* regression (:func:`build_svr`):     B = X, d = -y, eps-insensitive penalty.
 
 Each outer iteration minimizes the smoothed subproblem
 
@@ -43,8 +43,6 @@ from .prox import (
 from .sparse import SparseMatrix
 
 __all__ = [
-    "SVC",
-    "SVR",
     "CONVERGED",
     "MAX_OUTER",
     "DivergedError",
@@ -63,9 +61,6 @@ __all__ = [
     "kkt_residual",
     "alm_solve",
 ]
-
-SVC = "svc"
-SVR = "svr"
 
 CONVERGED = "converged"
 MAX_OUTER = "max_outer"
@@ -141,32 +136,23 @@ class EpsInsensitive:
 
 @dataclass(frozen=True)
 class Problem:
-    """One assembled training instance.
+    """One assembled training instance of the template
+    ``0.5*||w||^2 + penalty(B w + d)``.
 
     ``d`` is the constant offset in the constraint ``s = B w + d``:
-    all-ones for classification, ``-y`` for regression. ``penalty``, the
-    task's :class:`Hinge` or :class:`EpsInsensitive`, is chosen once here.
+    all-ones for classification, ``-y`` for regression. ``penalty`` is a
+    :class:`Hinge` or an :class:`EpsInsensitive`, picked by the builder.
     """
 
     B: SparseMatrix
     d: np.ndarray
-    C: float
-    task: str
-    eps: float = 0.0
-    penalty: Hinge | EpsInsensitive = field(init=False, repr=False)
+    penalty: Hinge | EpsInsensitive
 
     def __post_init__(self):
-        if self.task == SVC:
-            penalty = Hinge(self.C)
-        elif self.task == SVR:
-            penalty = EpsInsensitive(self.C, self.eps)
-        else:
-            raise ValueError(f"task must be {SVC!r} or {SVR!r}")
         if self.d.shape != (self.B.m,):
             raise ValueError("d must have one entry per row of B")
         if not np.all(np.isfinite(self.d)):
             raise ValueError("d must be finite")
-        object.__setattr__(self, "penalty", penalty)
 
     @property
     def m(self) -> int:
@@ -261,14 +247,14 @@ def build_svc(train: Dataset, C: float) -> Problem:
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be in {-1, +1}; normalize first")
     X = _matrix_from(train)
-    return Problem(B=X.scale_rows(-y), d=np.ones(train.m), C=float(C), task=SVC)
+    return Problem(B=X.scale_rows(-y), d=np.ones(train.m), penalty=Hinge(float(C)))
 
 
 def build_svr(train: Dataset, C: float, eps: float) -> Problem:
     """Assemble the regression instance: B = X, d = -y."""
     y = np.asarray(train.labels, dtype=np.float64)
     X = _matrix_from(train)
-    return Problem(B=X, d=-y, C=float(C), task=SVR, eps=float(eps))
+    return Problem(B=X, d=-y, penalty=EpsInsensitive(float(C), float(eps)))
 
 
 def primal_objective(p: Problem, w, *, bw=None) -> float:
@@ -318,7 +304,6 @@ class SmoothedSubproblem:
     def __init__(self, p: Problem, lam, sigma: float, bw=None):
         lam = np.asarray(lam, dtype=np.float64)
         self.p = p
-        self.n = p.n
         self.sigma = sigma
         self._lam_scaled = lam / sigma
         self._lam_term = float(lam @ lam) / (2.0 * sigma)

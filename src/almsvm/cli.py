@@ -143,11 +143,11 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="append a constant feature before training")
     p.add_argument("--n-features", type=int, default=None,
                    help="widen the feature count beyond the file's max index")
-    p.add_argument("--sigma0", type=float, default=0.15)
-    p.add_argument("--sigma-max", type=float, default=2.0)
-    p.add_argument("--theta", type=float, default=0.8)
-    p.add_argument("--max-outer", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--sigma0", type=float, default=SolverConfig.sigma0)
+    p.add_argument("--sigma-max", type=float, default=SolverConfig.sigma_max)
+    p.add_argument("--theta", type=float, default=SolverConfig.theta)
+    p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
 
 
 def build_parser() -> argparse.ArgumentParser:

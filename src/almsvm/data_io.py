@@ -20,7 +20,6 @@ __all__ = [
     "ParseError",
     "Samples",
     "Dataset",
-    "XorShift64Star",
     "parse_libsvm",
     "load_libsvm",
     "serialize_libsvm",
@@ -292,7 +291,8 @@ def _parse_blocks(buf: bytes):
     per-byte temporaries; ``cols`` and ``values`` are allocated once,
     one entry per colon.
     """
-    if buf.translate(None, _FAST_BYTES) or buf.count(b"\r") != buf.count(b"\r\n"):
+    if buf.translate(None, _FAST_BYTES) or (
+            b"\r" in buf and buf.count(b"\r") != buf.count(b"\r\n")):
         return None
     nnz = buf.count(b":")
     cols = np.empty(nnz, dtype=np.int64)
@@ -308,14 +308,14 @@ def _parse_blocks(buf: bytes):
         parsed = _parse_block(block)
         if parsed is None:
             return None
-        y, idx, vals, row_ends, row_lines = parsed
+        y, idx, vals, row_ends, row_lines, block_lines = parsed
         cols[done:done + idx.size] = idx
         values[done:done + idx.size] = vals
         labels.append(y)
         ends.append(row_ends + done)
         linenos.append(row_lines + lines)
         done += idx.size
-        lines += block.count(b"\n")
+        lines += block_lines
         start = stop
     return (cols, np.concatenate(labels), values, np.concatenate(ends),
             np.concatenate(linenos))
@@ -323,8 +323,9 @@ def _parse_blocks(buf: bytes):
 
 def _parse_block(block: bytes):
     """Read one block of whole lines of the fast language: labels, 1-based
-    indices, values, each row's end and each row's 1-based line within
-    the block; ``None`` when the block is outside the language."""
+    indices, values, each row's end, each row's 1-based line within the
+    block and the block's number of lines; ``None`` when the block is
+    outside the language."""
     codes = block.translate(_BYTE_CLASS)
     # a newline on either side: cls[p + 1] is the class of block[p]
     cls = np.frombuffer(_EDGE + codes + _EDGE, dtype=np.uint8)
@@ -336,11 +337,12 @@ def _parse_block(block: bytes):
     after = cls[stops + 1] == _COLON
     # with as many colons as fields before and after colons, every colon
     # joins two fields
-    n_colons = block.count(b":")
+    n_colons = int(np.count_nonzero(cls == _COLON))
     if int(before.sum()) != n_colons or int(after.sum()) != n_colons:
         return None
     # line i (1-based) of the block holds fields bounds[i-1]:bounds[i]
-    bounds = np.searchsorted(starts, np.flatnonzero(cls == _NEWLINE) - 1)
+    newlines = np.flatnonzero(cls == _NEWLINE)
+    bounds = np.searchsorted(starts, newlines - 1)
     rows = np.flatnonzero(bounds[1:] > bounds[:-1])
     first = np.zeros(starts.size, dtype=bool)
     first[bounds[rows]] = True
@@ -376,7 +378,9 @@ def _parse_block(block: bytes):
             return None
     is_label = first[~after]
     row_ends = np.cumsum(after)[bounds[rows + 1] - 1]
-    return nums[is_label], idx, nums[~is_label], row_ends, rows + 1
+    # newlines includes the two edges around the block
+    return (nums[is_label], idx, nums[~is_label], row_ends, rows + 1,
+            newlines.size - 2)
 
 
 def _read_decimals(raw, starts, stops):
@@ -556,42 +560,16 @@ def normalize_labels(d: Dataset):
     return Dataset(d.samples, labels, d.n_features), (lo, hi)
 
 
-class XorShift64Star:
-    """xorshift64* PRNG; the fixed algorithm behind dataset splits.
-
-    State update (all mod 2**64)::
-
-        x ^= x >> 12;  x ^= x << 25;  x ^= x >> 27
-        output = x * 0x2545F4914F6CDD1D
-
-    The seed passes through one splitmix64 scrambling step so that small
-    consecutive seeds give unrelated streams; a zero state falls back to
-    the splitmix increment constant (xorshift state must be nonzero).
-    """
-
-    def __init__(self, seed: int):
-        z = (int(seed) + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        self._state = z if z != 0 else 0x9E3779B97F4A7C15
-
-    def next_uint64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
-
-    def next_below(self, bound: int) -> int:
-        """Uniform-ish draw in [0, bound) by modulo reduction.
-
-        The modulo bias is below 2**-40 for bound < 2**24, far under
-        anything a dataset split can detect; determinism is the contract
-        here, not statistical perfection.
-        """
-        return self.next_uint64() % bound
+def _seed_state(seed: int) -> int:
+    """The xorshift64* start state of ``seed``: one splitmix64 scrambling
+    step, so that small consecutive seeds give unrelated streams; a zero
+    state falls back to the splitmix increment constant (xorshift state
+    must be nonzero)."""
+    z = (int(seed) + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
+    return z if z != 0 else 0x9E3779B97F4A7C15
 
 
 def _take(d: Dataset, ids) -> Dataset:
@@ -603,19 +581,27 @@ def _take(d: Dataset, ids) -> Dataset:
 def split(d: Dataset, train_fraction: float, seed: int):
     """Deterministic shuffle-and-cut split.
 
-    A Fisher-Yates shuffle driven by :class:`XorShift64Star` permutes
-    the sample indices; the first ``ceil(train_fraction * m)`` form the
-    training set. Same inputs, same split, always.
+    A Fisher-Yates shuffle permutes the sample indices; the first
+    ``ceil(train_fraction * m)`` form the training set. Same inputs, same
+    split, always. Row ``i`` swaps with row ``j = u % (i + 1)``, for ``i``
+    from ``m - 1`` down to 1, where ``u`` is the next output of the
+    xorshift64* generator (all mod 2**64)::
+
+        x ^= x >> 12;  x ^= x << 25;  x ^= x >> 27
+        u = x * 0x2545F4914F6CDD1D
+
+    started from :func:`_seed_state`. The modulo bias is below 2**-40 for
+    m < 2**24, far under anything a split can detect.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     if d.m < 2:
         raise ValueError("need at least 2 samples to split")
-    x = XorShift64Star(seed)._state
+    x = _seed_state(seed)
     perm = list(range(d.m))
     for i in range(d.m - 1, 0, -1):
-        # XorShift64Star.next_below(i + 1), inlined: a method call per row
-        # would double the loop's time
+        # the generator step, inlined: a call per row would double the
+        # loop's time
         x ^= x >> 12
         x = (x ^ (x << 25)) & _MASK64
         x ^= x >> 27

@@ -38,8 +38,7 @@ class LineSearchError(RuntimeError):
 
 
 class Subproblem(Protocol):
-    """One smooth subproblem of dimension ``n`` that owns the current
-    iterate ``w``.
+    """One smooth subproblem that owns the current iterate ``w``.
 
     ``reset(w)`` sets the iterate. ``newton_solve`` then drives one
     cycle per Newton step: ``grad()`` at the iterate, ``linearize()``
@@ -51,7 +50,6 @@ class Subproblem(Protocol):
     set.
     """
 
-    n: int
     w: np.ndarray
 
     def reset(self, w: np.ndarray) -> None: ...

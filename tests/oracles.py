@@ -5,8 +5,9 @@ re-derive the quantities the solver computes in closed form — proximal
 points by piecewise-quadratic enumeration, gradients by central
 differences, the Hessian-vector product by the unrestricted formula,
 the CSR products by ``np.bincount`` over the stored nonzeros in
-row-major order, LIBSVM text one token at a time — so the test suite
-can check the fast paths against slow, obviously correct ones.
+row-major order, LIBSVM text one token at a time, the split's shuffle
+by a plain xorshift64* generator — so the test suite can check the fast
+paths against slow, obviously correct ones.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import math
 
 import numpy as np
 
-from almsvm.alm import Problem, primal_objective
+from almsvm.alm import Hinge, Problem, primal_objective
 from almsvm.data_io import Dataset, ParseError
 from almsvm.sparse import SparseMatrix
 
 __all__ = ["prox_oracle", "phi_value", "fd_gradient", "subgradient_solve",
            "hess_vec_way2", "matvec_oracle", "matvec_t_oracle",
-           "normal_apply_oracle", "parse_libsvm_oracle"]
+           "normal_apply_oracle", "parse_libsvm_oracle", "XorShift64Star"]
+
+_MASK64 = (1 << 64) - 1
 
 
 def prox_oracle(z, C: float, M: float, eps: float | None = None):
@@ -98,16 +101,16 @@ def subgradient_solve(problem: Problem, iters: int, step0: float):
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    B, d, C = problem.B, problem.d, problem.C
+    B, d, penalty = problem.B, problem.d, problem.penalty
     w = np.zeros(problem.n)
     best_w = w.copy()
     best_obj = primal_objective(problem, w)
     for t in range(1, iters + 1):
         s = B.matvec(w) + d
-        if problem.task == "svc":
-            a = np.where(s > 0.0, C, 0.0)
+        if isinstance(penalty, Hinge):
+            a = np.where(s > 0.0, penalty.C, 0.0)
         else:
-            a = np.where(np.abs(s) > problem.eps, C * np.sign(s), 0.0)
+            a = np.where(np.abs(s) > penalty.eps, penalty.C * np.sign(s), 0.0)
         g = w + B.matvec_t(a)
         w = w - (step0 / math.sqrt(t)) * g
         obj = primal_objective(problem, w)
@@ -243,3 +246,37 @@ def parse_libsvm_oracle(text, n_features: int | None = None) -> Dataset:
             )
         n = n_features
     return Dataset(samples, y, n)
+
+
+class XorShift64Star:
+    """xorshift64* PRNG; the reference for the generator that
+    :func:`almsvm.data_io.split` steps inline.
+
+    State update (all mod 2**64)::
+
+        x ^= x >> 12;  x ^= x << 25;  x ^= x >> 27
+        output = x * 0x2545F4914F6CDD1D
+
+    The seed passes through one splitmix64 scrambling step so that small
+    consecutive seeds give unrelated streams; a zero state falls back to
+    the splitmix increment constant (xorshift state must be nonzero).
+    """
+
+    def __init__(self, seed: int):
+        z = (int(seed) + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        self._state = z if z != 0 else 0x9E3779B97F4A7C15
+
+    def next_uint64(self) -> int:
+        x = self._state
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & _MASK64
+        x ^= x >> 27
+        self._state = x
+        return (x * 0x2545F4914F6CDD1D) & _MASK64
+
+    def next_below(self, bound: int) -> int:
+        """Uniform-ish draw in [0, bound) by modulo reduction."""
+        return self.next_uint64() % bound

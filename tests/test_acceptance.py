@@ -85,14 +85,14 @@ def test_criterion_2_gradient_correctness():
             if task == "svc":
                 data = svc_blobs(50, 8, separation=1.0, scale=1.0, seed=1)
                 problem = build_svc(data, 550.0 / 50)
-                breaks = np.array([0.0, problem.C / sigma])
-                lam = rng.uniform(0.0, problem.C, size=50)
+                breaks = np.array([0.0, problem.penalty.C / sigma])
+                lam = rng.uniform(0.0, problem.penalty.C, size=50)
             else:
                 data = svr_linear(50, 8, noise=0.3, seed=1)
                 problem = build_svr(data, 5.0 / 8, 0.1)
-                cm = problem.C / sigma
+                cm = problem.penalty.C / sigma
                 breaks = np.array([0.1, 0.1 + cm, -0.1, -0.1 - cm])
-                lam = rng.uniform(-problem.C, problem.C, size=50)
+                lam = rng.uniform(-problem.penalty.C, problem.penalty.C, size=50)
             checked = 0
             while checked < 20:
                 w = rng.normal(size=8)
@@ -215,7 +215,7 @@ def test_criterion_7_public_benchmark_bands():
             problem = build_svc(train, 550.0 / train.m)
             w, report = alm_solve(problem)
             model = Model(w=w, task="svc", label_map=label_map,
-                          c_used=problem.C)
+                          c_used=problem.penalty.C)
             acc = accuracy(model, test)
             center, width = _DATASET_BANDS[name]
             assert abs(acc - center) <= width, f"{name}: accuracy {acc:.3f}"
@@ -225,7 +225,7 @@ def test_criterion_7_public_benchmark_bands():
             train, test = split(data, 0.8, seed=42)
             problem = build_svr(train, 5.0 / train.n_features, 0.1)
             w, report = alm_solve(problem)
-            model = Model(w=w, task="svr", eps_used=0.1, c_used=problem.C)
+            model = Model(w=w, task="svr", eps_used=0.1, c_used=problem.penalty.C)
             err = mse(model, test)
             assert err <= 134.79 * 1.3, f"housing: mse {err:.2f}"
             print(f"  housing: mse={err:.2f} (bound {134.79 * 1.3:.2f})")

@@ -77,26 +77,27 @@ class TestBuild:
     def test_problem_validation(self, rng):
         B = SparseMatrix.from_dense(rng.normal(size=(2, 2)))
         with pytest.raises(ValueError):
-            Problem(B=B, d=np.ones(2), C=0.0, task="svc")
+            Problem(B=B, d=np.ones(2), penalty=Hinge(0.0))
         with pytest.raises(ValueError):
-            Problem(B=B, d=np.ones(3), C=1.0, task="svc")
+            Problem(B=B, d=np.ones(3), penalty=Hinge(1.0))
         with pytest.raises(ValueError):
-            Problem(B=B, d=np.ones(2), C=1.0, task="nope")
+            Problem(B=B, d=np.array([1.0, np.inf]), penalty=Hinge(1.0))
         with pytest.raises(ValueError):
-            Problem(B=B, d=np.array([1.0, np.inf]), C=1.0, task="svc")
-        with pytest.raises(ValueError):
-            Problem(B=B, d=np.ones(2), C=1.0, task="svr", eps=-0.1)
+            Problem(B=B, d=np.ones(2), penalty=EpsInsensitive(1.0, -0.1))
+        # the builders pass C and eps to the penalty, which checks them
+        data = _dataset([[1.0]], [1.0], 1)
         for bad in (np.inf, np.nan):
-            for task in ("svc", "svr"):
-                with pytest.raises(ValueError, match="C must be"):
-                    Problem(B=B, d=np.ones(2), C=bad, task=task)
+            with pytest.raises(ValueError, match="C must be"):
+                build_svc(data, bad)
+            with pytest.raises(ValueError, match="C must be"):
+                build_svr(data, bad, 0.1)
             with pytest.raises(ValueError, match="eps must be"):
-                Problem(B=B, d=np.ones(2), C=1.0, task="svr", eps=bad)
+                build_svr(data, 1.0, bad)
 
-    def test_penalty_is_chosen_by_task(self, rng):
-        B = SparseMatrix.from_dense(rng.normal(size=(2, 2)))
-        svc = Problem(B=B, d=np.ones(2), C=2.0, task="svc").penalty
-        svr = Problem(B=B, d=np.ones(2), C=2.0, task="svr", eps=0.3).penalty
+    def test_builders_pick_the_penalty(self, rng):
+        data = _dataset(rng.normal(size=(2, 2)), [1.0, -1.0], 2)
+        svc = build_svc(data, 2.0).penalty
+        svr = build_svr(data, 2.0, 0.3).penalty
         assert isinstance(svc, Hinge) and svc.box == (0.0, 2.0)
         assert isinstance(svr, EpsInsensitive) and svr.box == (-2.0, 2.0)
         lam = np.array([0.5, -1.5])
@@ -162,7 +163,7 @@ class TestPhi:
         # one, the prox sits at zero, and phi collapses to m/2
         rng = np.random.default_rng(0)
         B = SparseMatrix.from_dense(rng.normal(size=(7, 3)))
-        p = Problem(B=B, d=np.ones(7), C=2.0, task="svc")
+        p = Problem(B=B, d=np.ones(7), penalty=Hinge(2.0))
         assert phi_value(p, np.zeros(3), np.zeros(7), 1.0) == pytest.approx(3.5)
 
     def test_nonnegative_at_origin(self):
@@ -180,10 +181,10 @@ class TestPhi:
 
         def coord_min(i):
             def obj(s):
-                pen = p.C * max(s, 0.0)
+                pen = p.penalty.C * max(s, 0.0)
                 return pen - lam[i] * (s - b[i]) + 0.5 * sigma * (s - b[i]) ** 2
 
-            span = abs(b[i]) + abs(lam[i]) / sigma + p.C / sigma + 2.0
+            span = abs(b[i]) + abs(lam[i]) / sigma + p.penalty.C / sigma + 2.0
             res = minimize_scalar(obj, bounds=(b[i] - span, b[i] + span),
                                   method="bounded", options={"xatol": 1e-12})
             return res.fun
@@ -196,9 +197,12 @@ class TestPhi:
             p = random_problem(seed=8, m=10, n=4, task=task, C=0.9)
             sigma = 0.7
             lam = rng.uniform(-0.2, 0.8, size=p.m)
-            cm = p.C / sigma
-            breaks = (np.array([0.0, cm]) if task == "svc"
-                      else np.array([p.eps, p.eps + cm, -p.eps, -p.eps - cm]))
+            cm = p.penalty.C / sigma
+            if task == "svc":
+                breaks = np.array([0.0, cm])
+            else:
+                eps = p.penalty.eps
+                breaks = np.array([eps, eps + cm, -eps, -eps - cm])
             found = 0
             while found < 5:
                 w = rng.normal(size=p.n)
@@ -296,7 +300,7 @@ class TestKktResidual:
         lam = rng.uniform(0.0, 1.0, size=6)
         base = kkt_residual(p, w, s, lam)
         dense = np.hstack([p.B.to_dense(), np.zeros((6, 1))])
-        p2 = Problem(B=SparseMatrix.from_dense(dense), d=p.d, C=p.C, task=p.task)
+        p2 = Problem(B=SparseMatrix.from_dense(dense), d=p.d, penalty=p.penalty)
         padded = kkt_residual(p2, np.append(w, 0.0), s, lam)
         np.testing.assert_allclose(padded, base, rtol=1e-12, atol=1e-15)
 

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from almsvm.cli import main, read_model, write_model
+from almsvm.alm import SolverConfig
+from almsvm.cli import _config, build_parser, main, read_model, write_model
 from almsvm.data_io import load_libsvm, write_libsvm
 from almsvm.metrics import Model, predict, predict_label
 from almsvm.synthetic import svc_blobs, svr_planted
@@ -78,6 +79,11 @@ class TestTrain:
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--task", "svc", "--model", str(tmp_path / "m")])
         assert excinfo.value.code == 2
+
+    def test_solver_flags_default_to_the_library_config(self):
+        args = build_parser().parse_args(
+            ["train", "--task", "svc", "--data", "d", "--model", "m"])
+        assert _config(args) == SolverConfig()
 
     def test_seed_is_a_bench_flag_only(self, svc_file, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -9,7 +9,6 @@ from almsvm import data_io
 from almsvm.data_io import (
     Dataset,
     ParseError,
-    XorShift64Star,
     augment_bias,
     normalize_labels,
     parse_libsvm,
@@ -17,7 +16,7 @@ from almsvm.data_io import (
     split,
 )
 
-from oracles import parse_libsvm_oracle
+from oracles import XorShift64Star, parse_libsvm_oracle
 
 
 def assert_datasets_equal(a: Dataset, b: Dataset):
@@ -181,12 +180,17 @@ class TestFastPath:
         assert_datasets_equal(parse_libsvm(text), expected)
         assert_datasets_equal(parse_libsvm(text.encode()), expected)
 
+    @pytest.mark.parametrize("text", [
+        b"1 1:1\n" * 100 + b"# end\n",
+        # a carriage return that is not part of a CRLF line end
+        b"1 1:1\n" * 99 + b"1 1:1\r",
+    ])
     def test_a_byte_outside_the_language_is_seen_before_any_block(
-            self, monkeypatch):
+            self, monkeypatch, text):
         def parse_block(block):
             raise AssertionError("a block was parsed")
         monkeypatch.setattr(data_io, "_parse_block", parse_block)
-        assert data_io._parse_blocks(b"1 1:1\n" * 100 + b"# end\n") is None
+        assert data_io._parse_blocks(text) is None
 
     @pytest.mark.parametrize("fourth,fast,message", [
         ("1 3:1 3:2", True, "line 4: index 3 not strictly increasing"),
@@ -198,11 +202,13 @@ class TestFastPath:
         ("1 3:.", False, "line 4: malformed token '3:.'"),
         ("1 3:5-", False, "line 4: malformed token '3:5-'"),
     ])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_fault_on_the_first_line_of_a_block_names_its_line(
-            self, monkeypatch, fourth, fast, message):
+            self, monkeypatch, fourth, fast, message, eol):
         # a block of 12 bytes ends at the first newline from byte 11 on:
-        # the first block holds lines 1-3 and line 4 opens the second
-        text = f"1 1:1\n\n-1 2:1\n{fourth}\n-1 1:1\n"
+        # with either line end the first block holds lines 1-3 and line 4
+        # opens the second
+        text = f"1 1:1{eol}{eol}-1 2:1{eol}{fourth}{eol}-1 1:1{eol}"
         monkeypatch.setattr(data_io, "_FAST_BLOCK", 12)
         assert (data_io._parse_blocks(text.encode()) is not None) == fast
         for parse in (parse_libsvm, parse_libsvm_oracle):

@@ -143,8 +143,7 @@ class CallbackSubproblem:
     """The Subproblem protocol over plain value/grad/hvp callbacks of w,
     with an empty active set."""
 
-    def __init__(self, n, value, grad, hvp):
-        self.n = n
+    def __init__(self, value, grad, hvp):
         self._value, self._grad, self._hvp = value, grad, hvp
 
     def reset(self, w):
@@ -169,9 +168,8 @@ class CallbackSubproblem:
         self.w = self.w + alpha * self._d
 
 
-def _quadratic_oracle(n):
+def _quadratic_oracle():
     return CallbackSubproblem(
-        n,
         value=lambda w: 0.5 * float(w @ w),
         grad=lambda w: w.copy(),
         hvp=lambda h: h.copy(),
@@ -181,12 +179,12 @@ def _quadratic_oracle(n):
 class TestNewtonSolve:
     def test_quadratic_single_step(self, rng):
         w0 = rng.normal(size=6) * 10
-        w, stats = newton_solve(_quadratic_oracle(6), w0, 1e-10, NEWTON_MAXIT)
+        w, stats = newton_solve(_quadratic_oracle(), w0, 1e-10, NEWTON_MAXIT)
         assert stats.iterations == 1
         assert np.linalg.norm(w) <= 1e-10
 
     def test_already_optimal_returns_immediately(self):
-        w, stats = newton_solve(_quadratic_oracle(4), np.zeros(4), 1e-8,
+        w, stats = newton_solve(_quadratic_oracle(), np.zeros(4), 1e-8,
                                 NEWTON_MAXIT)
         assert stats.iterations == 0
         assert stats.final_grad_norm == 0.0
@@ -262,7 +260,6 @@ class TestNewtonSolve:
         # useless direction; the loop must still converge via the
         # gradient fallback
         broken = CallbackSubproblem(
-            5,
             value=lambda w: 0.5 * float(w @ w),
             grad=lambda w: w.copy(),
             hvp=lambda h: -h,
@@ -277,7 +274,6 @@ class TestNewtonSolve:
     def test_inconsistent_oracle_raises_line_search_error(self, rng):
         # gradient claims descent along -w but the value grows that way
         lying = CallbackSubproblem(
-            3,
             value=lambda w: float(w @ w),
             grad=lambda w: -w,
             hvp=lambda h: h.copy(),
@@ -343,7 +339,7 @@ class TestSubproblemContract:
 
     def test_handed_over_bw_gives_the_same_iterates(self, rng):
         p = _bundled_svc("gap5000x123")
-        lam = rng.uniform(0.0, p.C, size=p.m)
+        lam = rng.uniform(0.0, p.penalty.C, size=p.m)
         w0 = rng.normal(size=p.n) * 0.1
         fresh = make_subproblem_oracle(p, lam, 0.4)
         handed = make_subproblem_oracle(p, lam, 0.4, bw=p.B.matvec(w0))
@@ -354,7 +350,7 @@ class TestSubproblemContract:
 
     def test_cached_trial_value_matches_fresh_evaluation(self, rng):
         p = _bundled_svc("gap5000x123")
-        lam = rng.uniform(0.0, p.C, size=p.m)
+        lam = rng.uniform(0.0, p.penalty.C, size=p.m)
         sigma = 0.4
         sub = make_subproblem_oracle(p, lam, sigma)
         w = rng.normal(size=p.n) * 0.1
@@ -377,7 +373,7 @@ class TestSubproblemContract:
         sub = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
         sub.reset(rng.normal(size=p.n) * 0.1)
         size = sub.linearize()
-        rows = np.flatnonzero((sub.z > 0.0) & (sub.z < p.C / 0.15))
+        rows = np.flatnonzero((sub.z > 0.0) & (sub.z < p.penalty.C / 0.15))
         assert size == rows.size > 0
         for _ in range(5):
             h = rng.normal(size=p.n)
