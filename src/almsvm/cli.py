@@ -43,8 +43,8 @@ from .data_io import (
 )
 # predict and predict_label are not called here; perfbench/tracer.py
 # patches them under these names
-from .metrics import (Model, accuracy, mse, predict, predict_label,  # noqa: F401
-                      predict_labels, scores)
+from .metrics import (Model, _label_pair, accuracy, mse, predict,  # noqa: F401
+                      predict_label, scores)
 from .newton import CgBreakdownError, LineSearchError
 
 __all__ = ["main", "write_model", "read_model"]
@@ -274,11 +274,15 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = read_model(args.model)
     data = load_libsvm(args.data)
+    values = scores(model, data).tolist()
     if model.task == "svc":
-        values = predict_labels(model, data)
+        # predict_labels with each of the two labels formatted once: a
+        # score of 0 counts as positive
+        lo, hi = (format_float(v) + "\n" for v in _label_pair(model))
+        lines = [hi if v >= 0.0 else lo for v in values]
     else:
-        values = scores(model, data)
-    text = "".join(format_float(v) + "\n" for v in values.tolist())
+        lines = [format_float(v) + "\n" for v in values]
+    text = "".join(lines)
     if args.output == "-":
         sys.stdout.write(text)
     else:

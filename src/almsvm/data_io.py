@@ -44,10 +44,12 @@ _BYTE_CLASS = bytes(
     else _NEWLINE if b == ord("\n") else 0
     for b in range(256)
 )
-_EDGE = bytes([_NEWLINE])
-# bytes per block of the fast path, extended to the next line end; the
-# per-byte temporaries of one block take about ten times this
-_FAST_BLOCK = 1 << 16
+# bytes per block of the fast path, extended to the next line end. The
+# temporaries of one block take about 7.2 bytes per byte of it: the
+# tracemalloc peak of the parse memory tests' 1.1 MB text grows by
+# 1.88 MB from 256 to 512 KB blocks. The largest power of two whose
+# peak stays within those tests' bound is 256 KB (5.04 MB, bound 5.76).
+_FAST_BLOCK = 1 << 18
 # a 15-digit integer is below 2**53, so int64 and float64 hold it exactly
 _FAST_DIGITS = 15
 # 10**k for k <= _FAST_DIGITS, each exact in float64
@@ -184,9 +186,11 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
 
     ASCII text is first read by a vectorized fast path, block by block
     (:func:`_parse_blocks`). It accepts only a plain subset of the
-    format and returns ``None`` on anything else; the whole text then
-    goes to the per-line parser (:func:`_parse_lines`), which accepts
-    the full format. Both end in the same index and finiteness checks.
+    format; a block outside it goes alone to the per-line parser
+    (:func:`_parse_lines`), which accepts the full format, and text
+    with a byte outside the subset's alphabet or a lone carriage return
+    goes to it as a whole. Both end in the same index and finiteness
+    checks.
     The first fault in file order is reported with its 1-based line:
     within a line the first bad token, and a non-finite label or value
     only when no line has any other fault. Bytes that are not UTF-8 are
@@ -195,9 +199,10 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     they are.
     """
     if isinstance(text, str):
-        parsed = _parse_blocks(text.encode("ascii")) if text.isascii() else None
+        parsed = (_parse_blocks(text.encode("ascii"), _parse_lines)
+                  if text.isascii() else None)
     else:
-        parsed = _parse_blocks(text)
+        parsed = _parse_blocks(text, _parse_lines)
         if parsed is None:
             text = _decode(text)
     if parsed is None:
@@ -232,9 +237,10 @@ def _decode(buf: bytes) -> str:
         ) from None
 
 
-def _parse_lines(text: str):
+def _parse_lines(text: str, first_line: int = 1):
     """The per-line parser: the flat 1-based indices, labels and values,
-    each row's end in the flat arrays and each row's 1-based line.
+    each row's end in the flat arrays and each row's 1-based line, the
+    first line of ``text`` being line ``first_line``.
 
     One Python iteration per line: the line is split once, its feature
     tokens are checked as a group (each holds one colon between
@@ -244,7 +250,7 @@ def _parse_lines(text: str):
     """
     labels, ends, linenos = array("d"), array("q"), array("q")
     idx, vals = array("q"), array("d")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=first_line):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -275,9 +281,9 @@ def _parse_lines(text: str):
             np.frombuffer(vals, dtype=np.float64), ends, linenos)
 
 
-def _parse_blocks(buf: bytes):
+def _parse_blocks(buf: bytes, fallback=None):
     """The fast path: what :func:`_parse_lines` returns, or ``None`` when
-    ``buf`` is outside the fast language.
+    ``buf`` is outside the fast language and there is no ``fallback``.
 
     The fast language is LIBSVM text made of the bytes ``0-9 . + - e E
     : space newline`` only, in which every line is ``label (idx:val)*``
@@ -290,6 +296,13 @@ def _parse_blocks(buf: bytes):
     about ``_FAST_BLOCK`` bytes of whole lines, which bounds the
     per-byte temporaries; ``cols`` and ``values`` are allocated once,
     one entry per colon.
+
+    With a ``fallback``, a block whose bytes are all in the fast
+    alphabet but which is outside the language goes alone to
+    ``fallback(text, first_line)`` (the per-line parser), after the
+    index check of the rows before it, so the first fault in file order
+    still wins; only a byte outside the alphabet or a lone carriage
+    return returns ``None``.
     """
     if buf.translate(None, _FAST_BYTES) or (
             b"\r" in buf and buf.count(b"\r") != buf.count(b"\r\n")):
@@ -300,97 +313,143 @@ def _parse_blocks(buf: bytes):
     labels = [np.empty(0, dtype=np.float64)]
     ends = [np.empty(0, dtype=np.int64)]
     linenos = [np.empty(0, dtype=np.int64)]
+    # the rows of ends[:parts], in cols[:checked], are index-checked
+    parts = checked = 0
     done = lines = start = 0
     while start < len(buf):
         stop = buf.find(b"\n", start + _FAST_BLOCK - 1)
         stop = len(buf) if stop < 0 else stop + 1
-        block = buf[start:stop]
-        parsed = _parse_block(block)
+        parsed = _parse_block(buf, start, stop, lines + 1, cols[done:],
+                              values[done:])
         if parsed is None:
-            return None
-        y, idx, vals, row_ends, row_lines, block_lines = parsed
-        cols[done:done + idx.size] = idx
-        values[done:done + idx.size] = vals
+            if fallback is None:
+                return None
+            _check_indices(cols[checked:done],
+                           np.concatenate(ends[parts:]) - checked,
+                           np.concatenate(linenos[parts:]))
+            parts, checked = len(ends), done
+            idx, y, vals, row_ends, row_lines = fallback(
+                buf[start:stop].decode("ascii"), lines + 1)
+            cols[done:done + idx.size] = idx
+            values[done:done + idx.size] = vals
+            parsed = (y, np.frombuffer(row_ends, dtype=np.int64),
+                      np.frombuffer(row_lines, dtype=np.int64),
+                      buf.count(b"\n", start, stop))
+        y, row_ends, row_lines, block_lines = parsed
         labels.append(y)
         ends.append(row_ends + done)
-        linenos.append(row_lines + lines)
-        done += idx.size
+        linenos.append(row_lines)
+        done += int(row_ends[-1]) if row_ends.size else 0
         lines += block_lines
         start = stop
     return (cols, np.concatenate(labels), values, np.concatenate(ends),
             np.concatenate(linenos))
 
 
-def _parse_block(block: bytes):
-    """Read one block of whole lines of the fast language: labels, 1-based
-    indices, values, each row's end, each row's 1-based line within the
-    block and the block's number of lines; ``None`` when the block is
-    outside the language."""
-    codes = block.translate(_BYTE_CLASS)
-    # a newline on either side: cls[p + 1] is the class of block[p]
-    cls = np.frombuffer(_EDGE + codes + _EDGE, dtype=np.uint8)
-    number = cls == _NUMBER
-    # a field is a run of number bytes, block[starts[j]:stops[j]]
-    edges = np.flatnonzero(number[1:] != number[:-1])
-    starts, stops = edges[0::2], edges[1::2]
-    before = cls[starts] == _COLON
-    after = cls[stops + 1] == _COLON
-    # with as many colons as fields before and after colons, every colon
-    # joins two fields
-    n_colons = int(np.count_nonzero(cls == _COLON))
-    if int(before.sum()) != n_colons or int(after.sum()) != n_colons:
+def _parse_block(buf: bytes, start: int, stop: int, first_line: int,
+                 cols, values):
+    """Read the whole lines ``buf[start:stop]`` of the fast language, the
+    first of them line ``first_line``: the 1-based indices and the
+    values go to the front of ``cols`` and ``values``, one entry per
+    colon, and the labels, each row's end, each row's 1-based line and
+    the number of lines are returned; ``None`` when the lines are
+    outside the language. The bytes are read where they lie in
+    ``buf``."""
+    if buf[stop - 1] != ord("\n"):
+        # the last line of a text without a final newline: read a copy
+        # that has one, so that every field ends inside the block
+        buf, start, stop = buf[start:stop] + b"\n", 0, stop - start + 1
+    fields = _fields(buf, start, stop)
+    if fields is None:
         return None
-    # line i (1-based) of the block holds fields bounds[i-1]:bounds[i]
-    newlines = np.flatnonzero(cls == _NEWLINE)
-    bounds = np.searchsorted(starts, newlines - 1)
-    rows = np.flatnonzero(bounds[1:] > bounds[:-1])
-    first = np.zeros(starts.size, dtype=bool)
-    first[bounds[rows]] = True
-    # a line is label idx:val idx:val ...: its first field touches no
-    # colon, and every other field is either an index or a value
-    if np.any(np.where(first, before | after, before == after)):
+    (lstart, lstop), (istart, istop), vstop, row_ends, rows, n_lines = fields
+    idx, vals = cols[:istart.size], values[:istart.size]
+    raw = np.frombuffer(buf, dtype=np.uint8, count=stop - start, offset=start)
+    # indices: digits only, at most _FAST_DIGITS of them
+    if _read_decimals(raw, istart, istop, idx, plain=True) is None:
         return None
-    # a newline after the block: no field runs up to the end of raw
-    raw = np.frombuffer(block + b"\n", dtype=np.uint8)
-    # 1-based indices: at most _FAST_DIGITS digits and nothing else
-    istart, istop = starts[after], stops[after]
-    iwidth = istop - istart
-    if int(iwidth.max(initial=0)) > _FAST_DIGITS:
-        return None
-    read = _read_decimals(raw, istart, istop)
-    if read is None or np.any(read[1] != iwidth):
-        return None
-    idx = read[0]
-    # labels and values, in field order. The digit reader is tried when
-    # no field is wider than a sign and a dot around _FAST_DIGITS digits
-    # and the block has no exponent; np.fromstring reads any other block.
-    nums = None
-    if (int((stops - starts).max(initial=0)) <= _FAST_DIGITS + 2
-            and b"e" not in block and b"E" not in block):
-        read = _read_decimals(raw, starts[~after], stops[~after])
-        if read is not None:
-            mantissa, _, scale, negative = read
-            nums = mantissa / _POW10[scale]
-            np.negative(nums, out=nums, where=negative)
-    if nums is None:
-        nums = _read_floats(raw[:-1], istart, istop, starts.size - istart.size)
+    # labels and values; a value starts right after its index's colon.
+    # The digit reader is tried when the block has no exponent;
+    # np.fromstring reads any block in which it fails.
+    y = np.empty(lstart.size)
+    if not (buf.find(b"e", start, stop) < 0 and buf.find(b"E", start, stop) < 0
+            and _read_numbers(raw, lstart, lstop, y)
+            and _read_numbers(raw, istop + 1, vstop, vals)):
+        nums = _read_floats(raw, istart, istop, y.size + idx.size)
         if nums is None:
             return None
-    is_label = first[~after]
-    row_ends = np.cumsum(after)[bounds[rows + 1] - 1]
-    # newlines includes the two edges around the block
-    return (nums[is_label], idx, nums[~is_label], row_ends, rows + 1,
-            newlines.size - 2)
+        # row r's label follows r labels and as many values as there are
+        # indices before row r
+        at = np.arange(y.size)
+        at[1:] += row_ends[:-1]
+        y[:] = nums[at]
+        vals[:] = np.delete(nums, at)
+    return y, row_ends, rows + first_line, n_lines
 
 
-def _read_decimals(raw, starts, stops):
-    """Read the fields ``raw[starts[j]:stops[j]]``, each at most
-    ``_FAST_DIGITS + 2`` bytes, as decimals ``[+-]?digits[.digits]``,
-    ``[+-]?digits.`` or ``[+-]?.digits`` of 1 to ``_FAST_DIGITS``
-    digits: each field's digits as one int64 mantissa, its number of
-    digits, its number of digits after the dot and whether it starts
-    with ``-``; ``None`` when a field has another form. ``raw[stops[j]]``
-    must be neither a digit nor a dot.
+def _fields(buf: bytes, start: int, stop: int):
+    """The fields of the lines ``buf[start:stop]``, which end in a
+    newline, by their role: the bounds of the labels and of the indices
+    and the ends of the values, as positions in the block; the indices
+    up to each row's end, each row's 0-based line in the block and the
+    number of lines. ``None`` when a line is not ``label idx:val ...``.
+
+    A field is a run of number bytes. When every colon sits between two
+    number bytes, a field followed by a colon is an index and the field
+    right after that colon its value; a line is then ``label idx:val
+    ...`` exactly when its first field is no index and after it index
+    and non-index fields alternate. Each byte mask is freed once used,
+    which bounds the block's temporaries.
+    """
+    cls = np.frombuffer(buf[start:stop].translate(_BYTE_CLASS), dtype=np.uint8)
+    # number[p + 1]: byte p is a number byte
+    number = np.empty(cls.size + 1, dtype=bool)
+    number[0] = False
+    np.equal(cls, _NUMBER, out=number[1:])
+    colon = cls == _COLON
+    n_colons = int(np.count_nonzero(colon))
+    # the last byte is a newline, so colon[:-1] holds every colon
+    if (int(np.count_nonzero(colon & number[:-1])) != n_colons
+            or int(np.count_nonzero(colon[:-1] & number[2:])) != n_colons):
+        return None
+    del colon
+    newlines = np.flatnonzero(cls == _NEWLINE)
+    # field j is block[starts[j]:stops[j]]
+    edges = np.flatnonzero(number[1:] != number[:-1])
+    del number
+    starts, stops = edges[0::2], edges[1::2]
+    index = cls[stops] == _COLON
+    del cls
+    # line i (0-based) of the block holds the fields bounds[i-1]:bounds[i]
+    bounds = np.searchsorted(starts, newlines)
+    opens = np.concatenate(([0], bounds[:-1]))
+    rows = np.flatnonzero(bounds > opens)
+    firsts = opens[rows]
+    # no row ends in an index (its colon would end the line), so index
+    # and non-index fields alternate within rows exactly when they
+    # alternate at all but the rows' first fields
+    if (index[firsts].any() or int(np.count_nonzero(index[1:] != index[:-1]))
+            != starts.size - rows.size):
+        return None
+    # row r, with r + 1 labels up to its end, ends after
+    # (its end field - r - 1) / 2 indices
+    row_ends = (bounds[rows] - np.arange(1, rows.size + 1)) // 2
+    at = np.flatnonzero(index)
+    istart, istop = starts[at], stops[at]
+    at += 1
+    return ((starts[firsts], stops[firsts]), (istart, istop), stops[at],
+            row_ends, rows, newlines.size)
+
+
+def _read_decimals(raw, starts, stops, mantissa, plain=False):
+    """Read the fields ``raw[starts[j]:stops[j]]`` as decimals
+    ``[+-]?digits[.digits]``, ``[+-]?digits.`` or ``[+-]?.digits`` of 1
+    to ``_FAST_DIGITS`` digits, or as plain digits when ``plain``: each
+    field's digits as one integer into ``mantissa`` (int64, or float64,
+    which holds them exactly too), and return each field's number of
+    digits after the dot and whether it starts with ``-``; ``None`` when
+    a field has another form. ``raw[stops[j]]`` must be neither a digit
+    nor a dot.
 
     The reader walks one byte column at a time over all fields; past its
     end a field reads ``raw[stops[j]]``, which changes nothing. At most
@@ -398,16 +457,20 @@ def _read_decimals(raw, starts, stops):
     divides two exact doubles once: the correctly rounded value of the
     decimal, which is what ``strtod`` returns.
     """
+    width = stops - starts
+    columns = int(width.max(initial=0))
+    if columns > _FAST_DIGITS + 2:
+        return None
+    width = width.astype(np.uint8)
     lead = raw[starts]
     negative = lead == ord("-")
     signed = negative | (lead == ord("+"))
-    width = stops - starts
-    mantissa = np.zeros(starts.size, dtype=np.int64)
+    mantissa[:] = 0
     digits = np.zeros(starts.size, dtype=np.uint8)
     dots = np.zeros(starts.size, dtype=np.uint8)
     scale = np.zeros(starts.size, dtype=np.uint8)
     pos = starts.copy()
-    for _ in range(int(width.max(initial=0))):
+    for _ in range(columns):
         byte = raw[pos]
         digit = byte - np.uint8(ord("0"))
         is_digit = (digit < 10).view(np.uint8)
@@ -420,12 +483,30 @@ def _read_decimals(raw, starts, stops):
         dots += byte == ord(".")
         pos += 1
         np.minimum(pos, stops, out=pos)
-    # every byte is a digit, at most one is a dot and only the first may
-    # be a sign
-    if (np.any(digits + dots + signed != width) or np.any(dots > 1)
-            or np.any(digits < 1) or np.any(digits > _FAST_DIGITS)):
+    if plain:
+        # every byte is a digit
+        ok = np.array_equal(digits, width)
+    else:
+        # every byte is a digit, at most one is a dot and only the first
+        # may be a sign
+        ok = (np.array_equal(digits + dots + signed, width)
+              and not np.any(dots > 1))
+    if not ok or np.any(digits < 1) or np.any(digits > _FAST_DIGITS):
         return None
-    return mantissa, digits, scale, negative
+    return scale, negative
+
+
+def _read_numbers(raw, starts, stops, out) -> bool:
+    """Read the fields ``raw[starts[j]:stops[j]]`` into the float64
+    ``out`` by :func:`_read_decimals`; ``False`` when one has another
+    form."""
+    read = _read_decimals(raw, starts, stops, out)
+    if read is None:
+        return False
+    scale, negative = read
+    out /= _POW10[scale]
+    np.negative(out, out=out, where=negative)
+    return True
 
 
 def _read_floats(raw, istart, istop, count):

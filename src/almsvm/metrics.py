@@ -54,18 +54,22 @@ def _row_scores(model: Model, samples: Samples) -> np.ndarray:
     left to right per row by ``np.bincount`` over the flat CSR arrays.
 
     Features beyond the model's dictionary contribute zero (test files
-    routinely carry indices the training file never saw). For a
-    bias-augmented model the constant feature is appended implicitly.
+    routinely carry indices the training file never saw): only when the
+    rows hold such an index are the entries masked before the sum, which
+    leaves the other entries in the same order, so both paths agree bit
+    for bit. For a bias-augmented model the constant feature is appended
+    implicitly.
     """
     m = len(samples)
     if m == 0:
         return np.zeros(0)
     row_ptr, cols, vals = samples.csr()
     rows = np.repeat(np.arange(m), np.diff(row_ptr))
-    n = model.w.size
-    keep = cols < (n - 1 if model.bias_augmented else n)
-    s = np.bincount(rows[keep], weights=vals[keep] * model.w[cols[keep]],
-                    minlength=m)
+    n = model.w.size - 1 if model.bias_augmented else model.w.size
+    if int(cols.max(initial=0)) >= n:
+        keep = cols < n
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    s = np.bincount(rows, weights=vals * model.w[cols], minlength=m)
     s = s.astype(np.float64, copy=False)  # int zeros when no entry is kept
     if model.bias_augmented:
         s += model.w[-1]

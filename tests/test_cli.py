@@ -6,12 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from almsvm.alm import SolverConfig
 from almsvm.cli import _config, build_parser, main, read_model, write_model
-from almsvm.data_io import load_libsvm, write_libsvm
-from almsvm.metrics import Model, predict, predict_label
+from almsvm.data_io import Dataset, format_float, load_libsvm, write_libsvm
+from almsvm.metrics import Model, predict, predict_label, predict_labels, scores
 from almsvm.synthetic import svc_blobs, svr_planted
 
 
@@ -302,6 +303,48 @@ class TestPredictEval:
         model = read_model(model_path)
         data = load_libsvm(svr_file)
         assert got == [predict(model, s) for s in data.samples]
+
+    @pytest.mark.parametrize("pair,bias", [
+        ((-1.0, 1.0), False), ((0.0, 1.0), False), ((2.0, 5.0), True)])
+    def test_svc_prediction_file_is_byte_identical_to_per_value_formatting(
+            self, tmp_path, capsys, pair, bias):
+        data = svc_blobs(200, 10, separation=1.0, scale=1.5, seed=7)
+        data = Dataset(data.samples, np.where(data.labels < 0, *pair),
+                       data.n_features)
+        data_path, model_path = tmp_path / "d.libsvm", tmp_path / "m.model"
+        write_libsvm(data, data_path)
+        main(["train", "--task", "svc", "--data", str(data_path), "--model",
+              str(model_path)] + (["--bias"] if bias else []))
+        out_path = tmp_path / "pred.txt"
+        assert main(["predict", "--model", str(model_path), "--data",
+                     str(data_path), "--output", str(out_path)]) == 0
+        model = read_model(model_path)
+        assert model.label_map == pair and model.bias_augmented == bias
+        labels = predict_labels(model, load_libsvm(data_path)).tolist()
+        assert set(labels) == set(pair)
+        expected = "".join(format_float(v) + "\n" for v in labels)
+        assert out_path.read_bytes() == expected.encode()
+
+    def test_a_zero_score_predicts_the_upper_label(self, svc_file, tmp_path,
+                                                   capsys):
+        model_path = tmp_path / "m.model"
+        write_model(Model(w=[0.0] * 10, task="svc", label_map=(2.0, 5.0)),
+                    model_path)
+        assert main(["predict", "--model", str(model_path), "--data",
+                     str(svc_file)]) == 0
+        assert capsys.readouterr().out == "5.0\n" * 200
+
+    def test_svr_prediction_file_is_byte_identical_to_per_value_formatting(
+            self, svr_file, tmp_path, capsys):
+        model_path = tmp_path / "m.model"
+        main(["train", "--task", "svr", "--data", str(svr_file), "--model",
+              str(model_path), "--bias"])
+        out_path = tmp_path / "pred.txt"
+        assert main(["predict", "--model", str(model_path), "--data",
+                     str(svr_file), "--output", str(out_path)]) == 0
+        values = scores(read_model(model_path), load_libsvm(svr_file)).tolist()
+        expected = "".join(format_float(v) + "\n" for v in values)
+        assert out_path.read_bytes() == expected.encode()
 
     def test_empty_data_gives_empty_output(self, svc_file, tmp_path, capsys):
         model_path = tmp_path / "m.model"

@@ -264,6 +264,60 @@ class TestFastPath:
         assert_bitwise_equal(parse_libsvm(text), expected)
         assert len(calls) == 1 + 3
 
+    def test_a_block_outside_the_language_falls_back_alone(self,
+                                                           monkeypatch):
+        # a clean document with one late line the fast path turns down:
+        # only the block that holds it goes to the per-line parser
+        lines = _generated_text(400, 3).splitlines()
+        lines.insert(350, "1 +3:1")
+        text = "\n".join(lines) + "\n"
+        calls = []
+        parse_lines = data_io._parse_lines
+
+        def spy(block, first_line):
+            calls.append((block, first_line))
+            return parse_lines(block, first_line)
+        monkeypatch.setattr(data_io, "_parse_lines", spy)
+        monkeypatch.setattr(data_io, "_FAST_BLOCK", 1024)
+        expected = parse_libsvm_oracle(text)
+        for doc in (text, text.encode()):
+            calls.clear()
+            assert_bitwise_equal(parse_libsvm(doc), expected)
+            [(block, first_line)] = calls
+            # one block of whole lines, about 1 KB of a 13 KB document
+            assert len(text) > 12 * 1024 and len(block) < 1024 + 100
+            block_lines = block.splitlines()
+            assert block_lines == lines[first_line - 1:
+                                        first_line - 1 + len(block_lines)]
+            assert first_line + block_lines.index("1 +3:1") == 351
+
+    @pytest.mark.parametrize("lines,message", [
+        # an index fault in a fast block, a bad token in a later one
+        (["1 1:1", "1 3:1 2:1", "-1 1:1", "1 1e3:1"],
+         "line 2: index 2 not strictly increasing"),
+        # ... with a clean fast block between them
+        (["1 3:1 2:1", "-1 1:1", "-1 4:1", "1 1:1 +2:1"],
+         "line 1: index 2 not strictly increasing"),
+        # an index fault in a block that falls back, a bad token later
+        (["1 +3:1 2:1", "-1 1:1", "1 1e3:1"],
+         "line 1: index 2 not strictly increasing"),
+        # an index fault between two blocks that fall back
+        (["1 1:1", "1 +2:1", "1 1:1", "1 3:1 2:1", "1 1e3:1"],
+         "line 4: index 2 not strictly increasing"),
+        # the bad token comes first
+        (["1 1e3:1", "1 3:1 2:1"], "line 1: malformed token '1e3:1'"),
+        (["1 1:1", "1 1:1 2:x", "1 3:1 2:1"], "line 2: malformed token '2:x'"),
+    ])
+    def test_the_first_fault_wins_across_fallback_blocks(self, monkeypatch,
+                                                         lines, message):
+        # a block of 1 byte holds one line
+        monkeypatch.setattr(data_io, "_FAST_BLOCK", 1)
+        text = "\n".join(lines) + "\n"
+        for parse in (parse_libsvm, parse_libsvm_oracle):
+            with pytest.raises(ParseError) as excinfo:
+                parse(text)
+            assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("buf,lineno", [
         (b"\xff 1:1\n", 1),
         (b"1 1:1\r\n-1 2:1\r\n\xfe", 3),

@@ -96,6 +96,46 @@ class TestScores:
         assert got.shape == (0,) and got.dtype == np.float64
 
 
+def _masked_scores(model, data):
+    """The scoring kernel with every entry past the model masked out."""
+    row_ptr, cols, vals = data.samples.csr()
+    rows = np.repeat(np.arange(data.m), np.diff(row_ptr))
+    n = model.w.size - 1 if model.bias_augmented else model.w.size
+    keep = cols < n
+    s = np.bincount(rows[keep], weights=vals[keep] * model.w[cols[keep]],
+                    minlength=data.m).astype(np.float64)
+    return s + model.w[-1] if model.bias_augmented else s
+
+
+class TestUnmaskedScores:
+    """Data whose indices all lie inside the model is scored without the
+    mask, bit for bit as with it."""
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("past", [False, True])
+    def test_bitwise_equal_to_the_masked_path(self, rng, bias, past):
+        # 30 data features; the model covers all of them, or all but the
+        # last (one index past it)
+        rows = _random_rows(rng, 80, 30)
+        rows.append((np.array([3, 29], dtype=np.int64), rng.normal(size=2)))
+        n = 29 if past else 30
+        model = Model(w=rng.normal(size=n + bias), task="svr",
+                      bias_augmented=bias)
+        data = Dataset(rows, np.zeros(len(rows)), 30)
+        got = scores(model, data)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _masked_scores(model, data).tobytes()
+
+    @pytest.mark.parametrize("rows", [[], [_sample([])] * 3])
+    def test_empty_sets(self, rows):
+        model = Model(w=[1.5, -2.0], task="svr", bias_augmented=True)
+        data = Dataset(rows, np.zeros(len(rows)), 1)
+        got = scores(model, data)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _masked_scores(model, data).tobytes()
+        assert got.tolist() == [-2.0] * len(rows)
+
+
 def _toy_test_set(labels):
     samples = [_sample([(0, x)]) for x in (1.0, -1.0, 1.0)][: len(labels)]
     return Dataset(samples, np.array(labels, dtype=np.float64), 1)
