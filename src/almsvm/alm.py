@@ -39,6 +39,8 @@ from .prox import (
     p_value,
     prox_eps,
     prox_hinge,
+    split_svc,
+    split_svr,
 )
 from .sparse import SparseMatrix
 
@@ -105,6 +107,9 @@ class Hinge:
     def active(self, z, sigma: float) -> np.ndarray:
         return active_set_svc(z, self.C, sigma)
 
+    def split(self, z, sigma: float):
+        return split_svc(z, self.C, sigma)
+
     def conjugate(self, lam) -> float:
         return 0.0
 
@@ -129,6 +134,9 @@ class EpsInsensitive:
 
     def active(self, z, sigma: float) -> np.ndarray:
         return active_set_svr(z, self.C, sigma, self.eps)
+
+    def split(self, z, sigma: float):
+        return split_svr(z, self.C, sigma, self.eps)
 
     def conjugate(self, lam) -> float:
         return self.eps * float(np.abs(lam).sum())
@@ -288,17 +296,30 @@ class SmoothedSubproblem:
     """The subproblem phi at fixed ``lam`` and ``sigma``, evaluated once
     per iterate (the :class:`~almsvm.newton.Subproblem` protocol).
 
-    It keeps ``z = B w + d + lam/sigma`` of the iterate ``w``. A Newton
-    step pays one ``matvec`` (``B d`` in ``set_direction``) and one
-    ``matvec_t`` (the gradient): every trial point reads
-    ``z + alpha * B d``, and the accepted trial becomes the iterate
-    together with its value, which is the next step's ``f0``. Within one
-    ``newton_solve`` the cached ``z`` therefore drifts from ``B w + ...``
-    at rounding level; ``reset`` recomputes it from a fresh ``B w``. A
-    caller that already holds that product for the starting point passes
-    it as ``bw``, and the first ``reset`` uses it in place of a
-    ``matvec``. The Hessian's active rows are gathered once per step in
-    ``linearize`` and reused by every CG product.
+    It keeps ``z = B w + d + lam/sigma`` of the iterate ``w``. Every
+    trial point of the line search reads ``z + alpha * B d``, and the
+    accepted trial becomes the iterate together with its value, which is
+    the next step's ``f0``. Within one ``newton_solve`` the cached ``z``
+    therefore drifts from ``B w + ...`` at rounding level; ``reset``
+    recomputes it from a fresh ``B w``. A caller that already holds that
+    product for the starting point passes it as ``bw``, and the first
+    ``reset`` uses it in place of a ``matvec``.
+
+    The gradient ``w + sigma * B.T (z - prox(z))`` is assembled from
+    one classification of ``z`` (``penalty.split``): ``z - prox(z)`` is
+    ``y_I`` on the active rows I, ``+-C/sigma`` on the saturated rows
+    and zero elsewhere, so the gradient is
+    ``w + sigma * B[I,:].T y_I + C * g_sat`` with ``g_sat = B.T sat``.
+    ``g_sat`` comes from a full product at the first gradient after
+    ``reset``; later gradients add ``B.T`` of the change in the sign
+    vector, a product that reads only the rows that changed side while
+    they are at most ``m/4``. A Newton step thus pays one ``matvec``
+    (``B d`` in ``set_direction``), one ``matvec_t`` (the sign change)
+    and one scatter of the gathered rows I, which ``linearize`` at the
+    same ``z`` hands to every CG product instead of gathering again;
+    without a ``grad`` at ``z`` it gathers them itself.
+    The carried ``g_sat`` drifts at rounding level within one
+    ``newton_solve``; no certificate or multiplier reads it.
     """
 
     def __init__(self, p: Problem, lam, sigma: float, bw=None):
@@ -310,11 +331,13 @@ class SmoothedSubproblem:
         self._bw0 = bw
         self.w = self.z = None
         self._f = self._trial = self._d = self._bd = self._block = None
+        self._sat = self._g_sat = None
 
     def reset(self, w) -> None:
         w = np.asarray(w, dtype=np.float64)
         bw = self.p.B.matvec(w) if self._bw0 is None else self._bw0
         self._bw0 = None
+        self._sat = self._g_sat = None
         self._move(w, bw + self.p.d + self._lam_scaled, None)
 
     def _move(self, w, z, f) -> None:
@@ -326,13 +349,25 @@ class SmoothedSubproblem:
         return 0.5 * float(w @ w) - self._lam_term + self.sigma * tau
 
     def grad(self) -> np.ndarray:
-        s = self.p.penalty.prox(self.z, 1.0 / self.sigma)
-        return self.w + self.sigma * self.p.B.matvec_t(self.z - s)
+        B = self.p.B
+        rows, y, sat = self.p.penalty.split(self.z, self.sigma)
+        if self._sat is None:
+            self._g_sat = B.matvec_t(sat)
+        else:
+            self._g_sat += B.matvec_t(sat - self._sat)
+        self._sat = sat
+        self._block = B.gather_rows(rows)
+        g = self._block.matvec_t(y)
+        g *= self.sigma
+        g += self.w
+        g += self.p.penalty.C * self._g_sat
+        return g
 
     def linearize(self) -> int:
-        rows = self.p.penalty.active(self.z, self.sigma)
-        self._block = self.p.B.gather_rows(rows)
-        return rows.size
+        if self._block is None:
+            rows = self.p.penalty.active(self.z, self.sigma)
+            self._block = self.p.B.gather_rows(rows)
+        return self._block.size
 
     def hvp(self, h) -> np.ndarray:
         v = self._block.normal_apply(h)

@@ -48,6 +48,12 @@ class Subproblem(Protocol):
     is the value at ``w``) and ``accept(alpha)`` to move the iterate
     there. ``hvp`` must be symmetric positive definite for any active
     set.
+
+    ``grad`` and ``linearize`` at the same iterate may share one
+    classification of its rows: the solver's subproblem gathers the
+    active rows once in ``grad`` and hands them to ``linearize`` and
+    every ``hvp`` of the step. ``linearize`` must also work when no
+    ``grad`` came first at that iterate.
     """
 
     w: np.ndarray

@@ -11,6 +11,9 @@ corresponding envelope value ``0.5 |s* - z|^2 + M * penalty(s*)``. Both
 maps are piecewise linear and are computed with branch-free min/max
 forms. The active sets collect the coordinates where the prox has local
 slope one, which is where curvature survives in the solver's Hessian.
+``split_*`` classifies every coordinate at once: active, saturated
+(``z - prox(z)`` is the constant ``+-C/sigma``) or neither
+(``z - prox(z)`` is zero).
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ __all__ = [
     "moreau_env_eps",
     "active_set_svc",
     "active_set_svr",
+    "split_svc",
+    "split_svr",
 ]
 
 
@@ -93,3 +98,34 @@ def active_set_svr(z, C: float, sigma: float, eps: float) -> np.ndarray:
     pos = (z > eps) & (z < eps + cs)
     neg = (z > -eps - cs) & (z < -eps)
     return np.flatnonzero(pos | neg)
+
+
+def split_svc(z, C: float, sigma: float):
+    """Classify ``z`` for the hinge at ``M = 1/sigma``.
+
+    Returns ``(rows, y, sat)``: ``rows`` is :func:`active_set_svc`,
+    ``y = z[rows]``, which is ``z - prox_hinge(z)`` there bit for bit,
+    and ``sat`` is the int8 indicator of ``z >= C/sigma``, where
+    ``z - prox_hinge(z)`` is ``C/sigma`` up to rounding. Elsewhere
+    ``z - prox_hinge(z)`` is zero.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    rows = active_set_svc(z, C, sigma)
+    return rows, z[rows], (z >= C / sigma).view(np.int8)
+
+
+def split_svr(z, C: float, sigma: float, eps: float):
+    """Classify ``z`` for the eps-insensitive penalty at ``M = 1/sigma``.
+
+    Returns ``(rows, y, sat)``: ``rows`` is :func:`active_set_svr`,
+    ``y = z[rows] -+ eps``, which is ``z - prox_eps(z)`` there bit for
+    bit, and ``sat`` is +1 where ``z >= eps + C/sigma`` and -1 where
+    ``z <= -eps - C/sigma`` (int8), where ``z - prox_eps(z)`` is
+    ``+-C/sigma`` up to rounding. Elsewhere ``z - prox_eps(z)`` is zero.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    hi = eps + C / sigma
+    rows = active_set_svr(z, C, sigma, eps)
+    zr = z[rows]
+    sat = (z >= hi).view(np.int8) - (z <= -hi).view(np.int8)
+    return rows, zr - np.copysign(eps, zr), sat

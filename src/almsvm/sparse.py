@@ -254,6 +254,17 @@ class RowBlock:
     def n(self) -> int:
         return self._n
 
+    def matvec_t(self, y) -> np.ndarray:
+        """Return ``A[rows, :].T @ y``, one entry of ``y`` per gathered
+        row, scattered in the order of ``rows``."""
+        y = np.asarray(y, dtype=np.float64)
+        k = self.size
+        if y.shape != (k,):
+            raise ValueError(f"y must have length {k}, got {y.shape}")
+        out = np.zeros(self._n)
+        _kernels.csc_matvec(self._n, k, self._ptr, self._idx, self._val, y, out)
+        return out
+
     def normal_apply(self, h) -> np.ndarray:
         """Return ``A[rows, :].T @ (A[rows, :] @ h)``."""
         h = np.asarray(h, dtype=np.float64)

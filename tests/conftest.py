@@ -38,6 +38,13 @@ class BundledInstance:
     c_of: Callable[[Dataset], float]
     eps: float = 0.0
 
+    def build(self):
+        """The instance's training problem at its default parameters."""
+        data = self.make()
+        if self.task == "svc":
+            return build_svc(data, self.c_of(data))
+        return build_svr(data, self.c_of(data), self.eps)
+
 
 def bundled_instances() -> list[BundledInstance]:
     """The fixed instance suite used by the certification tests.

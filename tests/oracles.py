@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from almsvm.alm import Hinge, Problem, primal_objective
-from almsvm.data_io import Dataset, ParseError
+from almsvm.data_io import _INDEX_MAX, Dataset, ParseError
 from almsvm.sparse import SparseMatrix
 
 __all__ = ["prox_oracle", "phi_value", "fd_gradient", "subgradient_solve",
@@ -172,8 +172,8 @@ def parse_libsvm_oracle(text, n_features: int | None = None) -> Dataset:
     """:func:`almsvm.data_io.parse_libsvm` one token at a time.
 
     Each line is checked token by token in order: the label, then each
-    token's colon, its two numbers, its index against 1 and against the
-    previous index. The first fault stops the parse. NaN and infinite
+    token's colon, its two numbers, its index against 1, against the
+    largest int64 and against the previous index. The first fault stops the parse. NaN and infinite
     labels and values are looked for only after every line has passed,
     and the first line holding one is named.
     """
@@ -212,6 +212,8 @@ def parse_libsvm_oracle(text, n_features: int | None = None) -> Dataset:
                 ) from None
             if i < 1:
                 raise ParseError(f"line {lineno}: feature index {i} < 1")
+            if i > _INDEX_MAX:
+                raise ParseError(f"line {lineno}: feature index {i} too large")
             if i <= prev:
                 raise ParseError(
                     f"line {lineno}: index {i} not strictly increasing"

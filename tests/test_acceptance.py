@@ -48,14 +48,6 @@ def criterion(num, name, budget_seconds):
     )
 
 
-def _build(inst):
-    data = inst.make()
-    c = inst.c_of(data)
-    if inst.task == "svc":
-        return build_svc(data, c)
-    return build_svr(data, c, inst.eps)
-
-
 def test_criterion_1_prox_oracle_equivalence():
     """Closed-form proximal maps agree with breakpoint enumeration to
     1e-12 on 10,001-point grids for 20 random parameter settings."""
@@ -155,7 +147,7 @@ def test_criterion_5_optimality_certification():
     gap <= 1e-4 with default settings within ten outer iterations."""
     with criterion(5, "optimality certification", 60.0):
         for inst in bundled_instances():
-            problem = _build(inst)
+            problem = inst.build()
             _, report = alm_solve(problem)
             assert report.k <= 10
             assert report.kkt_residual <= 1e-6, (
@@ -236,7 +228,7 @@ def test_criterion_8_baseline_dominance():
     baseline's best iterate by more than 1e-6."""
     with criterion(8, "baseline dominance", 60.0):
         for inst in bundled_instances():
-            problem = _build(inst)
+            problem = inst.build()
             w, report = alm_solve(problem)
             _, best = subgradient_solve(problem, iters=2000, step0=0.5)
             assert report.objective <= best + 1e-6, (

@@ -298,3 +298,36 @@ def test_mutated_model_headers_raise_value_errors_naming_the_file(
     assert math.isfinite(model.c_used) and math.isfinite(model.eps_used)
     if model.label_map is not None:
         assert all(math.isfinite(v) for v in model.label_map)
+
+
+# indices around and past the int64 range; the parser stores indices as
+# int64 and names the first index past it, in file order
+HUGE_INDICES = st.one_of(st.integers(2**63 - 2, 2**63 + 2),
+                         st.integers(2**63, 10**30))
+
+
+@FUZZ
+@given(st.data())
+def test_indices_past_int64_fail_with_the_oracles_message(data):
+    """A huge index, then possibly a later fault on the same line or
+    after it: both parsers name the same first fault."""
+    lines = data.draw(st.lists(fast_sample_lines(), min_size=1, max_size=5))
+    target = data.draw(st.sampled_from(lines))
+    pos = data.draw(st.integers(1, len(target)))
+    target.insert(pos, f"{data.draw(HUGE_INDICES)}:{data.draw(FAST_NUMBERS)}")
+    if data.draw(st.booleans()):
+        _fast_corrupt(data.draw, data.draw(st.sampled_from(lines)))
+    text = render_fast(data.draw, lines)
+    expected = outcome(parse_libsvm_oracle, text)
+    with mock.patch.object(data_io, "_FAST_BLOCK", data.draw(st.integers(1, 48))):
+        assert outcome(parse_libsvm, text) == expected
+        assert outcome(parse_libsvm, text.encode()) == expected
+
+
+def test_index_past_int64_is_named_before_a_later_fault():
+    for text, index in (("1 99999999999999999999:1", 99999999999999999999),
+                        ("4850 19193056332713481157:6643253 0-54.1031-7e",
+                         19193056332713481157)):
+        expected = ("error", f"line 1: feature index {index} too large")
+        assert outcome(parse_libsvm_oracle, text) == expected
+        assert outcome(parse_libsvm, text) == expected

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import almsvm.newton as newton_mod
-from almsvm.alm import NEWTON_MAXIT, alm_solve, build_svc, make_subproblem_oracle
+from almsvm.alm import (
+    NEWTON_MAXIT,
+    SmoothedSubproblem,
+    alm_solve,
+    build_svc,
+    make_subproblem_oracle,
+)
 from almsvm.newton import cg_solve, newton_solve
 from almsvm.sparse import SparseMatrix
 from almsvm.synthetic import svc_blobs
@@ -379,3 +385,81 @@ class TestSubproblemContract:
             h = rng.normal(size=p.n)
             expect = h + 0.15 * p.B.restricted_normal_apply(rows, h)
             np.testing.assert_array_equal(sub.hvp(h), expect)
+
+
+class TestIncrementalGradient:
+    """The gradient keeps ``g_sat = B.T sat`` from the first gradient of
+    each Newton solve, updates it from the rows whose saturation sign
+    changed, and scatters only the active rows; at every Newton step it
+    must match the fresh ``w + sigma * B.T (z - prox(z))``."""
+
+    @staticmethod
+    def _watch(monkeypatch, p):
+        """Record, per gradient, its distance to the fresh gradient
+        relative to ``1 + |w|``, and per gradient after the first of a
+        solve, how many rows changed saturation sign."""
+        real = SmoothedSubproblem.grad
+        errors, changed, last_sat = [], [], {}
+
+        def grad(self):
+            g = real(self)
+            s = p.penalty.prox(self.z, 1.0 / self.sigma)
+            fresh = self.w + self.sigma * p.B.matvec_t(self.z - s)
+            errors.append(float(np.linalg.norm(g - fresh))
+                          / (1.0 + float(np.linalg.norm(self.w))))
+            sat = p.penalty.split(self.z, self.sigma)[2]
+            if self in last_sat:
+                changed.append(int(np.count_nonzero(sat != last_sat[self])))
+            last_sat[self] = sat
+            return g
+
+        monkeypatch.setattr(SmoothedSubproblem, "grad", grad)
+        return errors, changed
+
+    @pytest.mark.parametrize("inst", bundled_instances(), ids=lambda i: i.name)
+    def test_matches_the_fresh_gradient_at_every_newton_step(self, inst,
+                                                             monkeypatch):
+        p = inst.build()
+        errors, _ = self._watch(monkeypatch, p)
+        _, report = alm_solve(p)
+        assert len(errors) == report.it_sn + report.k
+        assert max(errors) <= 1e-12
+
+    def test_a_step_takes_the_full_refresh_branch(self, monkeypatch):
+        # more than m/4 rows change side, so matvec_t reads every row
+        p = _bundled_svc("gap5000x123")
+        errors, changed = self._watch(monkeypatch, p)
+        alm_solve(p)
+        assert max(changed) * 4 > p.m
+        assert max(errors) <= 1e-12
+
+    def test_one_gather_per_newton_step(self, monkeypatch):
+        # grad gathers the active rows once; linearize at the same z
+        # hands that block to CG instead of gathering again
+        p = _bundled_svc("gap5000x123")
+        real = SparseMatrix.gather_rows
+        gathered = []
+
+        def spy(self, rows):
+            gathered.append(np.asarray(rows).copy())
+            return real(self, rows)
+
+        monkeypatch.setattr(SparseMatrix, "gather_rows", spy)
+        sub = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
+        _, stats = newton_solve(sub, np.ones(p.n), 1e-8, NEWTON_MAXIT)
+        assert stats.iterations >= 5
+        # one per gradient: each step's, and the final one
+        assert len(gathered) == stats.iterations + 1
+        assert [r.size for r in gathered[:-1]] == stats.active_set_sizes
+
+    def test_linearize_after_grad_uses_the_active_rows(self, rng):
+        p = _bundled_svc("gap5000x123")
+        sigma = 0.15
+        sub = make_subproblem_oracle(p, np.zeros(p.m), sigma)
+        sub.reset(rng.normal(size=p.n) * 0.1)
+        sub.grad()
+        rows = p.penalty.active(sub.z, sigma)
+        assert sub.linearize() == rows.size > 0
+        h = rng.normal(size=p.n)
+        expect = h + sigma * p.B.restricted_normal_apply(rows, h)
+        np.testing.assert_array_equal(sub.hvp(h), expect)

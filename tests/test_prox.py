@@ -20,6 +20,8 @@ from almsvm.prox import (
     p_value,
     prox_eps,
     prox_hinge,
+    split_svc,
+    split_svr,
 )
 
 from oracles import prox_oracle
@@ -210,6 +212,62 @@ class TestActiveSets:
         active[active_set_svc(z, C, sigma)] = True
         np.testing.assert_allclose(slopes[active], 0.0, atol=1e-9)
         np.testing.assert_allclose(slopes[~active], 1.0, atol=1e-9)
+
+
+# (C, sigma) pairs; for the last two C * (1/sigma) != C / sigma, so the
+# prox's upper breakpoint and the active set's differ in the last bit
+SPLIT_PARAMS = [(1.0, 2.0), (1.0, 0.15), (0.011, 0.1875), (0.01375, 0.7)]
+
+
+def _around(breaks, rng):
+    """Each breakpoint, its two floating-point neighbours and random
+    points spread over the pieces between them."""
+    b = np.asarray(breaks, dtype=np.float64)
+    span = 3.0 * float(np.abs(b).max())
+    return np.unique(np.concatenate([
+        b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf),
+        rng.uniform(-span, span, size=200)]))
+
+
+class TestSplit:
+    """``split_*`` classifies ``z`` once: its rows are the active set,
+    its values are ``z - prox(z)`` there bit for bit, and ``sat *
+    C/sigma`` is ``z - prox(z)`` on every other row."""
+
+    @staticmethod
+    def _check(z, split, active, residual, cs):
+        rows, y, sat = split
+        np.testing.assert_array_equal(rows, active)
+        assert y.tobytes() == residual[rows].tobytes()
+        assert sat.dtype == np.int8 and sat.shape == z.shape
+        assert not sat[rows].any()
+        off = np.ones(z.size, dtype=bool)
+        off[rows] = False
+        np.testing.assert_allclose(residual[off], sat[off] * cs,
+                                   rtol=1e-14, atol=0.0)
+
+    def test_param_grid_has_split_breakpoints(self):
+        assert any(C * (1.0 / sigma) != C / sigma for C, sigma in SPLIT_PARAMS)
+
+    @pytest.mark.parametrize("C, sigma", SPLIT_PARAMS)
+    def test_svc_at_breakpoints(self, C, sigma, rng):
+        cs = C / sigma
+        z = _around([0.0, cs, C * (1.0 / sigma)], rng)
+        self._check(z, split_svc(z, C, sigma), active_set_svc(z, C, sigma),
+                    z - prox_hinge(z, C, 1.0 / sigma), cs)
+        assert split_svc(z, C, sigma)[2][z == cs].tolist() == [1]
+
+    @pytest.mark.parametrize("C, sigma", SPLIT_PARAMS)
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_svr_at_breakpoints(self, C, sigma, eps, rng):
+        cs = C / sigma
+        hi = eps + cs
+        z = _around([0.0, eps, -eps, hi, -hi, eps + C * (1.0 / sigma)], rng)
+        got = split_svr(z, C, sigma, eps)
+        self._check(z, got, active_set_svr(z, C, sigma, eps),
+                    z - prox_eps(z, C, 1.0 / sigma, eps), cs)
+        assert got[2][z == hi].tolist() == [1]
+        assert got[2][z == -hi].tolist() == [-1]
 
 
 class TestProperties:

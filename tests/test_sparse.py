@@ -185,6 +185,8 @@ class TestGatherRows:
             a.gather_rows(np.array([-1]))
         with pytest.raises(ValueError):
             a.gather_rows(np.array([0, 1])).normal_apply(np.ones(4))
+        with pytest.raises(ValueError):
+            a.gather_rows(np.array([0, 1])).matvec_t(np.ones(3))
 
 
 class TestScaleRows:
@@ -275,6 +277,23 @@ class TestAgainstBincountOracles:
             h = rng.normal(size=a.n)
             np.testing.assert_array_equal(block.normal_apply(h),
                                           normal_apply_oracle(a, rows, h))
+
+    @pytest.mark.parametrize("make", [_empty_row_matrix, _zero_nnz_matrix])
+    @pytest.mark.parametrize("pick", ["empty", "subset", "all"])
+    def test_gathered_matvec_t(self, make, pick, rng):
+        # sorted rows scatter in row order: the full product with y
+        # zeroed outside the rows, bit for bit
+        a = make(rng)
+        rows = {"empty": np.array([], dtype=np.int64),
+                "subset": np.flatnonzero(rng.random(a.m) < 0.5),
+                "all": np.arange(a.m)}[pick]
+        block = a.gather_rows(rows)
+        for _ in range(3):
+            y = np.zeros(a.m)
+            y[rows] = rng.normal(size=rows.size)
+            got = block.matvec_t(y[rows])
+            _same_bits(got, a.matvec_t(y))
+            np.testing.assert_array_equal(got, matvec_t_oracle(a, y))
 
 
 def _same_bits(got, expect):
