@@ -18,6 +18,19 @@ s through the proximal map, updates the multiplier lam and grows the
 penalty parameter sigma geometrically up to a cap. Optimality is
 certified by three scaled KKT residuals and the duality gap against the
 box-projected multiplier.
+
+Beyond its value (``p_value``, ``p_eps_value``), the solver reaches
+each penalty only through maps at a scale M > 0: the proximal map
+``prox_*(z, M)``, the minimizer of ``|s - z|^2 / (2 M) + penalty(s)``;
+the Moreau envelope ``moreau_env_*(z, M) = 0.5 |s* - z|^2 + M *
+penalty(s*)`` at ``s* = prox(z)``; and, at ``M = 1/sigma``, the active
+set ``active_set_*`` of the prox's generalized Jacobian, the
+coordinates where ``z - prox(z)`` has local slope one, which is where
+curvature survives in the Newton system. The maps are piecewise linear
+and computed with branch-free min/max forms. :class:`Hinge` and
+:class:`EpsInsensitive` own them; each penalty's ``split`` classifies
+``z`` once per Newton iterate: active, saturated (``z - prox(z)`` is the
+constant ``+-C/sigma``) or neither (``z - prox(z)`` is zero).
 """
 
 from __future__ import annotations
@@ -30,18 +43,6 @@ import numpy as np
 
 from .data_io import Dataset
 from .newton import NewtonStats, newton_solve
-from .prox import (
-    active_set_svc,
-    active_set_svr,
-    moreau_env_eps,
-    moreau_env_hinge,
-    p_eps_value,
-    p_value,
-    prox_eps,
-    prox_hinge,
-    split_svc,
-    split_svr,
-)
 from .sparse import SparseMatrix
 
 __all__ = [
@@ -86,8 +87,75 @@ def _weight(C: float) -> float:
     return C
 
 
-# The penalty methods look up this module's prox names at call time, so
-# a patch of one of them (perfbench/tracer.py wraps each) sees every call.
+def p_value(s, C: float) -> float:
+    """Hinge penalty C * sum(max(s_i, 0))."""
+    s = np.asarray(s, dtype=np.float64)
+    return C * float(np.maximum(s, 0.0).sum())
+
+
+def p_eps_value(s, C: float, eps: float) -> float:
+    """Eps-insensitive penalty C * sum(max(|s_i| - eps, 0))."""
+    s = np.asarray(s, dtype=np.float64)
+    return C * float(np.maximum(np.abs(s) - eps, 0.0).sum())
+
+
+def prox_hinge(z, C: float, M: float):
+    """Elementwise max(z - C*M, 0) + min(z, 0)."""
+    z = np.asarray(z, dtype=np.float64)
+    cm = C * M
+    return np.maximum(z - cm, 0.0) + np.minimum(z, 0.0)
+
+
+def prox_eps(z, C: float, M: float, eps: float):
+    """Elementwise max(min(z, max(z - C*M, eps)), min(z + C*M, -eps))."""
+    z = np.asarray(z, dtype=np.float64)
+    cm = C * M
+    return np.maximum(
+        np.minimum(z, np.maximum(z - cm, eps)), np.minimum(z + cm, -eps)
+    )
+
+
+def moreau_env_hinge(z, C: float, M: float) -> float:
+    # for s = prox_hinge(z), max(s, 0) is the prox's own max(z - C*M, 0)
+    # term, so the penalty sum reads that term and the prox is inlined
+    z = np.asarray(z, dtype=np.float64)
+    excess = np.maximum(z - C * M, 0.0)
+    diff = excess + np.minimum(z, 0.0)  # prox_hinge(z)
+    diff -= z
+    return 0.5 * float(diff @ diff) + M * (C * float(excess.sum()))
+
+
+def moreau_env_eps(z, C: float, M: float, eps: float) -> float:
+    z = np.asarray(z, dtype=np.float64)
+    s = prox_eps(z, C, M, eps)
+    diff = s - z
+    return 0.5 * float(diff @ diff) + M * p_eps_value(s, C, eps)
+
+
+def active_set_svc(z, C: float, sigma: float) -> np.ndarray:
+    """Sorted indices with z_i strictly inside (0, C/sigma).
+
+    Boundary points are excluded: there the Jacobian selection takes
+    slope one, dropping the coordinate from the Newton system.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    cs = C / sigma
+    return np.flatnonzero((z > 0.0) & (z < cs))
+
+
+def active_set_svr(z, C: float, sigma: float, eps: float) -> np.ndarray:
+    """Sorted indices with z_i in (eps, eps + C/sigma) or its mirror
+    (-eps - C/sigma, -eps); all four breakpoints excluded."""
+    z = np.asarray(z, dtype=np.float64)
+    cs = C / sigma
+    pos = (z > eps) & (z < eps + cs)
+    neg = (z > -eps - cs) & (z < -eps)
+    return np.flatnonzero(pos | neg)
+
+
+# The penalty methods look up the maps above in this module's namespace at
+# call time, so a patch of one of them (perfbench/tracer.py wraps each)
+# sees every call, the classification inside ``split`` included.
 class Hinge:
     """``C * sum(max(s_i, 0))``; conjugate 0 on the dual box [0, C]."""
 
@@ -104,11 +172,18 @@ class Hinge:
     def envelope(self, z, M: float) -> float:
         return moreau_env_hinge(z, self.C, M)
 
-    def active(self, z, sigma: float) -> np.ndarray:
-        return active_set_svc(z, self.C, sigma)
-
     def split(self, z, sigma: float):
-        return split_svc(z, self.C, sigma)
+        """Classify ``z`` at ``M = 1/sigma``.
+
+        Returns ``(rows, y, sat)``: ``rows`` is :func:`active_set_svc`,
+        ``y = z[rows]``, which is ``z - prox(z)`` there bit for bit, and
+        ``sat`` is the int8 indicator of ``z >= C/sigma``, where
+        ``z - prox(z)`` is ``C/sigma`` up to rounding. Elsewhere
+        ``z - prox(z)`` is zero.
+        """
+        z = np.asarray(z, dtype=np.float64)
+        rows = active_set_svc(z, self.C, sigma)
+        return rows, z[rows], (z >= self.C / sigma).view(np.int8)
 
     def conjugate(self, lam) -> float:
         return 0.0
@@ -132,11 +207,21 @@ class EpsInsensitive:
     def envelope(self, z, M: float) -> float:
         return moreau_env_eps(z, self.C, M, self.eps)
 
-    def active(self, z, sigma: float) -> np.ndarray:
-        return active_set_svr(z, self.C, sigma, self.eps)
-
     def split(self, z, sigma: float):
-        return split_svr(z, self.C, sigma, self.eps)
+        """Classify ``z`` at ``M = 1/sigma``.
+
+        Returns ``(rows, y, sat)``: ``rows`` is :func:`active_set_svr`,
+        ``y = z[rows] -+ eps``, which is ``z - prox(z)`` there bit for
+        bit, and ``sat`` is +1 where ``z >= eps + C/sigma`` and -1 where
+        ``z <= -eps - C/sigma`` (int8), where ``z - prox(z)`` is
+        ``+-C/sigma`` up to rounding. Elsewhere ``z - prox(z)`` is zero.
+        """
+        z = np.asarray(z, dtype=np.float64)
+        hi = self.eps + self.C / sigma
+        rows = active_set_svr(z, self.C, sigma, self.eps)
+        zr = z[rows]
+        sat = (z >= hi).view(np.int8) - (z <= -hi).view(np.int8)
+        return rows, zr - np.copysign(self.eps, zr), sat
 
     def conjugate(self, lam) -> float:
         return self.eps * float(np.abs(lam).sum())
@@ -306,7 +391,8 @@ class SmoothedSubproblem:
     ``reset`` uses it in place of a ``matvec``.
 
     The gradient ``w + sigma * B.T (z - prox(z))`` is assembled from
-    one classification of ``z`` (``penalty.split``): ``z - prox(z)`` is
+    the iterate's one classification of ``z`` (``penalty.split``, the
+    only place it is classified): ``z - prox(z)`` is
     ``y_I`` on the active rows I, ``+-C/sigma`` on the saturated rows
     and zero elsewhere, so the gradient is
     ``w + sigma * B[I,:].T y_I + C * g_sat`` with ``g_sat = B.T sat``.
@@ -315,9 +401,11 @@ class SmoothedSubproblem:
     vector, a product that reads only the rows that changed side while
     they are at most ``m/4``. A Newton step thus pays one ``matvec``
     (``B d`` in ``set_direction``), one ``matvec_t`` (the sign change)
-    and one scatter of the gathered rows I, which ``linearize`` at the
-    same ``z`` hands to every CG product instead of gathering again;
-    without a ``grad`` at ``z`` it gathers them itself.
+    and one scatter of the gathered rows I. The same block serves every
+    CG product of the step: ``linearize`` only returns its size, so it
+    must follow a ``grad`` at the same iterate. The block of a solve's
+    last gradient, which no ``linearize`` follows, is not wasted: it is
+    how that gradient computes ``B[I,:].T y_I``.
     The carried ``g_sat`` drifts at rounding level within one
     ``newton_solve``; no certificate or multiplier reads it.
     """
@@ -364,9 +452,6 @@ class SmoothedSubproblem:
         return g
 
     def linearize(self) -> int:
-        if self._block is None:
-            rows = self.p.penalty.active(self.z, self.sigma)
-            self._block = self.p.B.gather_rows(rows)
         return self._block.size
 
     def hvp(self, h) -> np.ndarray:

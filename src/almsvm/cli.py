@@ -35,6 +35,7 @@ from .alm import (
 from .data_io import (
     Dataset,
     ParseError,
+    _decode,
     augment_bias,
     format_float,
     load_libsvm,
@@ -71,15 +72,18 @@ def write_model(model: Model, path) -> None:
 
 
 def read_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty model file")
-    head = lines[0].split()
-    if len(head) != 8 or head[0] != "alm-svm" or head[1] != "v1":
-        raise ValueError(f"{path}: not an alm-svm v1 model file")
-    fields = dict(part.split("=", 1) for part in head[2:] if "=" in part)
+    """The model in ``path``; every fault in the file, a byte that is not
+    UTF-8 included, is a ValueError that names the file."""
+    with open(path, "rb") as f:
+        buf = f.read()
     try:
+        lines = _decode(buf).splitlines()
+        if not lines:
+            raise ValueError("empty model file")
+        head = lines[0].split()
+        if len(head) != 8 or head[0] != "alm-svm" or head[1] != "v1":
+            raise ValueError("not an alm-svm v1 model file")
+        fields = dict(part.split("=", 1) for part in head[2:] if "=" in part)
         return _model_from(fields, lines[1:])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

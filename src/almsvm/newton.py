@@ -42,18 +42,18 @@ class Subproblem(Protocol):
 
     ``reset(w)`` sets the iterate. ``newton_solve`` then drives one
     cycle per Newton step: ``grad()`` at the iterate, ``linearize()``
-    to fix the generalized-Hessian selection there and return its
-    active-set size |I|, ``hvp`` inside CG, ``set_direction(d)`` once,
+    for the active-set size |I| of the generalized-Hessian selection
+    there, ``hvp`` inside CG, ``set_direction(d)`` once,
     ``value(alpha)`` for the objective at ``w + alpha*d`` (``value(0.0)``
     is the value at ``w``) and ``accept(alpha)`` to move the iterate
     there. ``hvp`` must be symmetric positive definite for any active
     set.
 
-    ``grad`` and ``linearize`` at the same iterate may share one
-    classification of its rows: the solver's subproblem gathers the
-    active rows once in ``grad`` and hands them to ``linearize`` and
-    every ``hvp`` of the step. ``linearize`` must also work when no
-    ``grad`` came first at that iterate.
+    ``linearize`` is called only after ``grad`` at the same iterate,
+    and the two share one classification of its rows: the solver's
+    subproblem classifies ``z`` once per iterate in ``grad``, gathers
+    the active rows there, and ``linearize`` returns the size of that
+    block, which every ``hvp`` of the step reads.
     """
 
     w: np.ndarray

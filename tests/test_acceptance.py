@@ -20,12 +20,13 @@ from almsvm.alm import (
     build_svc,
     build_svr,
     make_subproblem_oracle,
+    prox_eps,
+    prox_hinge,
 )
 from almsvm.cli import main
 from almsvm.data_io import load_libsvm, normalize_labels, split, write_libsvm
 from almsvm.metrics import Model, accuracy, mse
 from almsvm.newton import newton_solve
-from almsvm.prox import prox_eps, prox_hinge
 from almsvm.synthetic import svc_blobs, svr_linear
 
 from conftest import bundled_instances
@@ -114,8 +115,9 @@ def test_criterion_3_hessian_equivalence_and_definiteness():
         for _ in range(100):
             sub.reset(rng.normal(size=9))
             h = rng.normal(size=9)
+            sub.grad()
             size = sub.linearize()
-            rows = problem.penalty.active(sub.z, sigma)
+            rows = problem.penalty.split(sub.z, sigma)[0]
             assert size == rows.size
             u = np.ones(problem.m)
             u[rows] = 0.0

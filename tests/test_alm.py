@@ -247,6 +247,7 @@ class TestHessVec:
         p = random_problem(seed=11)
         sub = make_subproblem_oracle(p, np.zeros(p.m), 2.0)
         sub.reset(np.zeros(p.n))
+        sub.grad()
         assert sub.linearize() == 0
         h = rng.normal(size=p.n)
         np.testing.assert_array_equal(sub.hvp(h), h)
@@ -257,6 +258,7 @@ class TestHessVec:
         sub = make_subproblem_oracle(p, np.zeros(p.m), 0.8)
         for _ in range(20):
             sub.reset(rng.normal(size=p.n))
+            sub.grad()
             sub.linearize()
             h = rng.normal(size=p.n)
             v = sub.hvp(h)
@@ -267,6 +269,7 @@ class TestHessVec:
         sub = make_subproblem_oracle(p, np.zeros(p.m), 0.8)
         for _ in range(10):
             sub.reset(rng.normal(size=p.n))
+            sub.grad()
             assert sub.linearize() > 0
             u = rng.normal(size=p.n)
             v = rng.normal(size=p.n)

@@ -93,9 +93,10 @@ class TestHessVecWay2:
         for _ in range(10):
             sub.reset(rng.normal(size=p.n))
             h = rng.normal(size=p.n)
+            sub.grad()
             sub.linearize()
             u = np.ones(p.m)
-            u[p.penalty.active(sub.z, sigma)] = 0.0
+            u[p.penalty.split(sub.z, sigma)[0]] = 0.0
             np.testing.assert_allclose(
                 sub.hvp(h), hess_vec_way2(p, u, h, sigma),
                 rtol=1e-10, atol=1e-12,

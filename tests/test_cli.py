@@ -274,6 +274,20 @@ class TestModelFile:
         assert capsys.readouterr().err == (
             f"error: {path}: line 3: weight {weight!r} {reason}\n")
 
+    @pytest.mark.parametrize("labels,weight,line", [
+        (b"\xff:1", b"0.5", 1),
+        (b"none", b"0.5\xff", 2),
+    ])
+    def test_invalid_utf8_names_the_file_and_line(self, svc_file, tmp_path,
+                                                  capsys, labels, weight, line):
+        path = tmp_path / "m.model"
+        path.write_bytes(b"alm-svm v1 task=svc n=1 bias=0 c=1.0 eps=0.0 labels="
+                         + labels + b"\n" + weight + b"\n")
+        rc = main(["predict", "--model", str(path), "--data", str(svc_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {line}: invalid UTF-8 byte 0xff\n")
+
 
 class TestPredictEval:
     def test_predictions_match_library_calls(self, svc_file, tmp_path, capsys):

@@ -378,6 +378,7 @@ class TestSubproblemContract:
         p = _bundled_svc("gap5000x123")
         sub = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
         sub.reset(rng.normal(size=p.n) * 0.1)
+        sub.grad()
         size = sub.linearize()
         rows = np.flatnonzero((sub.z > 0.0) & (sub.z < p.penalty.C / 0.15))
         assert size == rows.size > 0
@@ -458,7 +459,7 @@ class TestIncrementalGradient:
         sub = make_subproblem_oracle(p, np.zeros(p.m), sigma)
         sub.reset(rng.normal(size=p.n) * 0.1)
         sub.grad()
-        rows = p.penalty.active(sub.z, sigma)
+        rows = p.penalty.split(sub.z, sigma)[0]
         assert sub.linearize() == rows.size > 0
         h = rng.normal(size=p.n)
         expect = h + sigma * p.B.restricted_normal_apply(rows, h)

@@ -11,8 +11,8 @@ import almsvm
 
 def test_package_modules():
     assert {m.name for m in pkgutil.iter_modules(almsvm.__path__)} == {
-        "__main__", "alm", "cli", "data_io", "metrics", "newton", "prox",
-        "sparse", "synthetic"}
+        "__main__", "alm", "cli", "data_io", "metrics", "newton", "sparse",
+        "synthetic"}
 
 
 # __main__ runs the command line when imported and exports nothing

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from almsvm.prox import (
+from almsvm.alm import (
+    EpsInsensitive,
+    Hinge,
     active_set_svc,
     active_set_svr,
     moreau_env_eps,
@@ -20,8 +22,6 @@ from almsvm.prox import (
     p_value,
     prox_eps,
     prox_hinge,
-    split_svc,
-    split_svr,
 )
 
 from oracles import prox_oracle
@@ -230,7 +230,7 @@ def _around(breaks, rng):
 
 
 class TestSplit:
-    """``split_*`` classifies ``z`` once: its rows are the active set,
+    """A penalty's ``split`` classifies ``z`` once: its rows are the active set,
     its values are ``z - prox(z)`` there bit for bit, and ``sat *
     C/sigma`` is ``z - prox(z)`` on every other row."""
 
@@ -253,9 +253,10 @@ class TestSplit:
     def test_svc_at_breakpoints(self, C, sigma, rng):
         cs = C / sigma
         z = _around([0.0, cs, C * (1.0 / sigma)], rng)
-        self._check(z, split_svc(z, C, sigma), active_set_svc(z, C, sigma),
+        got = Hinge(C).split(z, sigma)
+        self._check(z, got, active_set_svc(z, C, sigma),
                     z - prox_hinge(z, C, 1.0 / sigma), cs)
-        assert split_svc(z, C, sigma)[2][z == cs].tolist() == [1]
+        assert got[2][z == cs].tolist() == [1]
 
     @pytest.mark.parametrize("C, sigma", SPLIT_PARAMS)
     @pytest.mark.parametrize("eps", [0.0, 0.1])
@@ -263,7 +264,7 @@ class TestSplit:
         cs = C / sigma
         hi = eps + cs
         z = _around([0.0, eps, -eps, hi, -hi, eps + C * (1.0 / sigma)], rng)
-        got = split_svr(z, C, sigma, eps)
+        got = EpsInsensitive(C, eps).split(z, sigma)
         self._check(z, got, active_set_svr(z, C, sigma, eps),
                     z - prox_eps(z, C, 1.0 / sigma, eps), cs)
         assert got[2][z == hi].tolist() == [1]
