@@ -357,21 +357,24 @@ def primal_objective(p: Problem, w, *, bw=None) -> float:
     return 0.5 * float(w @ w) + p.penalty.value(s)
 
 
-def dual_objective(p: Problem, lam):
+def dual_objective(p: Problem, lam, *, bt=None):
     """Dual value at the box projection of ``lam``.
 
     The multiplier is projected onto its feasible box ([0, C] per
     coordinate for classification, [-C, C] for regression) so the
     returned value is always a valid lower bound; the projection
     distance comes back as a feasibility diagnostic. Regression pays the
-    extra ``eps * ||lam||_1`` term.
+    extra ``eps * ||lam||_1`` term. ``bt`` may pass a known ``B.T lam``;
+    it is used only when ``lam`` already lies in the box, since
+    otherwise the value needs ``B.T`` of the projection.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (p.m,):
         raise ValueError(f"lam must have length {p.m}")
     lam_hat = np.clip(lam, *p.penalty.box)
     dist = float(np.linalg.norm(lam - lam_hat))
-    bt = p.B.matvec_t(lam_hat)
+    if bt is None or dist != 0.0:
+        bt = p.B.matvec_t(lam_hat)
     value = (-0.5 * float(bt @ bt) + float(lam_hat @ p.d)
              - p.penalty.conjugate(lam_hat))
     return value, dist
@@ -396,21 +399,26 @@ class SmoothedSubproblem:
     ``y_I`` on the active rows I, ``+-C/sigma`` on the saturated rows
     and zero elsewhere, so the gradient is
     ``w + sigma * B[I,:].T y_I + C * g_sat`` with ``g_sat = B.T sat``.
-    ``g_sat`` comes from a full product at the first gradient after
-    ``reset``; later gradients add ``B.T`` of the change in the sign
-    vector, a product that reads only the rows that changed side while
-    they are at most ``m/4``. A Newton step thus pays one ``matvec``
+    ``g_sat`` does not depend on ``w``, ``lam`` or ``sigma``, so it is
+    kept across iterates and across subproblems: each gradient adds
+    ``B.T`` of the change in the sign vector, a product that reads only
+    the rows that changed side while they are at most ``m/4``. Only the
+    first gradient of a subproblem built without ``carry`` takes a full
+    product; a later outer iteration's subproblem is built with
+    ``carry``, the previous one's :attr:`carry` ``(sat, g_sat)``, and
+    takes it over. A Newton step thus pays one ``matvec``
     (``B d`` in ``set_direction``), one ``matvec_t`` (the sign change)
     and one scatter of the gathered rows I. The same block serves every
     CG product of the step: ``linearize`` only returns its size, so it
     must follow a ``grad`` at the same iterate. The block of a solve's
     last gradient, which no ``linearize`` follows, is not wasted: it is
     how that gradient computes ``B[I,:].T y_I``.
-    The carried ``g_sat`` drifts at rounding level within one
-    ``newton_solve``; no certificate or multiplier reads it.
+    The carried ``g_sat`` drifts at rounding level over one
+    :func:`alm_solve`, since it is refreshed only by its first
+    gradient; no certificate or multiplier reads it.
     """
 
-    def __init__(self, p: Problem, lam, sigma: float, bw=None):
+    def __init__(self, p: Problem, lam, sigma: float, bw=None, carry=None):
         lam = np.asarray(lam, dtype=np.float64)
         self.p = p
         self.sigma = sigma
@@ -419,13 +427,18 @@ class SmoothedSubproblem:
         self._bw0 = bw
         self.w = self.z = None
         self._f = self._trial = self._d = self._bd = self._block = None
-        self._sat = self._g_sat = None
+        self._sat, self._g_sat = (None, None) if carry is None else carry
+
+    @property
+    def carry(self):
+        """``(sat, g_sat)`` of the last gradient, for the next
+        subproblem of the same problem."""
+        return self._sat, self._g_sat
 
     def reset(self, w) -> None:
         w = np.asarray(w, dtype=np.float64)
         bw = self.p.B.matvec(w) if self._bw0 is None else self._bw0
         self._bw0 = None
-        self._sat = self._g_sat = None
         self._move(w, bw + self.p.d + self._lam_scaled, None)
 
     def _move(self, w, z, f) -> None:
@@ -442,7 +455,8 @@ class SmoothedSubproblem:
         if self._sat is None:
             self._g_sat = B.matvec_t(sat)
         else:
-            self._g_sat += B.matvec_t(sat - self._sat)
+            # out of place: the array may have come in a predecessor's carry
+            self._g_sat = self._g_sat + B.matvec_t(sat - self._sat)
         self._sat = sat
         self._block = B.gather_rows(rows)
         g = self._block.matvec_t(y)
@@ -485,27 +499,30 @@ class SmoothedSubproblem:
 
 
 def make_subproblem_oracle(p: Problem, lam, sigma: float, *,
-                           bw=None) -> SmoothedSubproblem:
+                           bw=None, carry=None) -> SmoothedSubproblem:
     """The subproblem of the outer iteration at ``lam`` and ``sigma``;
-    ``bw`` may pass the known ``B w`` of the Newton starting point."""
-    return SmoothedSubproblem(p, lam, sigma, bw)
+    ``bw`` may pass the known ``B w`` of the Newton starting point and
+    ``carry`` the previous subproblem's :attr:`~SmoothedSubproblem.carry`."""
+    return SmoothedSubproblem(p, lam, sigma, bw, carry)
 
 
-def kkt_residual(p: Problem, w, s, lam, *, bw=None):
+def kkt_residual(p: Problem, w, s, lam, *, bw=None, bt=None):
     """Scaled residuals (r1, r2, r3) of the optimality system.
 
     r1 measures the split constraint s = Bw + d, r2 stationarity
     w + B.T lam = 0, and r3 the penalty subdifferential inclusion via
     its fixed-point form s = prox(s + lam) at unit scale. ``bw`` may
-    pass a known ``B w``.
+    pass a known ``B w`` and ``bt`` a known ``B.T lam``.
     """
     w = np.asarray(w, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if bw is None:
         bw = p.B.matvec(w)
+    if bt is None:
+        bt = p.B.matvec_t(lam)
     r1 = float(np.linalg.norm(s - bw - p.d)) / (1.0 + float(np.linalg.norm(p.d)))
-    r2 = float(np.linalg.norm(w + p.B.matvec_t(lam))) / (
+    r2 = float(np.linalg.norm(w + bt)) / (
         1.0 + float(np.linalg.norm(w))
     )
     r3 = float(np.linalg.norm(s - p.penalty.prox(s + lam, 1.0))) / (
@@ -527,24 +544,33 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     subproblem to gradient tolerance ``max(NEWTON_TOL_FLOOR,
     10**-(k+1))`` in at most ``NEWTON_MAXIT`` Newton steps, recovers s
     through the prox at scale 1/sigma, updates lam = sigma * (z - s)
-    (the multiplier step written in terms of z) and grows sigma by
-    1/theta up to sigma_max. Stops early once max(r1, r2, r3) drops to
-    ``cfg.tol``. The multiplier update, the certificate and the next
+    (the multiplier step written in terms of z), clipped into the
+    penalty's box, and grows sigma by 1/theta up to sigma_max. Stops
+    early once max(r1, r2, r3) drops to ``cfg.tol``.
+
+    ``z - s`` lies in ``[0, C/sigma]`` (``[-C/sigma, C/sigma]`` for
+    regression), so the clip moves only coordinates that rounding pushed
+    past the box; with ``lam`` in the box, one ``B.T lam`` serves both
+    r2 and the dual. The multiplier update, the certificate and the next
     Newton solve's start share one ``B w`` computed afresh from ``w``,
     so no rounding drift of the Newton iteration reaches a reported
-    number.
+    number. Each subproblem takes over its predecessor's
+    ``carry``, so only the first gradient of the solve reads all of
+    ``B``; per outer iteration the certificate pays one ``matvec`` and
+    one ``matvec_t``.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     report = SolveReport()
     w = np.ones(p.n)
-    bw = None
+    bw = carry = None
     lam = np.zeros(p.m)
     sigma = cfg.sigma0
     t0 = time.perf_counter()
     for k in range(cfg.max_outer):
         tol_k = max(NEWTON_TOL_FLOOR, 10.0 ** (-(k + 1)))
-        sub = make_subproblem_oracle(p, lam, sigma, bw=bw)
+        sub = make_subproblem_oracle(p, lam, sigma, bw=bw, carry=carry)
         w, stats = newton_solve(sub, w, tol_k, NEWTON_MAXIT)
+        carry = sub.carry
         if stats.hit_iteration_cap:
             report.warnings.append(
                 f"outer {k}: Newton iteration cap reached at "
@@ -562,13 +588,16 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
         z = bw + p.d + lam / sigma
         s = p.penalty.prox(z, 1.0 / sigma)
         lam = sigma * (z - s)
+        # checked before the clip, which would turn an inf into C
         _check_finite(w, s, lam)
+        np.clip(lam, *p.penalty.box, out=lam)
+        bt = p.B.matvec_t(lam)
 
         report.k = k + 1
-        r1, r2, r3 = kkt_residual(p, w, s, lam, bw=bw)
+        r1, r2, r3 = kkt_residual(p, w, s, lam, bw=bw, bt=bt)
         report.kkt_residual = max(r1, r2, r3)
         pv = primal_objective(p, w, bw=bw)
-        dv, _ = dual_objective(p, lam)
+        dv, _ = dual_objective(p, lam, bt=bt)
         report.outer.append(OuterRecord(sigma, tol_k, stats, pv, dv, r1, r2, r3))
 
         sigma = min(cfg.sigma_max, sigma / cfg.theta)

@@ -1,7 +1,11 @@
 """CSR sparse-matrix kernels: scipy's compiled CSR routines, called directly.
 
 A :class:`SparseMatrix` holds three validated arrays, ``row_ptr``,
-``col_idx`` (int64) and ``values`` (float64), and nothing else. Each
+``col_idx`` and ``values`` (float64), and nothing else. The two
+structure arrays are int32 when the row count, the column count and the
+number of nonzeros all fit in it, and int64 otherwise
+(:func:`_index_dtype`); scipy's kernels run the same arithmetic for
+either index type, so only the bytes each product streams change. Each
 operation calls the compiled routine of ``scipy.sparse._sparsetools``
 that scipy's own ``csr_array`` runs for the same operation, without
 building a scipy array object:
@@ -56,14 +60,27 @@ def _load_kernels():
         _kernels = _sparsetools
 
 
-def _gather(row_ptr, col_idx, values, rows):
-    """CSR arrays of the rows ``rows`` (int64), in the order given."""
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _index_dtype(m: int, n: int, nnz: int):
+    """int32 when ``m``, ``n`` and ``nnz`` all fit in it, else int64."""
+    return np.int32 if max(m, n, nnz) <= _INT32_MAX else np.int64
+
+
+def _gather(row_ptr, col_idx, values, rows, n):
+    """CSR arrays of the rows ``rows`` of an ``n``-column matrix, in the
+    order given. The index dtype is the matrix's, or int64 when repeated
+    rows add up to more nonzeros than int32 holds."""
     ptr = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(row_ptr[rows + 1] - row_ptr[rows], out=ptr[1:])
     nnz = int(ptr[-1])
-    idx = np.empty(nnz, dtype=np.int64)
+    dt = np.promote_types(row_ptr.dtype, _index_dtype(rows.size, n, nnz))
+    ptr, rows = ptr.astype(dt, copy=False), rows.astype(dt, copy=False)
+    idx = np.empty(nnz, dtype=dt)
     val = np.empty(nnz, dtype=np.float64)
-    _kernels.csr_row_index(rows.size, rows, row_ptr, col_idx, values, idx, val)
+    _kernels.csr_row_index(rows.size, rows, row_ptr.astype(dt, copy=False),
+                           col_idx.astype(dt, copy=False), values, idx, val)
     return ptr, idx, val
 
 
@@ -96,7 +113,7 @@ class SparseMatrix:
         if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= n):
             raise ValueError("column index out of range")
         if col_idx.size > 1:
-            increasing = np.diff(col_idx) > 0
+            increasing = col_idx[1:] > col_idx[:-1]
             # a step from one row's last entry to the next row's first is free
             starts = row_ptr[1:-1]
             increasing[starts[(starts > 0) & (starts < col_idx.size)] - 1] = True
@@ -105,7 +122,10 @@ class SparseMatrix:
                     "column indices must be strictly increasing within a row"
                 )
         _load_kernels()
-        self._set(_readonly(row_ptr), _readonly(col_idx), values, m, n)
+        # cast only after the checks above, so no index can wrap
+        dt = _index_dtype(m, n, values.size)
+        self._set(_readonly(row_ptr.astype(dt, copy=False)),
+                  _readonly(col_idx.astype(dt, copy=False)), values, m, n)
 
     def _set(self, row_ptr, col_idx, values, m, n) -> None:
         """Store validated structure arrays with new ``values``, whose
@@ -203,7 +223,8 @@ class SparseMatrix:
                                 self._val, y, out)
         else:
             rows = np.flatnonzero(mask)
-            ptr, idx, val = _gather(self._ptr, self._idx, self._val, rows)
+            ptr, idx, val = _gather(self._ptr, self._idx, self._val, rows,
+                                    self._n)
             _kernels.csc_matvec(self._n, k, ptr, idx, val, y[rows], out)
         return out
 
@@ -222,7 +243,8 @@ class SparseMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self._m):
             raise ValueError("row index out of range")
-        return RowBlock(*_gather(self._ptr, self._idx, self._val, rows), self._n)
+        return RowBlock(*_gather(self._ptr, self._idx, self._val, rows, self._n),
+                        self._n)
 
     def scale_rows(self, c) -> "SparseMatrix":
         """Return a copy with row i multiplied by ``c[i]``; the sparsity

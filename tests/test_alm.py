@@ -146,6 +146,19 @@ class TestObjectives:
         _, dist = dual_objective(p, lam)
         assert dist == 0.0
 
+    def test_dual_uses_a_passed_bt_only_inside_the_box(self, rng):
+        for task in ("svc", "svr"):
+            p = random_problem(seed=6, task=task, C=0.9)
+            lam = rng.uniform(-2.0, 2.0, size=p.m)
+            wrong = np.full(p.n, 1e3)
+            value, dist = dual_objective(p, lam, bt=wrong)
+            assert dist > 0.0
+            assert (value, dist) == dual_objective(p, lam)
+            inside = np.clip(lam, *p.penalty.box)
+            assert (dual_objective(p, inside, bt=p.B.matvec_t(inside))
+                    == dual_objective(p, inside))
+            assert dual_objective(p, inside, bt=wrong) != dual_objective(p, inside)
+
     def test_weak_duality_sweep(self, rng):
         for task in ("svc", "svr"):
             p = random_problem(seed=5, task=task, C=0.9)
@@ -405,6 +418,29 @@ class TestAlmSolve:
             assert all(rec.newton.cg_breakdowns == 0
                        and rec.newton.descent_fallbacks == 0
                        for rec in report.outer), inst.name
+
+    @pytest.mark.parametrize("inst", bundled_instances(), ids=lambda i: i.name)
+    def test_certificate_equals_the_standalone_calls(self, inst, monkeypatch):
+        # the multiplier is clipped into the box, so the one B.T lam the
+        # loop shares between r2 and the dual is the product each of
+        # them computes alone, bit for bit
+        import almsvm.alm as alm_mod
+
+        p = inst.build()
+        real, seen = alm_mod.kkt_residual, []
+
+        def spy(p_, w, s, lam, **kwargs):
+            seen.append((w.copy(), s.copy(), lam.copy()))
+            return real(p_, w, s, lam, **kwargs)
+
+        monkeypatch.setattr(alm_mod, "kkt_residual", spy)
+        _, report = alm_solve(p)
+        assert len(seen) == report.k
+        lo, hi = p.penalty.box
+        for rec, (w, s, lam) in zip(report.outer, seen):
+            assert lo <= lam.min() and lam.max() <= hi
+            assert (rec.r1, rec.r2, rec.r3) == kkt_residual(p, w, s, lam)
+            assert rec.dual == dual_objective(p, lam)[0]
 
     def test_report_bookkeeping(self):
         p = random_problem(seed=19, m=20, n=4)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import almsvm.newton as newton_mod
+import almsvm.sparse as sparse_mod
 from almsvm.alm import (
+    C_SCALE_SVC,
     NEWTON_MAXIT,
+    EpsInsensitive,
     SmoothedSubproblem,
     alm_solve,
     build_svc,
@@ -15,7 +18,7 @@ from almsvm.alm import (
 )
 from almsvm.newton import cg_solve, newton_solve
 from almsvm.sparse import SparseMatrix
-from almsvm.synthetic import svc_blobs
+from almsvm.synthetic import svc_blobs, svc_sparse_binary
 
 from conftest import bundled_instances
 from oracles import phi_value
@@ -303,6 +306,12 @@ def _bundled_svc(name):
     return build_svc(data, inst.c_of(data))
 
 
+def _noisy_sparse_svc():
+    """Noisy labels on sparse binary features, as in ``cli_roundtrip``:
+    about half the rows saturate."""
+    return build_svc(svc_sparse_binary(2000, 100, seed=0), C_SCALE_SVC / 2000)
+
+
 def _count_kernels(monkeypatch):
     """Count calls of the full-matrix kernels from here on."""
     counts = {"matvec": 0, "matvec_t": 0, "restricted_normal_apply": 0}
@@ -334,14 +343,62 @@ class TestSubproblemContract:
         # per outer iteration one fresh B w serves the multiplier update,
         # the certificate and the next Newton start; only the first
         # Newton start computes its own. matvec_t: one gradient per
-        # Newton step and per start, and r2 and the dual per outer.
+        # Newton step and per start, and one B.T lam per outer that
+        # serves both r2 and the dual.
         p = _bundled_svc("gap5000x123")
         counts = _count_kernels(monkeypatch)
         _, report = alm_solve(p)
         assert report.k >= 2
         assert counts["matvec"] == report.it_sn + report.k + 1
-        assert counts["matvec_t"] == report.it_sn + 3 * report.k
+        assert counts["matvec_t"] == report.it_sn + 2 * report.k
         assert counts["restricted_normal_apply"] == 0
+
+    @pytest.mark.parametrize("make,full", [
+        (lambda: _bundled_svc("gap5000x123"), False),
+        (_noisy_sparse_svc, True),
+    ], ids=["gap5000x123", "svc_sparse_binary"])
+    def test_certificate_reads_b_once_per_outer_iteration(self, make, full,
+                                                          monkeypatch):
+        # matvec_t gathers rows through sparse._gather on its sparse
+        # branch; a call that never reaches it read every row of B. On
+        # gap5000x123 lam is nonzero on fewer than m/4 rows, on the
+        # noisy sparse binary data on about half of them.
+        p = make()
+        real_mt, real_gather = SparseMatrix.matvec_t, sparse_mod._gather
+        real_grad = SmoothedSubproblem.grad
+        calls, state = [], {"grad": False, "gathered": False}
+
+        def gather(*args):
+            state["gathered"] = True
+            return real_gather(*args)
+
+        def matvec_t(self, y):
+            state["gathered"] = False
+            out = real_mt(self, y)
+            calls.append((state["grad"], not state["gathered"]))
+            return out
+
+        def grad(self):
+            state["grad"] = True
+            try:
+                return real_grad(self)
+            finally:
+                state["grad"] = False
+
+        monkeypatch.setattr(sparse_mod, "_gather", gather)
+        monkeypatch.setattr(SparseMatrix, "matvec_t", matvec_t)
+        monkeypatch.setattr(SmoothedSubproblem, "grad", grad)
+        _, report = alm_solve(p)
+        certificate = [read_all for in_grad, read_all in calls if not in_grad]
+        gradient = [read_all for in_grad, read_all in calls if in_grad]
+        assert certificate == [full] * report.k
+        assert len(gradient) == report.it_sn + report.k
+        # the first gradient of the solve reads all of B; a later outer
+        # iteration's first gradient updates the carried g_sat from the
+        # rows that changed side, here fewer than m/4
+        starts = np.cumsum([0] + [rec.newton.iterations + 1
+                                  for rec in report.outer[:-1]])
+        assert [gradient[i] for i in starts] == [True] + [False] * (report.k - 1)
 
     def test_handed_over_bw_gives_the_same_iterates(self, rng):
         p = _bundled_svc("gap5000x123")
@@ -390,17 +447,19 @@ class TestSubproblemContract:
 
 class TestIncrementalGradient:
     """The gradient keeps ``g_sat = B.T sat`` from the first gradient of
-    each Newton solve, updates it from the rows whose saturation sign
-    changed, and scatters only the active rows; at every Newton step it
-    must match the fresh ``w + sigma * B.T (z - prox(z))``."""
+    a solve, across Newton steps and outer iterations, updates it from
+    the rows whose saturation sign changed, and scatters only the active
+    rows; at every gradient it must match the fresh
+    ``w + sigma * B.T (z - prox(z))``."""
 
     @staticmethod
     def _watch(monkeypatch, p):
         """Record, per gradient, its distance to the fresh gradient
-        relative to ``1 + |w|``, and per gradient after the first of a
-        solve, how many rows changed saturation sign."""
+        relative to ``1 + |w|``; per gradient after the first, how many
+        rows changed saturation sign; and per outer start after the
+        first, the sign vectors ``(before, after)``."""
         real = SmoothedSubproblem.grad
-        errors, changed, last_sat = [], [], {}
+        errors, changed, starts, last = [], [], [], {}
 
         def grad(self):
             g = real(self)
@@ -409,19 +468,21 @@ class TestIncrementalGradient:
             errors.append(float(np.linalg.norm(g - fresh))
                           / (1.0 + float(np.linalg.norm(self.w))))
             sat = p.penalty.split(self.z, self.sigma)[2]
-            if self in last_sat:
-                changed.append(int(np.count_nonzero(sat != last_sat[self])))
-            last_sat[self] = sat
+            if last:
+                changed.append(int(np.count_nonzero(sat != last["sat"])))
+                if last["sub"] is not self:
+                    starts.append((last["sat"], sat))
+            last.update(sub=self, sat=sat)
             return g
 
         monkeypatch.setattr(SmoothedSubproblem, "grad", grad)
-        return errors, changed
+        return errors, changed, starts
 
     @pytest.mark.parametrize("inst", bundled_instances(), ids=lambda i: i.name)
     def test_matches_the_fresh_gradient_at_every_newton_step(self, inst,
                                                              monkeypatch):
         p = inst.build()
-        errors, _ = self._watch(monkeypatch, p)
+        errors, _, _ = self._watch(monkeypatch, p)
         _, report = alm_solve(p)
         assert len(errors) == report.it_sn + report.k
         assert max(errors) <= 1e-12
@@ -429,9 +490,30 @@ class TestIncrementalGradient:
     def test_a_step_takes_the_full_refresh_branch(self, monkeypatch):
         # more than m/4 rows change side, so matvec_t reads every row
         p = _bundled_svc("gap5000x123")
-        errors, changed = self._watch(monkeypatch, p)
+        errors, changed, _ = self._watch(monkeypatch, p)
         alm_solve(p)
         assert max(changed) * 4 > p.m
+        assert max(errors) <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        _noisy_sparse_svc,
+        lambda: next(i for i in bundled_instances() if i.name == "svr500x50").build(),
+    ], ids=["svc_sparse_binary", "svr500x50"])
+    def test_carried_across_outer_iterations(self, make, monkeypatch):
+        # a later outer iteration's first gradient takes over the last
+        # g_sat and adds the rows that changed side at the new lam and
+        # sigma, gathered while they are at most m/4; for SVR rows
+        # saturate on both sides
+        p = make()
+        errors, _, starts = self._watch(monkeypatch, p)
+        _, report = alm_solve(p)
+        assert report.k >= 2 and len(starts) == report.k - 1
+        moved = [(before, after) for before, after in starts
+                 if 0 < 4 * np.count_nonzero(after != before) <= p.m]
+        assert moved
+        if isinstance(p.penalty, EpsInsensitive):
+            before, after = moved[0]
+            assert {-1, 1} <= set(after.tolist()) and {-1, 1} <= set(before.tolist())
         assert max(errors) <= 1e-12
 
     def test_one_gather_per_newton_step(self, monkeypatch):

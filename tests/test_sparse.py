@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from almsvm.data_io import Samples
-from almsvm.sparse import SparseMatrix
+from almsvm.sparse import SparseMatrix, _index_dtype
 
 from conftest import random_sparse
 from oracles import matvec_oracle, matvec_t_oracle, normal_apply_oracle
@@ -302,10 +302,14 @@ def _same_bits(got, expect):
 
 
 def _scipy(a):
-    """The same matrix as scipy's public ``csr_array``."""
+    """The same matrix as scipy's public ``csr_array``, with int64
+    indices whatever the dtype ``a`` stores them in."""
     from scipy.sparse import csr_array
 
-    return csr_array((a.values, a.col_idx, a.row_ptr), shape=a.shape)
+    s = csr_array((a.values, a.col_idx.astype(np.int64),
+                   a.row_ptr.astype(np.int64)), shape=a.shape)
+    assert s.indices.dtype == s.indptr.dtype == np.int64
+    return s
 
 
 class TestMatvecTSkipsZeroRows:
@@ -400,9 +404,52 @@ class TestAgainstScipyPublicOperators:
             h = layout(rng.normal(size=a.n))
             _same_bits(block.normal_apply(h), sub.T @ (sub @ h))
 
+    @pytest.mark.parametrize("make", [_empty_row_matrix, _zero_nnz_matrix])
+    @pytest.mark.parametrize("pick", ["empty", "sorted", "unsorted",
+                                      "duplicates", "empty_rows", "all"])
+    def test_gathered_matvec_t(self, make, pick, rng):
+        a = make(rng)
+        rows = {"empty": np.array([], dtype=np.int64),
+                "sorted": np.flatnonzero(rng.random(a.m) < 0.4),
+                "unsorted": rng.permutation(a.m)[: a.m // 2 + 1],
+                "duplicates": rng.integers(0, a.m, size=2 * a.m),
+                "empty_rows": np.array([a.m - 1, 0, a.m - 1]),
+                "all": np.arange(a.m)}[pick]
+        block = a.gather_rows(rows)
+        sub = _scipy(a)[rows]
+        for _ in range(3):
+            y = rng.normal(size=rows.size)
+            _same_bits(block.matvec_t(y), sub.T @ y)
+
     def test_to_dense(self, rng):
         for a in (_empty_row_matrix(rng), _zero_nnz_matrix(rng)):
             _same_bits(a.to_dense(), _scipy(a).toarray())
+
+
+class TestIndexDtype:
+    """Structure arrays are int32 while every count fits in it."""
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_boundary(self, which):
+        sizes = [5, 5, 5]
+        sizes[which] = 2**31 - 1
+        assert _index_dtype(*sizes) is np.int32
+        sizes[which] = 2**31
+        assert _index_dtype(*sizes) is np.int64
+
+    def test_stored_and_gathered_as_int32(self, rng):
+        for a in (_empty_row_matrix(rng), _zero_nnz_matrix(rng),
+                  _empty_row_matrix(rng).scale_rows(rng.normal(size=200))):
+            assert a.row_ptr.dtype == a.col_idx.dtype == np.int32
+            # the rows come in as int64, which the gather casts
+            block = a.gather_rows(np.arange(a.m, dtype=np.int64))
+            assert block._ptr.dtype == block._idx.dtype == np.int32
+
+    def test_out_of_int32_range_index_is_rejected_not_wrapped(self):
+        # 2**32 wraps to 0 in int32; the check runs on the int64 input
+        with pytest.raises(ValueError, match="out of range"):
+            SparseMatrix(np.array([0, 1]), np.array([2**32]), np.array([1.0]),
+                         (1, 3))
 
 
 class TestFromDense:
