@@ -34,9 +34,8 @@ _MASK64 = (1 << 64) - 1
 # feature indices are stored as int64
 _INDEX_MAX = (1 << 63) - 1
 
-# The bytes of the fast parse path's language, and their classes; a
-# carriage return is read as a space, and only in front of a newline
-_FAST_BYTES = b"0123456789.+-eE: \r\n"
+# The classes of the fast parse path's bytes, 0 for one outside its
+# alphabet; a carriage return is read as a space, only before a newline
 _NUMBER, _COLON, _SPACE, _NEWLINE = 1, 2, 3, 4
 _BYTE_CLASS = bytes(
     _NUMBER if b in b"0123456789.+-eE"
@@ -182,38 +181,29 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     labels and values must be finite.
     ``#`` starts a comment running to end of line; blank lines are
     skipped. ``n_features`` may widen (never narrow) the inferred
-    feature count. ``text`` is a ``str`` or UTF-8 ``bytes``.
+    feature count. ``text`` is a ``str`` or UTF-8 ``bytes``; a ``str``
+    is encoded once, and a lone surrogate in it is a fault.
 
-    ASCII text is first read by a vectorized fast path, block by block
-    (:func:`_parse_blocks`). It accepts only a plain subset of the
-    format; a block outside it goes alone to the per-line parser
-    (:func:`_parse_lines`), which accepts the full format, and text
-    with a byte outside the subset's alphabet or a lone carriage return
-    goes to it as a whole. Both end in the same index and finiteness
+    The text is read block by block (:func:`_parse_blocks`): by a
+    vectorized fast path when the block is in the plain subset of the
+    format that path reads, and otherwise by the per-line parser
+    (:func:`_parse_lines`). Both end in the same index and finiteness
     checks.
     The first fault in file order is reported with its 1-based line:
     within a line the first bad token, and a non-finite label or value
     only when no line has any other fault. Bytes that are not UTF-8 are
-    a fault on the line that holds the first of them. The parsed index
-    and value arrays become the dataset's :class:`Samples` store as
-    they are.
+    a fault on the line that holds the first of them, reported after
+    the faults of the lines before it. The parsed index and value
+    arrays become the dataset's :class:`Samples` store as they are.
     """
     if isinstance(text, str):
-        parsed = (_parse_blocks(text.encode("ascii"), _parse_lines)
-                  if text.isascii() else None)
-    else:
-        parsed = _parse_blocks(text, _parse_lines)
-        if parsed is None:
-            text = _decode(text)
-    if parsed is None:
-        parsed = _parse_lines(text)
-    cols, y, values, ends, linenos = parsed
-    _check_indices(cols, ends, linenos)
+        text = text.encode("utf-8", "surrogatepass")
+    cols, y, values, ends, linenos = _parse_blocks(text)
     _check_finite(y, values, ends, linenos)
     max_idx = int(cols.max()) if cols.size else 0
     cols -= 1
     row_ptr = np.zeros(len(y) + 1, dtype=np.int64)
-    row_ptr[1:] = np.frombuffer(ends, dtype=np.int64)
+    row_ptr[1:] = ends
     n = max_idx
     if n_features is not None:
         if n_features < max_idx:
@@ -224,23 +214,30 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     return Dataset(Samples.from_csr(row_ptr, cols, values), y, n)
 
 
-def _decode(buf: bytes) -> str:
-    """``buf`` as text; a byte that is not UTF-8 is a fault on its line."""
+def _decode(buf: bytes, first_line: int = 1) -> str:
+    """``buf`` as text, its first line being line ``first_line``; a byte
+    that is not UTF-8 is a fault on its line."""
     try:
         return buf.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the text before the first bad byte is valid UTF-8; a character
-        # appended to it lands on the bad byte's line
-        lineno = len((buf[:exc.start].decode("utf-8") + "x").splitlines())
+        lineno = first_line - 1 + len(_lines_to(buf, exc.start))
         raise ParseError(
             f"line {lineno}: invalid UTF-8 byte 0x{buf[exc.start]:02x}"
         ) from None
 
 
+def _lines_to(buf: bytes, pos: int) -> list:
+    """The lines before byte ``pos``'s line, with their ends, then that
+    line up to ``pos`` and an ``x``, which keeps it when ``pos`` starts
+    it; ``buf[:pos]`` must be UTF-8."""
+    return (buf[:pos].decode("utf-8") + "x").splitlines(keepends=True)
+
+
 def _parse_lines(text: str, first_line: int = 1):
     """The per-line parser: the flat 1-based indices, labels and values,
-    each row's end in the flat arrays and each row's 1-based line, the
-    first line of ``text`` being line ``first_line``.
+    each row's end in the flat arrays, each row's 1-based line and the
+    number of lines, the first line of ``text`` being line
+    ``first_line``.
 
     One Python iteration per line: the line is split once, its feature
     tokens are checked as a group (each holds one colon between
@@ -250,7 +247,8 @@ def _parse_lines(text: str, first_line: int = 1):
     """
     labels, ends, linenos = array("d"), array("q"), array("q")
     idx, vals = array("q"), array("d")
-    for lineno, raw in enumerate(text.splitlines(), start=first_line):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=first_line):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -278,43 +276,27 @@ def _parse_lines(text: str, first_line: int = 1):
         linenos.append(lineno)
     return (np.frombuffer(idx, dtype=np.int64),
             np.frombuffer(labels, dtype=np.float64),
-            np.frombuffer(vals, dtype=np.float64), ends, linenos)
+            np.frombuffer(vals, dtype=np.float64), ends, linenos, len(lines))
 
 
-def _parse_blocks(buf: bytes, fallback=None):
-    """The fast path: what :func:`_parse_lines` returns, or ``None`` when
-    ``buf`` is outside the fast language and there is no ``fallback``.
-
-    The fast language is LIBSVM text made of the bytes ``0-9 . + - e E
-    : space newline`` only, in which every line is ``label (idx:val)*``
-    between optional spaces and every index is at most 15 digits; a
-    carriage return right before a newline counts as a space, so CRLF
-    line ends belong to it. Any other carriage return ends a line for
-    ``str.splitlines`` and is left to the per-line parser. On the fast
-    language the per-line parser reads every token without a fault, so
-    the two paths differ only in speed. ``buf`` is cut into blocks of
-    about ``_FAST_BLOCK`` bytes of whole lines, which bounds the
-    per-byte temporaries; ``cols`` and ``values`` are allocated once,
-    one entry per colon.
-
-    With a ``fallback``, a block whose bytes are all in the fast
-    alphabet but which is outside the language goes alone to
-    ``fallback(text, first_line)`` (the per-line parser), after the
-    index check of the rows before it, so the first fault in file order
-    still wins; only a byte outside the alphabet or a lone carriage
-    return returns ``None``.
+def _parse_blocks(buf: bytes):
+    """What :func:`_parse_lines` returns for the UTF-8 text ``buf``, but
+    the number of lines, with every row index-checked. ``buf`` is cut
+    into blocks of about ``_FAST_BLOCK`` bytes that end just after a
+    newline, which bounds the per-byte temporaries and splits no CRLF
+    pair and no UTF-8 sequence; ``cols`` and ``values`` are allocated
+    once, one entry per colon. A block outside the fast language of
+    :func:`_parse_block` is decoded and read alone by
+    :func:`_parse_lines`. Each block's rows are index-checked before the
+    next block is read, so the first fault in file order wins; a bad
+    UTF-8 byte comes after the faults of the lines before its own.
     """
-    if buf.translate(None, _FAST_BYTES) or (
-            b"\r" in buf and buf.count(b"\r") != buf.count(b"\r\n")):
-        return None
     nnz = buf.count(b":")
     cols = np.empty(nnz, dtype=np.int64)
     values = np.empty(nnz, dtype=np.float64)
     labels = [np.empty(0, dtype=np.float64)]
     ends = [np.empty(0, dtype=np.int64)]
     linenos = [np.empty(0, dtype=np.int64)]
-    # the rows of ends[:parts], in cols[:checked], are index-checked
-    parts = checked = 0
     done = lines = start = 0
     while start < len(buf):
         stop = buf.find(b"\n", start + _FAST_BLOCK - 1)
@@ -322,28 +304,32 @@ def _parse_blocks(buf: bytes, fallback=None):
         parsed = _parse_block(buf, start, stop, lines + 1, cols[done:],
                               values[done:])
         if parsed is None:
-            if fallback is None:
-                return None
-            _check_indices(cols[checked:done],
-                           np.concatenate(ends[parts:]) - checked,
-                           np.concatenate(linenos[parts:]))
-            parts, checked = len(ends), done
-            idx, y, vals, row_ends, row_lines = fallback(
-                buf[start:stop].decode("ascii"), lines + 1)
+            block = buf[start:stop]
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # the whole lines before the bad byte's line come first
+                idx, _, _, row_ends, row_lines, _ = _parse_lines(
+                    "".join(_lines_to(block, exc.start)[:-1]), lines + 1)
+                _check_indices(idx, row_ends, row_lines)
+                _decode(block, lines + 1)  # raises for the bad byte
+            idx, y, vals, row_ends, row_lines, block_lines = _parse_lines(
+                text, lines + 1)
             cols[done:done + idx.size] = idx
             values[done:done + idx.size] = vals
             parsed = (y, np.frombuffer(row_ends, dtype=np.int64),
-                      np.frombuffer(row_lines, dtype=np.int64),
-                      buf.count(b"\n", start, stop))
+                      np.frombuffer(row_lines, dtype=np.int64), block_lines)
         y, row_ends, row_lines, block_lines = parsed
+        end = done + (int(row_ends[-1]) if row_ends.size else 0)
+        _check_indices(cols[done:end], row_ends, row_lines)
         labels.append(y)
         ends.append(row_ends + done)
         linenos.append(row_lines)
-        done += int(row_ends[-1]) if row_ends.size else 0
-        lines += block_lines
+        done, lines = end, lines + block_lines
         start = stop
-    return (cols, np.concatenate(labels), values, np.concatenate(ends),
-            np.concatenate(linenos))
+    # a colon in a comment has an entry in neither array
+    return (cols[:done], np.concatenate(labels), values[:done],
+            np.concatenate(ends), np.concatenate(linenos))
 
 
 def _parse_block(buf: bytes, start: int, stop: int, first_line: int,
@@ -354,7 +340,19 @@ def _parse_block(buf: bytes, start: int, stop: int, first_line: int,
     colon, and the labels, each row's end, each row's 1-based line and
     the number of lines are returned; ``None`` when the lines are
     outside the language. The bytes are read where they lie in
-    ``buf``."""
+    ``buf``.
+
+    The fast language is LIBSVM text made of the bytes ``0-9 . + - e E
+    : space newline`` only, in which every line is ``label (idx:val)*``
+    between optional spaces and every index is at most 15 digits; a
+    carriage return right before a newline counts as a space, so CRLF
+    line ends belong to it, and any other one, which ends a line for
+    ``str.splitlines``, does not. On it the per-line parser reads every
+    token without a fault, so the two paths differ only in speed.
+    """
+    if buf.find(b"\r", start, stop) >= 0 and (
+            buf.count(b"\r", start, stop) != buf.count(b"\r\n", start, stop)):
+        return None
     if buf[stop - 1] != ord("\n"):
         # the last line of a text without a final newline: read a copy
         # that has one, so that every field ends inside the block
@@ -392,7 +390,8 @@ def _fields(buf: bytes, start: int, stop: int):
     newline, by their role: the bounds of the labels and of the indices
     and the ends of the values, as positions in the block; the indices
     up to each row's end, each row's 0-based line in the block and the
-    number of lines. ``None`` when a line is not ``label idx:val ...``.
+    number of lines. ``None`` when a byte is outside the fast alphabet
+    or a line is not ``label idx:val ...``.
 
     A field is a run of number bytes. When every colon sits between two
     number bytes, a field followed by a colon is an index and the field
@@ -402,6 +401,8 @@ def _fields(buf: bytes, start: int, stop: int):
     which bounds the block's temporaries.
     """
     cls = np.frombuffer(buf[start:stop].translate(_BYTE_CLASS), dtype=np.uint8)
+    if not cls.min():
+        return None
     # number[p + 1]: byte p is a number byte
     number = np.empty(cls.size + 1, dtype=bool)
     number[0] = False
@@ -598,8 +599,6 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
     """Parse a LIBSVM file; a :class:`ParseError` names the file."""
     try:
         with open(path, "rb") as f:
-            # not bound to a name here: a fallback parse frees the bytes
-            # once they are decoded
             return parse_libsvm(f.read(), n_features=n_features)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -137,14 +137,28 @@ class TestParse:
             parse_libsvm("+1 5:1\n", n_features=3)
 
 
+def _per_line_blocks(monkeypatch):
+    """The ``(text, first_line)`` of each block that reaches the per-line
+    parser."""
+    calls = []
+    parse_lines = data_io._parse_lines
+
+    def spy(text, first_line=1):
+        calls.append((text, first_line))
+        return parse_lines(text, first_line)
+    monkeypatch.setattr(data_io, "_parse_lines", spy)
+    return calls
+
+
 class TestFastPath:
     """The vectorized path reads the plain subset of the format; all
     other text goes to the per-line parser."""
 
-    def test_valid_document_takes_the_fast_path(self):
+    def test_valid_document_takes_the_fast_path(self, monkeypatch):
+        calls = _per_line_blocks(monkeypatch)
         text = "  +1 1:0.5 007:-2.5E-3\n\n   \n-1 999999999999999:1e3  \n.5"
-        assert data_io._parse_blocks(text.encode()) is not None
         d = parse_libsvm(text)
+        assert calls == []
         assert_datasets_equal(d, parse_libsvm_oracle(text))
         assert d.n_features == 999999999999999
 
@@ -154,15 +168,18 @@ class TestFastPath:
          "line 3: index 2 not strictly increasing"),
         ("+1 1:1\r\n\r\n-1 2:1e999\r\n", "line 3: non-finite label or value"),
     ])
-    def test_crlf_line_ends_take_the_fast_path(self, text, message):
-        assert data_io._parse_blocks(text.encode()) is not None
+    def test_crlf_line_ends_take_the_fast_path(self, monkeypatch, text,
+                                               message):
+        calls = _per_line_blocks(monkeypatch)
         if message is None:
             assert_datasets_equal(parse_libsvm(text), parse_libsvm_oracle(text))
+            assert calls == []
             return
         for parse in (parse_libsvm, parse_libsvm_oracle):
             with pytest.raises(ParseError) as excinfo:
                 parse(text)
             assert str(excinfo.value) == message
+        assert calls == []
 
     @pytest.mark.parametrize("text", [
         "+1 1:1\r-1 2:1\n",
@@ -174,23 +191,13 @@ class TestFastPath:
         "+1\u00a01:1\n",
         "+1 +3:1\n",
     ])
-    def test_other_text_falls_back_to_the_per_line_parser(self, text):
-        assert data_io._parse_blocks(text.encode()) is None
+    def test_other_text_falls_back_to_the_per_line_parser(self, monkeypatch,
+                                                          text):
+        calls = _per_line_blocks(monkeypatch)
         expected = parse_libsvm_oracle(text)
         assert_datasets_equal(parse_libsvm(text), expected)
+        assert calls != []
         assert_datasets_equal(parse_libsvm(text.encode()), expected)
-
-    @pytest.mark.parametrize("text", [
-        b"1 1:1\n" * 100 + b"# end\n",
-        # a carriage return that is not part of a CRLF line end
-        b"1 1:1\n" * 99 + b"1 1:1\r",
-    ])
-    def test_a_byte_outside_the_language_is_seen_before_any_block(
-            self, monkeypatch, text):
-        def parse_block(block):
-            raise AssertionError("a block was parsed")
-        monkeypatch.setattr(data_io, "_parse_block", parse_block)
-        assert data_io._parse_blocks(text) is None
 
     @pytest.mark.parametrize("fourth,fast,message", [
         ("1 3:1 3:2", True, "line 4: index 3 not strictly increasing"),
@@ -210,11 +217,12 @@ class TestFastPath:
         # opens the second
         text = f"1 1:1{eol}{eol}-1 2:1{eol}{fourth}{eol}-1 1:1{eol}"
         monkeypatch.setattr(data_io, "_FAST_BLOCK", 12)
-        assert (data_io._parse_blocks(text.encode()) is not None) == fast
+        calls = _per_line_blocks(monkeypatch)
         for parse in (parse_libsvm, parse_libsvm_oracle):
             with pytest.raises(ParseError) as excinfo:
                 parse(text)
             assert str(excinfo.value) == message
+        assert (calls == []) == fast
 
     @staticmethod
     def _fromstring_blocks(monkeypatch):
@@ -264,20 +272,20 @@ class TestFastPath:
         assert_bitwise_equal(parse_libsvm(text), expected)
         assert len(calls) == 1 + 3
 
-    def test_a_block_outside_the_language_falls_back_alone(self,
-                                                           monkeypatch):
+    @pytest.mark.parametrize("odd", [
+        "1 +3:1", "# a comment", "-1 2:1 # café", "1\t2:1",
+        # a carriage return, a form feed and a line separator end a line
+        "1 2:1\r-1 3:1", "1 2:1\x0c-1 3:1", "1 2:1\u2028-1 3:1",
+    ])
+    def test_a_block_outside_the_language_falls_back_alone(self, monkeypatch,
+                                                           odd):
         # a clean document with one late line the fast path turns down:
         # only the block that holds it goes to the per-line parser
         lines = _generated_text(400, 3).splitlines()
-        lines.insert(350, "1 +3:1")
+        lines.insert(350, odd)
         text = "\n".join(lines) + "\n"
-        calls = []
-        parse_lines = data_io._parse_lines
-
-        def spy(block, first_line):
-            calls.append((block, first_line))
-            return parse_lines(block, first_line)
-        monkeypatch.setattr(data_io, "_parse_lines", spy)
+        lines = text.splitlines()
+        calls = _per_line_blocks(monkeypatch)
         monkeypatch.setattr(data_io, "_FAST_BLOCK", 1024)
         expected = parse_libsvm_oracle(text)
         for doc in (text, text.encode()):
@@ -289,7 +297,7 @@ class TestFastPath:
             block_lines = block.splitlines()
             assert block_lines == lines[first_line - 1:
                                         first_line - 1 + len(block_lines)]
-            assert first_line + block_lines.index("1 +3:1") == 351
+            assert first_line + block_lines.index(odd.splitlines()[0]) == 351
 
     @pytest.mark.parametrize("lines,message", [
         # an index fault in a fast block, a bad token in a later one
@@ -322,10 +330,39 @@ class TestFastPath:
         (b"\xff 1:1\n", 1),
         (b"1 1:1\r\n-1 2:1\r\n\xfe", 3),
         (b"1 1:1\n1 2:1 3:\xc3", 2),
+        # a fault on the bad byte's own line, or after it, or a
+        # non-finite value anywhere, comes after the bad byte
+        (b"1 x:1 \xff\n", 1),
+        (b"1 1:1\n\xff\n1 x:1\n", 2),
+        (b"1 1:nan\n\xff\n", 2),
     ])
     def test_invalid_utf8_names_its_line(self, buf, lineno):
         with pytest.raises(ParseError, match=f"^line {lineno}: invalid UTF-8"):
             parse_libsvm(buf)
+
+    @pytest.mark.parametrize("buf,message", [
+        (b"1 x:1\n\xff\n", "line 1: malformed token 'x:1'"),
+        (b"1 3:1 2:1\n\xff\n", "line 1: index 2 not strictly increasing"),
+        (b"# c\n1 0:1\n-1 1:1 # \xe9\n", "line 2: feature index 0 < 1"),
+        (b"1 1:1\r1 2:1 2:3\r\xfe 1:1\r",
+         "line 2: index 2 not strictly increasing"),
+    ])
+    @pytest.mark.parametrize("block", [data_io._FAST_BLOCK, 1])
+    def test_a_fault_before_the_bad_bytes_line_comes_first(
+            self, monkeypatch, buf, message, block):
+        monkeypatch.setattr(data_io, "_FAST_BLOCK", block)
+        with pytest.raises(ParseError) as excinfo:
+            parse_libsvm(buf)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("1 1:1 # \udc80\n", 1),
+        ("1 1:1\n-1 2:1 \ud800\n", 2),
+    ])
+    def test_a_lone_surrogate_in_a_str_names_its_line(self, text, lineno):
+        with pytest.raises(ParseError,
+                           match=f"^line {lineno}: invalid UTF-8 byte 0xed$"):
+            parse_libsvm(text)
 
 
 def _generated_text(lines=20000, per_line=5):
