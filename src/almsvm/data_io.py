@@ -35,11 +35,13 @@ _MASK64 = (1 << 64) - 1
 _INDEX_MAX = (1 << 63) - 1
 
 # The classes of the fast parse path's bytes, 0 for one outside its
-# alphabet; a carriage return is read as a space, only before a newline
+# alphabet; a carriage return is read as a space, only before a newline.
+# A vertical tab and a form feed stay outside: str.splitlines ends a
+# line at each, which a space does not.
 _NUMBER, _COLON, _SPACE, _NEWLINE = 1, 2, 3, 4
 _BYTE_CLASS = bytes(
     _NUMBER if b in b"0123456789.+-eE"
-    else _COLON if b == ord(":") else _SPACE if b in b" \r"
+    else _COLON if b == ord(":") else _SPACE if b in b" \t\r"
     else _NEWLINE if b == ord("\n") else 0
     for b in range(256)
 )
@@ -343,8 +345,9 @@ def _parse_block(buf: bytes, start: int, stop: int, first_line: int,
     ``buf``.
 
     The fast language is LIBSVM text made of the bytes ``0-9 . + - e E
-    : space newline`` only, in which every line is ``label (idx:val)*``
-    between optional spaces and every index is at most 15 digits; a
+    : space tab newline`` only, in which every line is ``label
+    (idx:val)*`` between optional spaces and tabs, mixed freely, and
+    every index is at most 15 digits; a
     carriage return right before a newline counts as a space, so CRLF
     line ends belong to it, and any other one, which ends a line for
     ``str.splitlines``, does not. On it the per-line parser reads every

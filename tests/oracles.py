@@ -3,7 +3,8 @@
 Nothing here is part of the package or its solve path. These routines
 re-derive the quantities the solver computes in closed form — proximal
 points by piecewise-quadratic enumeration, gradients by central
-differences, the Hessian-vector product by the unrestricted formula,
+differences, the optimal dual value by a general bound-constrained
+solver (L-BFGS-B), the Hessian-vector product by the unrestricted formula,
 the CSR products by ``np.bincount`` over the stored nonzeros in
 row-major order, LIBSVM text one token at a time, the split's shuffle
 by a plain xorshift64* generator — so the test suite can check the fast
@@ -21,8 +22,9 @@ from almsvm.data_io import _INDEX_MAX, Dataset, ParseError
 from almsvm.sparse import SparseMatrix
 
 __all__ = ["prox_oracle", "phi_value", "fd_gradient", "subgradient_solve",
-           "hess_vec_way2", "matvec_oracle", "matvec_t_oracle",
-           "normal_apply_oracle", "parse_libsvm_oracle", "XorShift64Star"]
+           "box_dual_optimum", "hess_vec_way2", "matvec_oracle",
+           "matvec_t_oracle", "normal_apply_oracle", "parse_libsvm_oracle",
+           "XorShift64Star"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -118,6 +120,47 @@ def subgradient_solve(problem: Problem, iters: int, step0: float):
             best_obj = obj
             best_w = w.copy()
     return best_w, best_obj
+
+
+def box_dual_optimum(problem: Problem) -> float:
+    """The optimal dual value ``D*``, by L-BFGS-B on the dual's box.
+
+    The dual maximizes ``-0.5*||B.T lam||^2 + d.lam - conj(lam)`` over
+    the penalty's box. For the hinge the box is ``[0, C]^m`` and the
+    conjugate is 0. For the eps-insensitive penalty ``lam = lp - lm``
+    with both parts in ``[0, C]^m`` and the conjugate ``eps*|lam|_1``
+    becomes the linear ``eps*sum(lp + lm)``, equal to it where
+    ``min(lp, lm) = 0``, which holds at the optimum. ``B`` is made dense
+    from its CSR arrays by numpy alone, so no product of the package's
+    kernels enters. Every point L-BFGS-B returns is feasible, so ``D*``
+    never exceeds the true optimum; with no relative-reduction stop it
+    runs until the projected gradient is below 1e-10, within about
+    1e-11 of the optimum on the bundled instances.
+    """
+    from scipy.optimize import Bounds, minimize
+
+    B, m = problem.B, problem.m
+    dense = np.zeros((m, problem.n))
+    dense[np.repeat(np.arange(m), np.diff(B.row_ptr)), B.col_idx] = B.values
+    split = not isinstance(problem.penalty, Hinge)
+
+    def negated_dual(x):
+        lam = x[:m] - x[m:] if split else x
+        v = dense.T @ lam
+        grad = dense @ v - problem.d
+        value = 0.5 * float(v @ v) - float(lam @ problem.d)
+        if not split:
+            return value, grad
+        eps = problem.penalty.eps
+        return (value + eps * float(x.sum()),
+                np.concatenate((grad + eps, eps - grad)))
+
+    res = minimize(negated_dual, np.zeros(2 * m if split else m), jac=True,
+                   method="L-BFGS-B", bounds=Bounds(0.0, problem.penalty.C),
+                   options={"ftol": 0.0, "gtol": 1e-10, "maxiter": 10_000})
+    if not res.success:
+        raise RuntimeError(f"L-BFGS-B stopped early: {res.message}")
+    return -float(res.fun)
 
 
 def hess_vec_way2(problem: Problem, u, h, sigma: float) -> np.ndarray:

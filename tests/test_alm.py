@@ -26,7 +26,7 @@ from almsvm.sparse import SparseMatrix
 from almsvm.synthetic import svc_blobs, svr_linear
 
 from conftest import bundled_instances, random_problem
-from oracles import fd_gradient, phi_value
+from oracles import box_dual_optimum, fd_gradient, phi_value
 
 
 def _dataset(rows, labels, n):
@@ -418,6 +418,17 @@ class TestAlmSolve:
             assert all(rec.newton.cg_breakdowns == 0
                        and rec.newton.descent_fallbacks == 0
                        for rec in report.outer), inst.name
+
+    @pytest.mark.parametrize("inst", bundled_instances(), ids=lambda i: i.name)
+    def test_reported_bounds_bracket_an_independent_optimum(self, inst):
+        # the primal is never below the optimum and the dual never above
+        # it; D* comes from L-BFGS-B on the box dual, outside the solver
+        p = inst.build()
+        _, report = alm_solve(p)
+        optimum = box_dual_optimum(p)
+        tol = 1e-9 * (1.0 + abs(optimum))
+        assert report.objective >= optimum - tol
+        assert report.outer[-1].dual <= optimum + tol
 
     @pytest.mark.parametrize("inst", bundled_instances(), ids=lambda i: i.name)
     def test_certificate_equals_the_standalone_calls(self, inst, monkeypatch):

@@ -486,28 +486,33 @@ class TestBench:
 _STARTUP_PROBE = """
 import sys
 import almsvm, almsvm.cli
+model, data, out = sys.argv[1:]
 loaded = ["scipy" in sys.modules]
-for argv in (["predict", "--model", sys.argv[1], "--data", sys.argv[2],
-              "--output", sys.argv[3]],
-             ["eval", "--model", sys.argv[1], "--data", sys.argv[2]]):
+for argv in (["predict", "--model", model, "--data", data, "--output", out],
+             ["eval", "--model", model, "--data", data],
+             ["train", "--task", "svc", "--data", data, "--model", out],
+             ["bench", "--data", data, "--task", "svc"]):
     assert almsvm.cli.main(argv) == 0
     loaded.append("scipy" in sys.modules)
+kernels = almsvm.sparse._kernels
+loaded.append(kernels is None or any(m is kernels for m in sys.modules.values()))
 print(loaded)
 """
 
 
 def test_import_predict_and_eval_never_load_scipy(svc_file, tmp_path):
-    # scipy is imported on the first SparseMatrix; start-up and scoring
-    # build none, so they do not pay its import time
+    # start-up and scoring build no matrix, so they load no kernels;
+    # training loads scipy's kernel extension by path, outside
+    # sys.modules, and never imports the scipy package
     model = tmp_path / "m.model"
     write_model(Model(w=[0.5] * 10, task="svc"), model)
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, str(model), str(svc_file),
-         str(tmp_path / "pred.txt")],
+         str(tmp_path / "out.txt")],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+    assert proc.stdout.splitlines()[-1] == str([False] * 6)
 
 
 def test_module_entry_point_runs_in_a_fresh_interpreter():

@@ -181,11 +181,28 @@ class TestFastPath:
             assert str(excinfo.value) == message
         assert calls == []
 
+    @pytest.mark.parametrize("odd", [
+        "+1\t1:1", "1\t2:1", "\t-1 \t2:0.5\t7:-3e2\t", "+1\t\t1:1 \t3:.5\r",
+    ])
+    def test_tabs_take_the_fast_path(self, monkeypatch, odd):
+        # a tab separates fields as a space does, for str.split and for
+        # np.fromstring: the line alone, the line late in a document of
+        # blocks of about 1 KB, and that document with every space a tab
+        lines = _generated_text(400, 3).splitlines()
+        lines.insert(350, odd)
+        calls = _per_line_blocks(monkeypatch)
+        monkeypatch.setattr(data_io, "_FAST_BLOCK", 1024)
+        for text in (odd + "\n", "\n".join(lines) + "\n",
+                     "\n".join(lines).replace(" ", "\t") + "\n"):
+            expected = parse_libsvm_oracle(text)
+            for doc in (text, text.encode()):
+                assert_bitwise_equal(parse_libsvm(doc), expected)
+        assert calls == []
+
     @pytest.mark.parametrize("text", [
         "+1 1:1\r-1 2:1\n",
         "+1 1:1\r\r\n-1 2:1\r\n",
         "+1 1:1\r\n-1 2:1\r",
-        "+1\t1:1\n",
         "+1 1:1 # note\n",
         "+1 1:1_0\n",
         "+1\u00a01:1\n",
@@ -273,9 +290,11 @@ class TestFastPath:
         assert len(calls) == 1 + 3
 
     @pytest.mark.parametrize("odd", [
-        "1 +3:1", "# a comment", "-1 2:1 # café", "1\t2:1",
-        # a carriage return, a form feed and a line separator end a line
-        "1 2:1\r-1 3:1", "1 2:1\x0c-1 3:1", "1 2:1\u2028-1 3:1",
+        "1 +3:1", "# a comment", "-1 2:1 # café",
+        # a carriage return, a vertical tab, a form feed and a line
+        # separator end a line
+        "1 2:1\r-1 3:1", "1 2:1\x0b-1 3:1", "1 2:1\x0c-1 3:1",
+        "1 2:1\u2028-1 3:1",
     ])
     def test_a_block_outside_the_language_falls_back_alone(self, monkeypatch,
                                                            odd):

@@ -1,10 +1,16 @@
 """CSR kernels against dense numpy and bincount oracles."""
 
+import os
+import sys
+from importlib.machinery import PathFinder
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from almsvm import sparse
 from almsvm.data_io import Samples
 from almsvm.sparse import SparseMatrix, _index_dtype
 
@@ -424,6 +430,34 @@ class TestAgainstScipyPublicOperators:
     def test_to_dense(self, rng):
         for a in (_empty_row_matrix(rng), _zero_nnz_matrix(rng)):
             _same_bits(a.to_dense(), _scipy(a).toarray())
+
+
+class TestKernelLoading:
+    """The kernels come from scipy's extension file and are held by
+    ``almsvm.sparse`` alone."""
+
+    def test_loaded_by_path_outside_sys_modules(self, rng):
+        _empty_row_matrix(rng)
+        kernels = sparse._kernels
+        assert kernels.__name__ == "_sparsetools"
+        assert kernels.__file__.startswith(
+            os.path.join(os.path.dirname(scipy.__file__), "sparse",
+                         "_sparsetools"))
+        assert all(m is not kernels for m in sys.modules.values())
+
+    def test_no_extension_file_names_the_directory(self, monkeypatch):
+        find_spec = PathFinder.find_spec
+
+        def no_extension_file(name, path=None, target=None):
+            return None if name == "_sparsetools" else find_spec(name, path,
+                                                                 target)
+        monkeypatch.setattr(PathFinder, "find_spec", no_extension_file)
+        monkeypatch.setattr(sparse, "_kernels", None)
+        where = os.path.join(os.path.dirname(scipy.__file__), "sparse")
+        with pytest.raises(ImportError, match="_sparsetools") as err:
+            sparse._load_kernels()
+        assert where in str(err.value)
+        assert sparse._kernels is None
 
 
 class TestIndexDtype:
