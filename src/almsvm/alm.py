@@ -283,6 +283,9 @@ class SolverConfig:
             raise ValueError("theta must be in (0, 1]")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if isinstance(self.max_outer, bool) or not isinstance(
+                self.max_outer, (int, np.integer)):
+            raise ValueError(f"max_outer must be an integer, got {self.max_outer!r}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 
@@ -408,9 +411,11 @@ class SmoothedSubproblem:
     ``carry``, the previous one's :attr:`carry` ``(sat, g_sat)``, and
     takes it over. A Newton step thus pays one ``matvec``
     (``B d`` in ``set_direction``), one ``matvec_t`` (the sign change)
-    and one scatter of the gathered rows I. The same block serves every
-    CG product of the step: ``linearize`` only returns its size, so it
-    must follow a ``grad`` at the same iterate. The block of a solve's
+    and one scatter of the gathered rows I, the block's ``matvec_t``,
+    which takes its full kernel since ``y_I`` is nonzero on every
+    active row. The same block serves every CG product of the step:
+    ``linearize`` only returns its row count, so it must follow a
+    ``grad`` at the same iterate. The block of a solve's
     last gradient, which no ``linearize`` follows, is not wasted: it is
     how that gradient computes ``B[I,:].T y_I``.
     The carried ``g_sat`` drifts at rounding level over one
@@ -466,7 +471,7 @@ class SmoothedSubproblem:
         return g
 
     def linearize(self) -> int:
-        return self._block.size
+        return self._block.m
 
     def hvp(self, h) -> np.ndarray:
         v = self._block.normal_apply(h)

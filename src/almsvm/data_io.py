@@ -67,6 +67,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _as_index(a, name: str) -> np.ndarray:
+    """``a`` as an int64 array; a non-empty array that is not of an
+    integer dtype is rejected, not truncated."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 class Samples(Sequence):
     """The rows of a dataset, held as one CSR store.
 
@@ -97,7 +106,7 @@ class Samples(Sequence):
         """Concatenate an iterable of ``(indices, values)`` pairs once."""
         idx_parts, val_parts = [], []
         for idx, val in pairs:
-            idx = np.asarray(idx, dtype=np.int64)
+            idx = _as_index(idx, "indices")
             val = np.asarray(val, dtype=np.float64)
             if idx.ndim != 1 or idx.shape != val.shape:
                 raise ValueError("indices and values must have equal length")

@@ -8,23 +8,30 @@ number of nonzeros all fit in it, and int64 otherwise
 either index type, so only the bytes each product streams change. Each
 operation calls the compiled routine of ``scipy.sparse._sparsetools``
 that scipy's own ``csr_array`` runs for the same operation, without
-building a scipy array object:
+building a scipy array object. Three routines are used:
 
 * ``A @ x`` is ``csr_matvec``, which accumulates each row left to
   right in stored order;
 * ``A.T @ y`` is ``csc_matvec`` on the same three arrays, read as the
   CSC form of ``A.T``; it scatters row contributions in row order;
 * a row gather ``A[rows, :]`` is ``csr_row_index`` into arrays sized
-  from the cumulative row lengths, in the order of ``rows``;
-* ``to_dense`` is ``csr_todense``.
+  from the cumulative row lengths, in the order of ``rows``.
 
 Both products are therefore bit for bit equal to row-major reference
 kernels (the test suite keeps ``np.bincount`` ones as oracles) and to
 scipy's public ``csr_array`` operators, and single-threaded runs
-reproduce exactly. ``_sparsetools`` is private to scipy; these four
+reproduce exactly. ``_sparsetools`` is private to scipy; these three
 routines and their argument order are those of scipy 1.17.1, the tested
 version, and the tests compare every product bitwise against the
 public operators, so a change in them shows there.
+
+The gathered rows ``A[rows, :]`` are themselves a :class:`SparseMatrix`,
+of shape ``(rows.size, n)``, which the semismooth Newton step builds
+once per iterate from its active rows. It is stored without the O(nnz)
+checks of the constructor: each row of a valid matrix is a valid row,
+so any sequence of them, repeats included, is a valid matrix. It keeps
+its parent's index dtype, or int64 when repeated rows add up to more
+nonzeros than int32 holds.
 
 When at most one ``y_i`` in four is nonzero, ``A.T @ y`` gathers and
 scatters only the rows with ``y_i != 0``, still in row order. A skipped
@@ -58,9 +65,9 @@ import sys
 
 import numpy as np
 
-from .data_io import Samples, _readonly
+from .data_io import Samples, _as_index, _readonly
 
-__all__ = ["SparseMatrix", "RowBlock"]
+__all__ = ["SparseMatrix"]
 
 # scipy's _sparsetools extension module, bound when the first matrix is built
 _kernels = None
@@ -123,7 +130,8 @@ class SparseMatrix:
     ``row_ptr`` has length ``m + 1``; column indices are strictly
     increasing within each row and every value is finite. ``row_ptr``,
     ``col_idx`` and ``values`` are read-only views of the stored arrays;
-    derived matrices share the structure arrays instead of copying them.
+    :meth:`scale_rows` shares the structure arrays instead of copying
+    them, and :meth:`gather_rows` copies only the rows it selects.
     """
 
     __slots__ = ("_ptr", "_idx", "_val", "_m", "_n")
@@ -132,8 +140,8 @@ class SparseMatrix:
         m, n = int(shape[0]), int(shape[1])
         if m < 0 or n < 0:
             raise ValueError("shape must be nonnegative")
-        row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-        col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
+        row_ptr = np.ascontiguousarray(_as_index(row_ptr, "row_ptr"))
+        col_idx = np.ascontiguousarray(_as_index(col_idx, "col_idx"))
         values = np.ascontiguousarray(values, dtype=np.float64)
         if row_ptr.shape != (m + 1,):
             raise ValueError(f"row_ptr must have length m+1 = {m + 1}")
@@ -154,19 +162,23 @@ class SparseMatrix:
                 raise ValueError(
                     "column indices must be strictly increasing within a row"
                 )
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
         _load_kernels()
         # cast only after the checks above, so no index can wrap
         dt = _index_dtype(m, n, values.size)
-        self._set(_readonly(row_ptr.astype(dt, copy=False)),
-                  _readonly(col_idx.astype(dt, copy=False)), values, m, n)
+        self._ptr = _readonly(row_ptr.astype(dt, copy=False))
+        self._idx = _readonly(col_idx.astype(dt, copy=False))
+        self._val, self._m, self._n = _readonly(values), m, n
 
-    def _set(self, row_ptr, col_idx, values, m, n) -> None:
-        """Store validated structure arrays with new ``values``, whose
-        finiteness is the one check left."""
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
-        self._ptr, self._idx, self._val = row_ptr, col_idx, _readonly(values)
-        self._m, self._n = m, n
+    @classmethod
+    def _valid(cls, row_ptr, col_idx, values, m, n) -> "SparseMatrix":
+        """A matrix of arrays already known to be valid; nothing is
+        checked."""
+        a = cls.__new__(cls)
+        a._ptr, a._idx, a._val = _readonly(row_ptr), _readonly(col_idx), _readonly(values)
+        a._m, a._n = m, n
+        return a
 
     @property
     def row_ptr(self) -> np.ndarray:
@@ -212,22 +224,6 @@ class SparseMatrix:
         row_ptr, col_idx, values = rows.csr()
         return cls(row_ptr, col_idx, values, (len(rows), n_cols))
 
-    @classmethod
-    def from_dense(cls, a) -> "SparseMatrix":
-        """Build from a dense 2-D array, dropping exact zeros."""
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        rows, cols = np.nonzero(a)  # row-major order
-        row_ptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=a.shape[0]), out=row_ptr[1:])
-        return cls(row_ptr, cols, a[rows, cols], a.shape)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        _kernels.csr_todense(self._m, self._n, self._ptr, self._idx, self._val, out)
-        return out
-
     def matvec(self, x) -> np.ndarray:
         """Return ``A @ x``, accumulating each row left to right."""
         x = np.asarray(x, dtype=np.float64)
@@ -261,6 +257,20 @@ class SparseMatrix:
             _kernels.csc_matvec(self._n, k, ptr, idx, val, y[rows], out)
         return out
 
+    def normal_apply(self, h) -> np.ndarray:
+        """Return ``A.T @ (A @ h)``: ``A @ h`` accumulated row by row,
+        then scattered back in row order."""
+        h = np.asarray(h, dtype=np.float64)
+        if h.shape != (self._n,):
+            raise ValueError(f"h must have length {self._n}, got {h.shape}")
+        t = np.zeros(self._m)
+        _kernels.csr_matvec(self._m, self._n, self._ptr, self._idx, self._val,
+                            h, t)
+        out = np.zeros(self._n)
+        _kernels.csc_matvec(self._n, self._m, self._ptr, self._idx, self._val,
+                            t, out)
+        return out
+
     def restricted_normal_apply(self, rows, h) -> np.ndarray:
         """Return ``A[rows, :].T @ (A[rows, :] @ h)``; only the nonzeros
         of the selected rows are touched.
@@ -270,14 +280,16 @@ class SparseMatrix:
         """
         return self.gather_rows(rows).normal_apply(h)
 
-    def gather_rows(self, rows) -> "RowBlock":
-        """Copy the rows ``A[rows, :]`` out once, for repeated
-        ``normal_apply`` calls on the same row set."""
-        rows = np.asarray(rows, dtype=np.int64)
+    def gather_rows(self, rows) -> "SparseMatrix":
+        """Copy the rows ``A[rows, :]`` out once, in the order given, as
+        a ``(rows.size, n)`` matrix for repeated products on the same row
+        set; it is not checked again (see the module docstring)."""
+        rows = _as_index(rows, "rows")
         if rows.size and (rows.min() < 0 or rows.max() >= self._m):
             raise ValueError("row index out of range")
-        return RowBlock(*_gather(self._ptr, self._idx, self._val, rows, self._n),
-                        self._n)
+        return SparseMatrix._valid(
+            *_gather(self._ptr, self._idx, self._val, rows, self._n),
+            rows.size, self._n)
 
     def scale_rows(self, c) -> "SparseMatrix":
         """Return a copy with row i multiplied by ``c[i]``; the sparsity
@@ -286,48 +298,8 @@ class SparseMatrix:
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self._m,):
             raise ValueError(f"c must have length {self._m}, got {c.shape}")
-        scaled = SparseMatrix.__new__(SparseMatrix)
-        scaled._set(self._ptr, self._idx,
-                    self._val * np.repeat(c, np.diff(self._ptr)), self._m, self._n)
-        return scaled
+        values = self._val * np.repeat(c, np.diff(self._ptr))
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        return SparseMatrix._valid(self._ptr, self._idx, values, self._m, self._n)
 
-
-class RowBlock:
-    """A row subset ``A[rows, :]`` of a :class:`SparseMatrix`, held as
-    its own CSR arrays; built by :meth:`SparseMatrix.gather_rows`."""
-
-    __slots__ = ("_ptr", "_idx", "_val", "_n")
-
-    def __init__(self, row_ptr, col_idx, values, n):
-        self._ptr, self._idx, self._val, self._n = row_ptr, col_idx, values, n
-
-    @property
-    def size(self) -> int:
-        return self._ptr.size - 1
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    def matvec_t(self, y) -> np.ndarray:
-        """Return ``A[rows, :].T @ y``, one entry of ``y`` per gathered
-        row, scattered in the order of ``rows``."""
-        y = np.asarray(y, dtype=np.float64)
-        k = self.size
-        if y.shape != (k,):
-            raise ValueError(f"y must have length {k}, got {y.shape}")
-        out = np.zeros(self._n)
-        _kernels.csc_matvec(self._n, k, self._ptr, self._idx, self._val, y, out)
-        return out
-
-    def normal_apply(self, h) -> np.ndarray:
-        """Return ``A[rows, :].T @ (A[rows, :] @ h)``."""
-        h = np.asarray(h, dtype=np.float64)
-        if h.shape != (self._n,):
-            raise ValueError(f"h must have length {self._n}, got {h.shape}")
-        k = self.size
-        t = np.zeros(k)
-        _kernels.csr_matvec(k, self._n, self._ptr, self._idx, self._val, h, t)
-        out = np.zeros(self._n)
-        _kernels.csc_matvec(self._n, k, self._ptr, self._idx, self._val, t, out)
-        return out

@@ -6,8 +6,9 @@ import pytest
 
 from almsvm.alm import C_SCALE_SVC, C_SCALE_SVR, EPSILON, build_svc, build_svr
 from almsvm.data_io import Dataset
-from almsvm.sparse import SparseMatrix
 from almsvm.synthetic import svc_blobs, svc_margin_gap, svr_linear, svr_planted
+
+from oracles import from_dense
 
 
 def random_sparse(rng, m, n, density=0.5):
@@ -16,7 +17,7 @@ def random_sparse(rng, m, n, density=0.5):
     if not mask.any():
         mask[rng.integers(m), rng.integers(n)] = True
     a = np.where(mask, rng.normal(size=(m, n)), 0.0)
-    return SparseMatrix.from_dense(a)
+    return from_dense(a)
 
 
 def random_problem(seed=0, m=12, n=5, task="svc", C=1.3, eps=0.1):

@@ -8,7 +8,9 @@ solver (L-BFGS-B), the Hessian-vector product by the unrestricted formula,
 the CSR products by ``np.bincount`` over the stored nonzeros in
 row-major order, LIBSVM text one token at a time, the split's shuffle
 by a plain xorshift64* generator — so the test suite can check the fast
-paths against slow, obviously correct ones.
+paths against slow, obviously correct ones. ``from_dense`` and
+``to_dense`` convert between dense arrays and :class:`SparseMatrix`
+with numpy alone, for writing small test matrices down.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from almsvm.sparse import SparseMatrix
 __all__ = ["prox_oracle", "phi_value", "fd_gradient", "subgradient_solve",
            "box_dual_optimum", "hess_vec_way2", "matvec_oracle",
            "matvec_t_oracle", "normal_apply_oracle", "parse_libsvm_oracle",
-           "XorShift64Star"]
+           "XorShift64Star", "from_dense", "to_dense"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -174,6 +176,26 @@ def hess_vec_way2(problem: Problem, u, h, sigma: float) -> np.ndarray:
     B = problem.B
     t = B.matvec(h)
     return h + sigma * B.matvec_t(t) - sigma * B.matvec_t(u * t)
+
+
+def from_dense(a) -> SparseMatrix:
+    """The :class:`SparseMatrix` of a dense 2-D array, without its exact
+    zeros."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D array")
+    rows, cols = np.nonzero(a)  # row-major order
+    row_ptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=a.shape[0]), out=row_ptr[1:])
+    return SparseMatrix(row_ptr, cols, a[rows, cols], a.shape)
+
+
+def to_dense(a: SparseMatrix) -> np.ndarray:
+    """The dense array of ``a``. Each stored value is added to a zero, as
+    scipy's ``toarray`` does, so a stored ``-0.0`` reads ``+0.0``."""
+    out = np.zeros(a.shape)
+    out[_nnz_rows(a), a.col_idx] += a.values
+    return out
 
 
 def _nnz_rows(a: SparseMatrix) -> np.ndarray:

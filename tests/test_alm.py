@@ -22,11 +22,10 @@ from almsvm.alm import (
     primal_objective,
 )
 from almsvm.data_io import Dataset, Samples
-from almsvm.sparse import SparseMatrix
 from almsvm.synthetic import svc_blobs, svr_linear
 
 from conftest import bundled_instances, random_problem
-from oracles import box_dual_optimum, fd_gradient, phi_value
+from oracles import box_dual_optimum, fd_gradient, from_dense, phi_value, to_dense
 
 
 def _dataset(rows, labels, n):
@@ -44,18 +43,18 @@ def _one_sample(C=1.0):
 class TestBuild:
     def test_svc_positive_label(self):
         p = build_svc(_dataset([[2.0]], [1.0], 1), 1.0)
-        np.testing.assert_array_equal(p.B.to_dense(), [[-2.0]])
+        np.testing.assert_array_equal(to_dense(p.B), [[-2.0]])
         np.testing.assert_array_equal(p.d, [1.0])
 
     def test_svc_negative_label(self):
         p = build_svc(_dataset([[2.0]], [-1.0], 1), 1.0)
-        np.testing.assert_array_equal(p.B.to_dense(), [[2.0]])
+        np.testing.assert_array_equal(to_dense(p.B), [[2.0]])
 
     def test_svc_random_against_dense_construction(self, rng):
         x = rng.normal(size=(3, 4))
         y = np.array([1.0, -1.0, 1.0])
         p = build_svc(_dataset(x, y, 4), 2.0)
-        np.testing.assert_allclose(p.B.to_dense(), -y[:, None] * x, rtol=1e-12)
+        np.testing.assert_allclose(to_dense(p.B), -y[:, None] * x, rtol=1e-12)
 
     def test_svc_rejects_unnormalized_labels(self):
         with pytest.raises(ValueError, match="normalize"):
@@ -71,11 +70,11 @@ class TestBuild:
         x = rng.normal(size=(3, 4))
         y = rng.normal(size=3)
         p = build_svr(_dataset(x, y, 4), 2.0, 0.1)
-        np.testing.assert_allclose(p.B.to_dense(), x, rtol=1e-12)
+        np.testing.assert_allclose(to_dense(p.B), x, rtol=1e-12)
         np.testing.assert_allclose(p.d, -y, rtol=1e-12)
 
     def test_problem_validation(self, rng):
-        B = SparseMatrix.from_dense(rng.normal(size=(2, 2)))
+        B = from_dense(rng.normal(size=(2, 2)))
         with pytest.raises(ValueError):
             Problem(B=B, d=np.ones(2), penalty=Hinge(0.0))
         with pytest.raises(ValueError):
@@ -109,6 +108,13 @@ class TestBuild:
             for bad in (np.inf, np.nan):
                 with pytest.raises(ValueError, match="finite"):
                     SolverConfig(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", True])
+    def test_solver_config_rejects_a_non_integer_max_outer(self, bad):
+        # range() in alm_solve would otherwise fail with a bare TypeError
+        with pytest.raises(ValueError, match="max_outer must be an integer"):
+            SolverConfig(max_outer=bad)
+        assert SolverConfig(max_outer=np.int64(3)).max_outer == 3
 
 
 class TestObjectives:
@@ -175,7 +181,7 @@ class TestPhi:
         # w = 0, lam = 0, sigma = 1, C = 2: each coordinate of z equals
         # one, the prox sits at zero, and phi collapses to m/2
         rng = np.random.default_rng(0)
-        B = SparseMatrix.from_dense(rng.normal(size=(7, 3)))
+        B = from_dense(rng.normal(size=(7, 3)))
         p = Problem(B=B, d=np.ones(7), penalty=Hinge(2.0))
         assert phi_value(p, np.zeros(3), np.zeros(7), 1.0) == pytest.approx(3.5)
 
@@ -315,8 +321,8 @@ class TestKktResidual:
         s = rng.normal(size=6)
         lam = rng.uniform(0.0, 1.0, size=6)
         base = kkt_residual(p, w, s, lam)
-        dense = np.hstack([p.B.to_dense(), np.zeros((6, 1))])
-        p2 = Problem(B=SparseMatrix.from_dense(dense), d=p.d, penalty=p.penalty)
+        dense = np.hstack([to_dense(p.B), np.zeros((6, 1))])
+        p2 = Problem(B=from_dense(dense), d=p.d, penalty=p.penalty)
         padded = kkt_residual(p2, np.append(w, 0.0), s, lam)
         np.testing.assert_allclose(padded, base, rtol=1e-12, atol=1e-15)
 

@@ -8,7 +8,8 @@ from almsvm.alm import build_svc, make_subproblem_oracle
 from almsvm.data_io import Dataset
 
 from conftest import random_problem
-from oracles import fd_gradient, hess_vec_way2, prox_oracle, subgradient_solve
+from oracles import (fd_gradient, hess_vec_way2, prox_oracle, subgradient_solve,
+                     to_dense)
 
 
 class TestProxOracle:
@@ -82,7 +83,7 @@ class TestHessVecWay2:
         p = random_problem(seed=7)
         h = rng.normal(size=p.n)
         out = hess_vec_way2(p, np.zeros(p.m), h, sigma=0.7)
-        dense = p.B.to_dense()
+        dense = to_dense(p.B)
         np.testing.assert_allclose(out, h + 0.7 * dense.T @ (dense @ h),
                                    rtol=1e-10, atol=1e-12)
 

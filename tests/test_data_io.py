@@ -453,6 +453,14 @@ class TestSamples:
         with pytest.raises(ValueError, match=message):
             Dataset(rows, np.array(labels), 2)
 
+    def test_non_integer_indices_are_rejected_not_truncated(self):
+        # int64 conversion would store [0, 2]
+        with pytest.raises(ValueError, match="indices must be integers"):
+            Dataset([(np.array([0.5, 2.7]), np.array([1.0, 2.0]))],
+                    np.array([1.0]), 3)
+        # an empty list has numpy's default float dtype but no index in it
+        assert Dataset([([], [])], np.array([1.0]), 3).samples.indices.size == 0
+
     def test_slices_and_selections_share_the_store(self):
         d = parse_libsvm("1 1:1 3:2\n-1\n1 2:5\n1 1:4 2:4\n")
         for part in (d.samples[1:], d.samples[np.array([3, 0])]):

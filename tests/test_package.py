@@ -2,11 +2,14 @@
 its export lists name only what its modules define."""
 
 import importlib
+import inspect
 import pkgutil
+import re
 
 import pytest
 
 import almsvm
+from almsvm import sparse
 
 
 def test_package_modules():
@@ -23,3 +26,11 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert module.__all__
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_one_sparse_matrix_type_over_three_kernels():
+    # a block of gathered rows is a SparseMatrix too, and dense
+    # conversion lives in the tests' oracles
+    assert sparse.__all__ == ["SparseMatrix"]
+    called = set(re.findall(r"_kernels\.(\w+)\(", inspect.getsource(sparse)))
+    assert called == {"csr_matvec", "csc_matvec", "csr_row_index"}

@@ -15,7 +15,8 @@ from almsvm.data_io import Samples
 from almsvm.sparse import SparseMatrix, _index_dtype
 
 from conftest import random_sparse
-from oracles import matvec_oracle, matvec_t_oracle, normal_apply_oracle
+from oracles import (from_dense, matvec_oracle, matvec_t_oracle,
+                     normal_apply_oracle, to_dense)
 
 
 class TestConstruction:
@@ -27,7 +28,7 @@ class TestConstruction:
         ]
         a = SparseMatrix.from_rows(rows, 3)
         expected = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, -3.0, 0.0]])
-        np.testing.assert_array_equal(a.to_dense(), expected)
+        np.testing.assert_array_equal(to_dense(a), expected)
 
     def test_rejects_non_increasing_columns(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -76,6 +77,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             SparseMatrix.from_rows(store, 3)
 
+    @pytest.mark.parametrize("row_ptr,col_idx,name", [
+        ([0, 1.5, 2], [0, 1], "row_ptr"),
+        ([0, 1, 2], [0.9, 1.2], "col_idx"),
+    ])
+    def test_non_integer_indices_are_rejected_not_truncated(self, row_ptr,
+                                                            col_idx, name):
+        # int64 conversion would store row_ptr [0, 1, 2] or col_idx [0, 1]
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            SparseMatrix(np.array(row_ptr), np.array(col_idx),
+                         np.array([1.0, 2.0]), (2, 3))
+
     def test_structure_arrays_are_read_only(self, rng):
         a = random_sparse(rng, 4, 3)
         for arr in (a.row_ptr, a.col_idx, a.values):
@@ -85,7 +97,7 @@ class TestConstruction:
 
 class TestMatvec:
     def test_diagonal(self):
-        a = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
+        a = from_dense([[1.0, 0.0], [0.0, 2.0]])
         np.testing.assert_array_equal(a.matvec([3.0, 4.0]), [3.0, 8.0])
 
     def test_zero_matrix(self):
@@ -97,7 +109,7 @@ class TestMatvec:
     def test_random_against_dense(self, rng):
         a = random_sparse(rng, 5, 7)
         x = rng.normal(size=7)
-        np.testing.assert_allclose(a.matvec(x), a.to_dense() @ x, rtol=1e-12)
+        np.testing.assert_allclose(a.matvec(x), to_dense(a) @ x, rtol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         a = random_sparse(rng, 5, 7)
@@ -107,17 +119,17 @@ class TestMatvec:
 
 class TestMatvecT:
     def test_identity(self):
-        a = SparseMatrix.from_dense(np.eye(3))
+        a = from_dense(np.eye(3))
         np.testing.assert_array_equal(a.matvec_t([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
     def test_single_row(self):
-        a = SparseMatrix.from_dense([[1.0, 2.0]])
+        a = from_dense([[1.0, 2.0]])
         np.testing.assert_array_equal(a.matvec_t([3.0]), [3.0, 6.0])
 
     def test_random_against_dense(self, rng):
         a = random_sparse(rng, 6, 4)
         y = rng.normal(size=6)
-        np.testing.assert_allclose(a.matvec_t(y), a.to_dense().T @ y, rtol=1e-12)
+        np.testing.assert_allclose(a.matvec_t(y), to_dense(a).T @ y, rtol=1e-12)
 
 
 class TestRestrictedNormalApply:
@@ -139,7 +151,7 @@ class TestRestrictedNormalApply:
         a = random_sparse(rng, 8, 5)
         h = rng.normal(size=5)
         rows = np.array([1, 3, 4, 6])
-        sub = a.to_dense()[rows]
+        sub = to_dense(a)[rows]
         np.testing.assert_allclose(
             a.restricted_normal_apply(rows, h), sub.T @ (sub @ h),
             rtol=1e-12, atol=1e-14,
@@ -168,17 +180,44 @@ class TestGatherRows:
         # row-major kernels run on the extracted submatrix
         a = random_sparse(rng, 12, 7)
         rows = np.array([0, 3, 4, 9, 11])
-        dense = a.to_dense()
+        dense = to_dense(a)
         sub = SparseMatrix.from_rows(
             [(np.flatnonzero(dense[i]), dense[i][np.flatnonzero(dense[i])])
              for i in rows], 7)
         block = a.gather_rows(rows)
-        assert block.size == rows.size
+        assert block.m == rows.size
         for _ in range(5):
             h = rng.normal(size=7)
             got = block.normal_apply(h)
             np.testing.assert_array_equal(got, sub.matvec_t(sub.matvec(h)))
             np.testing.assert_array_equal(got, a.restricted_normal_apply(rows, h))
+
+    @pytest.mark.parametrize("pick", ["sorted", "repeated"])
+    def test_block_is_a_matrix_of_its_own(self, pick, rng, monkeypatch):
+        # the block is a (rows.size, n) SparseMatrix whose own products
+        # equal the oracles bit for bit; with repeated rows the gather
+        # widens an int32 parent's indices once the block's nonzeros pass
+        # the int32 limit, lowered here to the parent's count
+        a = _empty_row_matrix(rng)
+        assert a.row_ptr.dtype == np.int32
+        rows = {"sorted": np.flatnonzero(rng.random(a.m) < 0.4),
+                "repeated": rng.integers(0, a.m, size=2 * a.m)}[pick]
+        monkeypatch.setattr(sparse, "_INT32_MAX", a.nnz)
+        block = a.gather_rows(rows)
+        assert isinstance(block, SparseMatrix)
+        assert block.shape == (rows.size, a.n)
+        wide = np.int64 if pick == "repeated" else np.int32
+        assert block.row_ptr.dtype == block.col_idx.dtype == wide
+        assert not block.values.flags.writeable
+        for _ in range(3):
+            x, h = rng.normal(size=a.n), rng.normal(size=a.n)
+            y = rng.normal(size=rows.size)
+            sparse_y = np.where(rng.random(rows.size) < 0.1, y, 0.0)
+            _same_bits(block.matvec(x), matvec_oracle(a, x)[rows])
+            _same_bits(block.matvec(x), matvec_oracle(block, x))
+            _same_bits(block.matvec_t(y), matvec_t_oracle(block, y))
+            _same_bits(block.matvec_t(sparse_y), matvec_t_oracle(block, sparse_y))
+            _same_bits(block.normal_apply(h), normal_apply_oracle(a, rows, h))
 
     def test_empty_selection(self, rng):
         a = random_sparse(rng, 4, 3)
@@ -189,6 +228,9 @@ class TestGatherRows:
         a = random_sparse(rng, 4, 3)
         with pytest.raises(ValueError):
             a.gather_rows(np.array([-1]))
+        # int64 conversion would read row 1
+        with pytest.raises(ValueError, match="rows must be integers"):
+            a.gather_rows(np.array([1.7]))
         with pytest.raises(ValueError):
             a.gather_rows(np.array([0, 1])).normal_apply(np.ones(4))
         with pytest.raises(ValueError):
@@ -199,20 +241,20 @@ class TestScaleRows:
     def test_ones_is_identity(self, rng):
         a = random_sparse(rng, 4, 3)
         np.testing.assert_array_equal(
-            a.scale_rows(np.ones(4)).to_dense(), a.to_dense()
+            to_dense(a.scale_rows(np.ones(4))), to_dense(a)
         )
 
     def test_negate_single_row(self):
-        a = SparseMatrix.from_dense([[1.0, 2.0]])
+        a = from_dense([[1.0, 2.0]])
         np.testing.assert_array_equal(
-            a.scale_rows(np.array([-1.0])).to_dense(), [[-1.0, -2.0]]
+            to_dense(a.scale_rows(np.array([-1.0]))), [[-1.0, -2.0]]
         )
 
     def test_random_against_dense(self, rng):
         a = random_sparse(rng, 5, 4)
         c = rng.normal(size=5)
         np.testing.assert_allclose(
-            a.scale_rows(c).to_dense(), c[:, None] * a.to_dense(), rtol=1e-12
+            to_dense(a.scale_rows(c)), c[:, None] * to_dense(a), rtol=1e-12
         )
 
     def test_preserves_pattern(self, rng):
@@ -237,12 +279,12 @@ class TestScaleRows:
         assert not b.values.flags.writeable
 
     def test_rejects_infinite_factor(self):
-        a = SparseMatrix.from_dense([[1.0, 2.0], [3.0, 4.0]])
+        a = from_dense([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError, match="values must be finite"):
             a.scale_rows(np.array([1.0, np.inf]))
 
     def test_rejects_overflowing_factor(self):
-        a = SparseMatrix.from_dense([[1e10, 1.0], [0.0, 2.0]])
+        a = from_dense([[1e10, 1.0], [0.0, 2.0]])
         # the finite product 1e300 * 1e10 overflows to inf
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="values must be finite"):
@@ -252,7 +294,7 @@ class TestScaleRows:
 def _empty_row_matrix(rng):
     a = np.where(rng.random((200, 40)) < 0.3, rng.normal(size=(200, 40)), 0.0)
     a[[0, 7, 8, 199]] = 0.0
-    return SparseMatrix.from_dense(a)
+    return from_dense(a)
 
 
 def _zero_nnz_matrix(_rng):
@@ -347,7 +389,7 @@ class TestMatvecTSkipsZeroRows:
 
     def test_products_that_cancel_to_zero(self):
         # a column whose kept products cancel exactly: +0.0 in both kernels
-        a = SparseMatrix.from_dense([[1.0, 2.0]] + [[0.0, 0.0]] * 6
+        a = from_dense([[1.0, 2.0]] + [[0.0, 0.0]] * 6
                                     + [[-1.0, 3.0]] + [[1.0, 1.0]] * 8)
         y = np.zeros(a.m)
         y[[0, 7]] = 1.0
@@ -405,7 +447,7 @@ class TestAgainstScipyPublicOperators:
                 "all": np.arange(a.m)}[pick]
         block = a.gather_rows(rows)
         sub = _scipy(a)[rows]
-        assert block.size == rows.size
+        assert block.m == rows.size
         for _ in range(3):
             h = layout(rng.normal(size=a.n))
             _same_bits(block.normal_apply(h), sub.T @ (sub @ h))
@@ -429,7 +471,7 @@ class TestAgainstScipyPublicOperators:
 
     def test_to_dense(self, rng):
         for a in (_empty_row_matrix(rng), _zero_nnz_matrix(rng)):
-            _same_bits(a.to_dense(), _scipy(a).toarray())
+            _same_bits(to_dense(a), _scipy(a).toarray())
 
 
 class TestKernelLoading:
@@ -504,16 +546,16 @@ class TestFromDense:
         if dense.size:
             dense.flat[rng.integers(dense.size)] = -0.0
         for a in (dense, np.asfortranarray(dense), dense[:, ::-1][:, ::-1]):
-            got, expect = SparseMatrix.from_dense(a), self._from_row_pairs(a)
+            got, expect = from_dense(a), self._from_row_pairs(a)
             assert got.shape == expect.shape
             for name in ("row_ptr", "col_idx", "values"):
                 _same_bits(getattr(got, name), getattr(expect, name))
 
     def test_rejects_non_finite_and_wrong_rank(self):
         with pytest.raises(ValueError, match="finite"):
-            SparseMatrix.from_dense([[1.0, np.nan]])
+            from_dense([[1.0, np.nan]])
         with pytest.raises(ValueError, match="2-D"):
-            SparseMatrix.from_dense([1.0, 2.0])
+            from_dense([1.0, 2.0])
 
 
 @settings(max_examples=30, deadline=None)
