@@ -31,8 +31,11 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# feature indices are stored as int64
+# the largest 1-based feature index read: its 0-based index fits in
+# int64, the widest index dtype (see _index_dtype)
 _INDEX_MAX = (1 << 63) - 1
+# the range of the narrow index dtype
+_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
 
 # The classes of the fast parse path's bytes, 0 for one outside its
 # alphabet; a carriage return is read as a space, only before a newline.
@@ -46,11 +49,13 @@ _BYTE_CLASS = bytes(
     for b in range(256)
 )
 # bytes per block of the fast path, extended to the next line end. The
-# temporaries of one block take about 7.2 bytes per byte of it: the
+# temporaries of one block take about 7.1 bytes per byte of it: the
 # tracemalloc peak of the parse memory tests' 1.1 MB text grows by
-# 1.88 MB from 256 to 512 KB blocks. The largest power of two whose
-# peak stays within those tests' bound is 256 KB (5.04 MB, bound 5.76).
-_FAST_BLOCK = 1 << 18
+# 0.93 MB from 128 to 256 KB blocks. The largest power of two whose
+# peak stays within those tests' bound is 128 KB (3.71 MB, bound 4.56;
+# int32 indices shrank the bound, and 256 KB now peaks at 4.64 MB). The
+# cli_roundtrip files parse as fast with 128 KB blocks as with 256 KB.
+_FAST_BLOCK = 1 << 17
 # a 15-digit integer is below 2**53, so int64 and float64 hold it exactly
 _FAST_DIGITS = 15
 # 10**k for k <= _FAST_DIGITS, each exact in float64
@@ -67,38 +72,61 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _index_dtype(*bounds: int):
+    """The package's one index dtype rule: int32 when every one of
+    ``bounds`` fits in it, else int64. The sample store passes the
+    smallest and largest feature index it holds, a matrix its row count,
+    column count and number of nonzeros."""
+    fits = _INT32_MIN <= min(bounds) and max(bounds) <= _INT32_MAX
+    return np.int32 if fits else np.int64
+
+
 def _as_index(a, name: str) -> np.ndarray:
-    """``a`` as an int64 array; a non-empty array that is not of an
-    integer dtype is rejected, not truncated."""
+    """``a`` as an index array: int32 and int64 arrays as they are, any
+    other integers as int64; a non-empty array that is not of an integer
+    dtype is rejected, not truncated."""
     a = np.asarray(a)
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
-    return a.astype(np.int64, copy=False)
+    return a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """The int32 or int64 array ``a`` in :func:`_index_dtype` of its
+    values: an int64 array whose values fit is copied to int32."""
+    if a.dtype == np.int32:
+        return a
+    bounds = (int(a.min()), int(a.max())) if a.size else (0,)
+    return a.astype(_index_dtype(*bounds), copy=False)
 
 
 class Samples(Sequence):
     """The rows of a dataset, held as one CSR store.
 
     Row ``r`` is the pair ``(indices[starts[r]:ends[r]],
-    values[starts[r]:ends[r]])`` of 0-based int64 feature indices and
-    float64 values, both read-only views into two flat arrays. Indexing
-    with an integer gives that pair; a slice or an array of row numbers
-    gives a :class:`Samples` that shares the flat arrays and holds only
-    its own ``starts`` and ``ends``.
+    values[starts[r]:ends[r]])`` of 0-based feature indices and float64
+    values, both read-only views into two flat arrays. The indices are
+    int32 when every one of them fits in it and int64 otherwise
+    (:func:`_index_dtype`); an int64 array whose values fit is narrowed
+    once, when the store is built. ``starts`` and ``ends`` are kept as
+    given, int32 or int64. Indexing with an integer gives that pair; a
+    slice or an array of row numbers gives a :class:`Samples` that
+    shares the flat arrays and holds only its own ``starts`` and
+    ``ends``.
     """
 
     __slots__ = ("indices", "values", "starts", "ends")
 
     def __init__(self, indices, values, starts, ends):
-        self.indices = _readonly(np.asarray(indices, dtype=np.int64))
+        self.indices = _readonly(_narrow(_as_index(indices, "indices")))
         self.values = _readonly(np.asarray(values, dtype=np.float64))
-        self.starts = _readonly(np.asarray(starts, dtype=np.int64))
-        self.ends = _readonly(np.asarray(ends, dtype=np.int64))
+        self.starts = _readonly(_as_index(starts, "starts"))
+        self.ends = _readonly(_as_index(ends, "ends"))
 
     @classmethod
     def from_csr(cls, row_ptr, indices, values) -> "Samples":
         """Wrap CSR arrays: row ``r`` spans ``row_ptr[r]:row_ptr[r + 1]``."""
-        row_ptr = np.asarray(row_ptr, dtype=np.int64)
+        row_ptr = _as_index(row_ptr, "row_ptr")
         return cls(indices, values, row_ptr[:-1], row_ptr[1:])
 
     @classmethod
@@ -205,14 +233,13 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
     only when no line has any other fault. Bytes that are not UTF-8 are
     a fault on the line that holds the first of them, reported after
     the faults of the lines before it. The parsed index and value
-    arrays become the dataset's :class:`Samples` store as they are.
+    arrays become the dataset's :class:`Samples` store as they are: the
+    indices 0-based, int32 unless one of them does not fit in it.
     """
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
-    cols, y, values, ends, linenos = _parse_blocks(text)
+    cols, y, values, ends, linenos, max_idx = _parse_blocks(text)
     _check_finite(y, values, ends, linenos)
-    max_idx = int(cols.max()) if cols.size else 0
-    cols -= 1
     row_ptr = np.zeros(len(y) + 1, dtype=np.int64)
     row_ptr[1:] = ends
     n = max_idx
@@ -291,8 +318,9 @@ def _parse_lines(text: str, first_line: int = 1):
 
 
 def _parse_blocks(buf: bytes):
-    """What :func:`_parse_lines` returns for the UTF-8 text ``buf``, but
-    the number of lines, with every row index-checked. ``buf`` is cut
+    """The 0-based indices, labels, values, row ends and row lines of the
+    UTF-8 text ``buf``, every row index-checked, and its largest 1-based
+    index (0 when it has none). ``buf`` is cut
     into blocks of about ``_FAST_BLOCK`` bytes that end just after a
     newline, which bounds the per-byte temporaries and splits no CRLF
     pair and no UTF-8 sequence; ``cols`` and ``values`` are allocated
@@ -301,14 +329,20 @@ def _parse_blocks(buf: bytes):
     :func:`_parse_lines`. Each block's rows are index-checked before the
     next block is read, so the first fault in file order wins; a bad
     UTF-8 byte comes after the faults of the lines before its own.
+
+    ``cols`` holds 0-based indices in :func:`_index_dtype`: it is int32
+    and is widened to int64 once, by the first block whose largest index
+    does not fit. A block's 1-based indices are read into ``cols`` in
+    place when they fit its dtype by their number of digits, and into an
+    int64 array of the block's own otherwise.
     """
     nnz = buf.count(b":")
-    cols = np.empty(nnz, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int32)
     values = np.empty(nnz, dtype=np.float64)
     labels = [np.empty(0, dtype=np.float64)]
     ends = [np.empty(0, dtype=np.int64)]
     linenos = [np.empty(0, dtype=np.int64)]
-    done = lines = start = 0
+    done = lines = start = max_idx = 0
     while start < len(buf):
         stop = buf.find(b"\n", start + _FAST_BLOCK - 1)
         stop = len(buf) if stop < 0 else stop + 1
@@ -326,13 +360,19 @@ def _parse_blocks(buf: bytes):
                 _decode(block, lines + 1)  # raises for the bad byte
             idx, y, vals, row_ends, row_lines, block_lines = _parse_lines(
                 text, lines + 1)
-            cols[done:done + idx.size] = idx
             values[done:done + idx.size] = vals
-            parsed = (y, np.frombuffer(row_ends, dtype=np.int64),
+            parsed = (idx, y, np.frombuffer(row_ends, dtype=np.int64),
                       np.frombuffer(row_lines, dtype=np.int64), block_lines)
-        y, row_ends, row_lines, block_lines = parsed
-        end = done + (int(row_ends[-1]) if row_ends.size else 0)
-        _check_indices(cols[done:end], row_ends, row_lines)
+        idx, y, row_ends, row_lines, block_lines = parsed
+        _check_indices(idx, row_ends, row_lines)
+        end = done + idx.size
+        if idx.size:
+            max_idx = max(max_idx, int(idx.max()))
+            cols = cols.astype(
+                np.promote_types(cols.dtype, _index_dtype(max_idx - 1)),
+                copy=False)
+        # in place when the block's indices were read into cols
+        np.subtract(idx, 1, out=cols[done:end])
         labels.append(y)
         ends.append(row_ends + done)
         linenos.append(row_lines)
@@ -340,18 +380,19 @@ def _parse_blocks(buf: bytes):
         start = stop
     # a colon in a comment has an entry in neither array
     return (cols[:done], np.concatenate(labels), values[:done],
-            np.concatenate(ends), np.concatenate(linenos))
+            np.concatenate(ends), np.concatenate(linenos), max_idx)
 
 
 def _parse_block(buf: bytes, start: int, stop: int, first_line: int,
                  cols, values):
     """Read the whole lines ``buf[start:stop]`` of the fast language, the
-    first of them line ``first_line``: the 1-based indices and the
-    values go to the front of ``cols`` and ``values``, one entry per
-    colon, and the labels, each row's end, each row's 1-based line and
-    the number of lines are returned; ``None`` when the lines are
-    outside the language. The bytes are read where they lie in
-    ``buf``.
+    first of them line ``first_line``: the values go to the front of
+    ``values``, one entry per colon, and the 1-based indices, the labels,
+    each row's end, each row's 1-based line and the number of lines are
+    returned; ``None`` when the lines are outside the language. The
+    indices are the front of ``cols`` when every one of them has few
+    enough digits to fit its dtype, and an int64 array otherwise. The
+    bytes are read where they lie in ``buf``.
 
     The fast language is LIBSVM text made of the bytes ``0-9 . + - e E
     : space tab newline`` only, in which every line is ``label
@@ -373,7 +414,12 @@ def _parse_block(buf: bytes, start: int, stop: int, first_line: int,
     if fields is None:
         return None
     (lstart, lstop), (istart, istop), vstop, row_ends, rows, n_lines = fields
-    idx, vals = cols[:istart.size], values[:istart.size]
+    # 9 digits stay below 2**31
+    if cols.dtype == np.int32 and int((istop - istart).max(initial=0)) > 9:
+        idx = np.empty(istart.size, dtype=np.int64)
+    else:
+        idx = cols[:istart.size]
+    vals = values[:istart.size]
     raw = np.frombuffer(buf, dtype=np.uint8, count=stop - start, offset=start)
     # indices: digits only, at most _FAST_DIGITS of them
     if _read_decimals(raw, istart, istop, idx, plain=True) is None:
@@ -394,7 +440,7 @@ def _parse_block(buf: bytes, start: int, stop: int, first_line: int,
         at[1:] += row_ends[:-1]
         y[:] = nums[at]
         vals[:] = np.delete(nums, at)
-    return y, row_ends, rows + first_line, n_lines
+    return idx, y, row_ends, rows + first_line, n_lines
 
 
 def _fields(buf: bytes, start: int, stop: int):
@@ -710,6 +756,8 @@ def augment_bias(d: Dataset) -> Dataset:
     n = d.n_features
     row_ptr, idx, vals = d.samples.csr()
     ends = row_ptr[1:]
+    # widened when the new index does not fit the store's dtype
+    idx = idx.astype(np.promote_types(idx.dtype, _index_dtype(n)), copy=False)
     samples = Samples.from_csr(row_ptr + np.arange(d.m + 1),
                                np.insert(idx, ends, n), np.insert(vals, ends, 1.0))
     return Dataset(samples, d.labels, n + 1)

@@ -3,8 +3,11 @@
 A :class:`SparseMatrix` holds three validated arrays, ``row_ptr``,
 ``col_idx`` and ``values`` (float64), and nothing else. The two
 structure arrays are int32 when the row count, the column count and the
-number of nonzeros all fit in it, and int64 otherwise
-(:func:`_index_dtype`); scipy's kernels run the same arithmetic for
+number of nonzeros all fit in it, and int64 otherwise; the rule is
+``data_io._index_dtype``, the one the sample store
+(:class:`~almsvm.data_io.Samples`) follows for its feature indices, so
+:meth:`SparseMatrix.from_rows` wraps a store's int32 index array
+without a copy. scipy's kernels run the same arithmetic for
 either index type, so only the bytes each product streams change. Each
 operation calls the compiled routine of ``scipy.sparse._sparsetools``
 that scipy's own ``csr_array`` runs for the same operation, without
@@ -65,7 +68,7 @@ import sys
 
 import numpy as np
 
-from .data_io import Samples, _as_index, _readonly
+from .data_io import Samples, _as_index, _index_dtype, _readonly
 
 __all__ = ["SparseMatrix"]
 
@@ -98,14 +101,6 @@ def _load_kernels():
     if sys.modules.get(spec.name) is kernels:
         del sys.modules[spec.name]
     _kernels = kernels
-
-
-_INT32_MAX = int(np.iinfo(np.int32).max)
-
-
-def _index_dtype(m: int, n: int, nnz: int):
-    """int32 when ``m``, ``n`` and ``nnz`` all fit in it, else int64."""
-    return np.int32 if max(m, n, nnz) <= _INT32_MAX else np.int64
 
 
 def _gather(row_ptr, col_idx, values, rows, n):
@@ -215,7 +210,8 @@ class SparseMatrix:
     def from_rows(cls, rows, n_cols: int) -> "SparseMatrix":
         """Build from (indices, values) pairs: a :class:`Samples` store,
         whose flat arrays are wrapped without a copy when its rows lie back
-        to back, or any iterable of pairs, concatenated once.
+        to back and its indices have the matrix's index dtype, as they do
+        whenever it is int32, or any iterable of pairs, concatenated once.
 
         Indices are 0-based and strictly increasing within each pair.
         """

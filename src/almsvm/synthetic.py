@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .alm import C_SCALE_SVC, C_SCALE_SVR, EPSILON
-from .data_io import Dataset, Samples
+from .data_io import Dataset, Samples, _index_dtype
 
 __all__ = [
     "svc_blobs",
@@ -37,14 +37,17 @@ _MAX_REDRAWS = 1000
 
 
 def _fixed_width_rows(cols: np.ndarray, vals: np.ndarray) -> Samples:
-    """Sample ``i`` is row ``i`` of the ``(m, k)`` arrays ``cols`` and ``vals``."""
+    """Sample ``i`` is row ``i`` of the ``(m, k)`` arrays ``cols`` and
+    ``vals``; the generators make ``cols`` in the store's index dtype of
+    their ``n`` columns, so it is not copied."""
     m, k = cols.shape
     return Samples.from_csr(k * np.arange(m + 1), cols.reshape(-1), vals.reshape(-1))
 
 
 def _dense_rows(x: np.ndarray) -> Samples:
     m, n = x.shape
-    return _fixed_width_rows(np.tile(np.arange(n), (m, 1)), x)
+    return _fixed_width_rows(
+        np.tile(np.arange(n, dtype=_index_dtype(n - 1)), (m, 1)), x)
 
 
 def svc_blobs(
@@ -85,7 +88,7 @@ def svc_sparse_binary(
     rng = np.random.default_rng(seed)
     k = max(1, int(round(density * n)))
     hidden = rng.normal(size=n)
-    cols = np.empty((m, k), dtype=np.int64)
+    cols = np.empty((m, k), dtype=_index_dtype(n - 1))
     raw = np.empty(m)
     for i in range(m):
         cols[i] = np.sort(rng.choice(n, size=k, replace=False))
@@ -118,7 +121,7 @@ def svc_margin_gap(
     k = max(1, int(round(density * n)))
     C = C_SCALE_SVC / m
     # row i of supports and vals is sample i
-    supports = np.empty((m, k), dtype=np.int64)
+    supports = np.empty((m, k), dtype=_index_dtype(n - 1))
     for i in range(m):
         supports[i] = np.sort(rng.choice(n, size=k, replace=False))
     vals = 0.3 * rng.normal(size=(m, k))

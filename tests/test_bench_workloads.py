@@ -31,9 +31,9 @@ def test_numpy_data_and_writer_read_cut_and_split_datasets(workloads, tmp_path):
     w = np.random.default_rng(4).normal(size=d.n_features)
     for part in (cut_part, train, test):
         for idx, vals in part.samples:
-            assert idx.dtype == np.int64 and vals.dtype == np.float64
+            assert idx.dtype == np.int32 and vals.dtype == np.float64
         check = workloads.NumpyData(part.samples, part.labels)
-        assert check.cols.dtype == np.int64 and check.vals.dtype == np.float64
+        assert check.cols.dtype == np.int32 and check.vals.dtype == np.float64
         assert check.m == part.m
         model = metrics.Model(w=w, task="svc")
         np.testing.assert_array_equal(check.scores(w), metrics.scores(model, part))

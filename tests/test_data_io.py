@@ -9,6 +9,7 @@ from almsvm import data_io
 from almsvm.data_io import (
     Dataset,
     ParseError,
+    Samples,
     augment_bias,
     normalize_labels,
     parse_libsvm,
@@ -384,6 +385,38 @@ class TestFastPath:
             parse_libsvm(text)
 
 
+class TestIndexWidth:
+    """The parser stores 0-based indices as int32 while they fit in it,
+    on either path, and widens its array to int64 once they do not."""
+
+    @pytest.mark.parametrize("top,dtype", [(2**31, np.int32),
+                                           (2**31 + 1, np.int64)])
+    @pytest.mark.parametrize("comment", ["", "# a comment\n"],
+                             ids=["fast", "per_line"])
+    def test_either_side_of_the_limit(self, monkeypatch, comment, top, dtype):
+        # the largest 1-based index 2**31 is 0-based 2**31 - 1, which fits
+        calls = _per_line_blocks(monkeypatch)
+        text = f"{comment}1 2:0.5 {top}:1.5\n-1 1:2\n"
+        d = parse_libsvm(text)
+        assert len(calls) == (1 if comment else 0)
+        # the parser makes the array in that dtype; the store keeps it
+        assert data_io._parse_blocks(text.encode())[0].dtype == dtype
+        assert d.samples.indices.dtype == dtype
+        assert d.samples.indices.tolist() == [1, top - 1, 0]
+        assert d.n_features == top
+        assert_bitwise_equal(d, parse_libsvm_oracle(text))
+
+    def test_a_late_block_widens_the_earlier_ones(self, monkeypatch):
+        # a block of 1 byte holds one line; the first two are stored
+        # int32 before the third widens the array
+        monkeypatch.setattr(data_io, "_FAST_BLOCK", 1)
+        text = "1 3:1\n-1 1:2 5:1\n1 4:1 3000000000:1\n"
+        d = parse_libsvm(text)
+        assert d.samples.indices.dtype == np.int64
+        assert d.samples.indices.tolist() == [2, 0, 4, 3, 2999999999]
+        assert_bitwise_equal(d, parse_libsvm_oracle(text))
+
+
 def _generated_text(lines=20000, per_line=5):
     rng = np.random.default_rng(5)
     idx = np.sort(rng.integers(0, 100, size=(lines, per_line)), axis=1)
@@ -427,10 +460,10 @@ class TestSamples:
         d = Dataset([(np.array([0, 2]), np.array([0.5, 2.0])),
                      ([1], [3])], np.array([1.0, -1.0]), 3)
         s = d.samples
-        assert s.indices.dtype == np.int64 and s.values.dtype == np.float64
+        assert s.indices.dtype == np.int32 and s.values.dtype == np.float64
         np.testing.assert_array_equal(s.indices, [0, 2, 1])
         idx, vals = s[-1]
-        assert idx.dtype == np.int64 and vals.dtype == np.float64
+        assert idx.dtype == np.int32 and vals.dtype == np.float64
         assert np.shares_memory(idx, s.indices)
         assert np.shares_memory(vals, s.values)
         with pytest.raises(ValueError, match="read-only"):
@@ -443,7 +476,7 @@ class TestSamples:
                                                    np.array([]))]
         row_ptr, idx, vals = Dataset(rows, np.zeros(2), 1).samples.csr()
         np.testing.assert_array_equal(row_ptr, [0, 1, 1])
-        assert idx.dtype == np.int64 and vals.dtype == np.float64
+        assert idx.dtype == np.int32 and vals.dtype == np.float64
 
     @pytest.mark.parametrize("rows,labels,message", [
         ([(np.array([0, 1]), np.array([1.0]))], [1.0], "equal length"),
@@ -460,6 +493,35 @@ class TestSamples:
                     np.array([1.0]), 3)
         # an empty list has numpy's default float dtype but no index in it
         assert Dataset([([], [])], np.array([1.0]), 3).samples.indices.size == 0
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda: Samples.from_csr(np.array([0, 1.7, 2]), np.array([0.9, 2.2]),
+                                  [1.0, 2.0]), "row_ptr"),
+        (lambda: Samples(np.array([0, 2]), [1.0, 2.0], np.array([0.0, 1.5]),
+                         np.array([1, 2])), "starts"),
+        (lambda: Samples(np.array([0, 2]), [1.0, 2.0], np.array([0, 1]),
+                         np.array([1.0, 2.5])), "ends"),
+    ], ids=["row_ptr", "starts", "ends"])
+    def test_non_integer_row_bounds_are_rejected_not_truncated(self, make,
+                                                               name):
+        # int64 conversion would store starts [0, 1] and indices [0, 2]
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            make()
+
+    @pytest.mark.parametrize("top,dtype", [(2**31 - 1, np.int32),
+                                           (2**31, np.int64)])
+    def test_from_pairs_either_side_of_the_limit(self, top, dtype):
+        s = Samples.from_pairs([(np.array([0, top]), [1.0, 2.0]), ([3], [1.0])])
+        assert s.indices.dtype == dtype
+        assert s.indices.tolist() == [0, top, 3]
+
+    def test_int32_indices_are_kept_and_int64_ones_narrowed(self):
+        idx = np.array([0, 2, 1], dtype=np.int32)
+        s = Samples.from_csr(np.array([0, 2, 3]), idx, [1.0, 2.0, 3.0])
+        assert np.shares_memory(s.indices, idx)
+        wide = Samples.from_csr([0, 2, 3], idx.astype(np.int64), [1.0, 2.0, 3.0])
+        assert wide.indices.dtype == np.int32
+        np.testing.assert_array_equal(wide.indices, idx)
 
     def test_slices_and_selections_share_the_store(self):
         d = parse_libsvm("1 1:1 3:2\n-1\n1 2:5\n1 1:4 2:4\n")
@@ -644,6 +706,17 @@ class TestAugmentBias:
         out = augment_bias(augment_bias(d))
         assert out.n_features == 3
         np.testing.assert_array_equal(out.samples[0][0], [0, 1, 2])
+
+    @pytest.mark.parametrize("n,dtype", [(2**31 - 1, np.int32),
+                                         (2**31, np.int64)])
+    def test_the_bias_index_widens_the_store_only_when_it_must(self, n, dtype):
+        d = Dataset([(np.array([0, 5]), np.array([0.5, 1.5])), ([], [])],
+                    np.array([1.0, -1.0]), n)
+        assert d.samples.indices.dtype == np.int32
+        out = augment_bias(d)
+        assert out.samples.indices.dtype == dtype
+        assert out.samples.indices.tolist() == [0, 5, n, n]
+        np.testing.assert_array_equal(out.samples.values, [0.5, 1.5, 1.0, 1.0])
 
     def test_preserves_m_and_existing_entries(self, rng):
         rows = [

@@ -10,8 +10,8 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from almsvm import sparse
-from almsvm.data_io import Samples
+from almsvm import data_io, sparse
+from almsvm.data_io import Samples, parse_libsvm
 from almsvm.sparse import SparseMatrix, _index_dtype
 
 from conftest import random_sparse
@@ -76,6 +76,14 @@ class TestConstruction:
         store = Samples.from_pairs([([0], [1.0]), (cols, vals)])
         with pytest.raises(ValueError, match=message):
             SparseMatrix.from_rows(store, 3)
+
+    def test_a_parsed_store_is_wrapped_without_a_copy(self):
+        # the store's int32 indices and its values are the matrix's own
+        d = parse_libsvm("1 1:1 3:2\n-1\n1 2:5\n1 1:4 2:4\n")
+        a = SparseMatrix.from_rows(d.samples, d.n_features)
+        assert a.col_idx.dtype == d.samples.indices.dtype == np.int32
+        assert np.shares_memory(a.col_idx, d.samples.indices)
+        assert np.shares_memory(a.values, d.samples.values)
 
     @pytest.mark.parametrize("row_ptr,col_idx,name", [
         ([0, 1.5, 2], [0, 1], "row_ptr"),
@@ -202,7 +210,7 @@ class TestGatherRows:
         assert a.row_ptr.dtype == np.int32
         rows = {"sorted": np.flatnonzero(rng.random(a.m) < 0.4),
                 "repeated": rng.integers(0, a.m, size=2 * a.m)}[pick]
-        monkeypatch.setattr(sparse, "_INT32_MAX", a.nnz)
+        monkeypatch.setattr(data_io, "_INT32_MAX", a.nnz)
         block = a.gather_rows(rows)
         assert isinstance(block, SparseMatrix)
         assert block.shape == (rows.size, a.n)
