@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import Dataset, Samples
+from .data_io import Dataset, Samples, _index_dtype
+from .sparse import _load_kernels, _matvec
 
 __all__ = ["Model", "scores", "predict", "predict_label", "predict_labels",
            "accuracy", "mse"]
@@ -50,27 +51,26 @@ class Model:
 
 
 def _row_scores(model: Model, samples: Samples) -> np.ndarray:
-    """``w . x`` for each sparse row, gathered, multiplied and summed
-    left to right per row by ``np.bincount`` over the flat CSR arrays.
+    """``w . x`` for each sparse row by the solver's ``sparse._matvec``.
 
-    Features beyond the model's dictionary contribute zero (test files
-    routinely carry indices the training file never saw): only when the
-    rows hold such an index are the entries masked before the sum, which
-    leaves the other entries in the same order, so both paths agree bit
-    for bit. For a bias-augmented model the constant feature is appended
-    implicitly.
+    An index past the model's dictionary (test files routinely carry
+    indices the training file never saw) reads one extra weight of
+    ``0.0``, so its value adds nothing if finite and makes the score
+    non-finite if not (see :mod:`almsvm.sparse`). A negative index is
+    rejected. For a bias-augmented model the constant feature is
+    appended implicitly.
     """
-    m = len(samples)
-    if m == 0:
-        return np.zeros(0)
     row_ptr, cols, vals = samples.csr()
-    rows = np.repeat(np.arange(m), np.diff(row_ptr))
     n = model.w.size - 1 if model.bias_augmented else model.w.size
-    if int(cols.max(initial=0)) >= n:
-        keep = cols < n
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    s = np.bincount(rows, weights=vals * model.w[cols], minlength=m)
-    s = s.astype(np.float64, copy=False)  # int zeros when no entry is kept
+    # cast first, so clipping makes the one copy of the indices
+    dt = np.promote_types(cols.dtype,
+                          _index_dtype(len(samples), n + 1, vals.size))
+    cols = np.minimum(cols.astype(dt, copy=False), n)
+    if cols.min(initial=0) < 0:
+        raise ValueError("negative feature index")
+    _load_kernels()
+    s = _matvec(row_ptr.astype(dt, copy=False), cols, vals,
+                np.append(model.w[:n], 0.0))
     if model.bias_augmented:
         s += model.w[-1]
     return s
@@ -78,13 +78,13 @@ def _row_scores(model: Model, samples: Samples) -> np.ndarray:
 
 def scores(model: Model, data: Dataset) -> np.ndarray:
     """Raw scores ``w . x`` of every sample of ``data``; the one scoring
-    kernel behind :func:`predict`, :func:`accuracy` and :func:`mse`."""
+    path behind :func:`predict`, :func:`accuracy` and :func:`mse`."""
     return _row_scores(model, data.samples)
 
 
 def predict(model: Model, sample) -> float:
     """Raw score w . x for one sparse sample: :func:`scores` on one row,
-    so it agrees with it bit for bit."""
+    so it agrees with it bit for bit; a negative index is rejected."""
     return float(_row_scores(model, Samples.from_pairs([sample]))[0])
 
 

@@ -11,7 +11,7 @@ without a copy. scipy's kernels run the same arithmetic for
 either index type, so only the bytes each product streams change. Each
 operation calls the compiled routine of ``scipy.sparse._sparsetools``
 that scipy's own ``csr_array`` runs for the same operation, without
-building a scipy array object. Three routines are used:
+building a scipy array object. Three routines are used, one call each:
 
 * ``A @ x`` is ``csr_matvec``, which accumulates each row left to
   right in stored order;
@@ -26,7 +26,7 @@ scipy's public ``csr_array`` operators, and single-threaded runs
 reproduce exactly. ``_sparsetools`` is private to scipy; these three
 routines and their argument order are those of scipy 1.17.1, the tested
 version, and the tests compare every product bitwise against the
-public operators, so a change in them shows there.
+public operators, so a change in them shows there and needs one edit.
 
 The gathered rows ``A[rows, :]`` are themselves a :class:`SparseMatrix`,
 of shape ``(rows.size, n)``, which the semismooth Newton step builds
@@ -42,10 +42,13 @@ row adds the products ``a_ij * (+-0)``, which are zeros, to
 accumulators that start at ``+0.0``; an accumulator that starts at
 ``+0.0`` is never ``-0.0``, and adding a zero leaves any other value as
 it is, so every column receives the same nonzero terms in the same
-order and the result is the full kernel's, bit for bit.
+order and the result is the full kernel's, bit for bit. Scoring clips
+each column past the model to a ``0.0`` slot of ``x`` and runs
+:func:`_matvec`: a clipped entry adds ``v * 0.0 = +-0`` for finite ``v``,
+so by the same argument each score is the kept entries' sum, bit for bit.
 
-The kernels are loaded when the first matrix is built, not when this
-module is: reading a model, predicting and scoring never build one.
+The kernels are loaded when the first matrix is built or the first
+rows are scored, not when this module is.
 They are loaded from the extension file alone, not through the
 ``scipy.sparse`` package: :func:`_load_kernels` finds scipy's directory
 without importing scipy, finds ``sparse/_sparsetools`` there and runs
@@ -57,7 +60,7 @@ memory and takes under 1 ms; importing the package, which runs
 20 MB and takes 0.13-0.18 s (2-core Xeon, Python 3.11.7, scipy 1.17.1),
 which every ``train`` or ``bench`` process would pay. This is the only
 route: where scipy is missing, or its ``sparse`` directory holds no
-``_sparsetools`` extension file, building a matrix raises
+``_sparsetools`` extension file, building a matrix or scoring raises
 ``ImportError`` naming the directories searched.
 """
 
@@ -72,7 +75,7 @@ from .data_io import Samples, _as_index, _index_dtype, _readonly
 
 __all__ = ["SparseMatrix"]
 
-# scipy's _sparsetools extension module, bound when the first matrix is built
+# scipy's _sparsetools extension module, bound by the first _load_kernels()
 _kernels = None
 
 
@@ -101,6 +104,20 @@ def _load_kernels():
     if sys.modules.get(spec.name) is kernels:
         del sys.modules[spec.name]
     _kernels = kernels
+
+
+def _matvec(row_ptr, col_idx, values, x) -> np.ndarray:
+    """``A @ x`` from the CSR arrays of ``A``, index arrays of one dtype."""
+    out = np.zeros(row_ptr.size - 1)
+    _kernels.csr_matvec(out.size, x.size, row_ptr, col_idx, values, x, out)
+    return out
+
+
+def _matvec_t(row_ptr, col_idx, values, y, n) -> np.ndarray:
+    """``A.T @ y`` from the CSR arrays of an ``n``-column ``A``."""
+    out = np.zeros(n)
+    _kernels.csc_matvec(n, y.size, row_ptr, col_idx, values, y, out)
+    return out
 
 
 def _gather(row_ptr, col_idx, values, rows, n):
@@ -225,10 +242,7 @@ class SparseMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._n,):
             raise ValueError(f"x must have length {self._n}, got {x.shape}")
-        out = np.zeros(self._m)
-        _kernels.csr_matvec(self._m, self._n, self._ptr, self._idx, self._val,
-                            x, out)
-        return out
+        return _matvec(self._ptr, self._idx, self._val, x)
 
     def matvec_t(self, y) -> np.ndarray:
         """Return ``A.T @ y`` by scattering row contributions in row order.
@@ -240,18 +254,12 @@ class SparseMatrix:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self._m,):
             raise ValueError(f"y must have length {self._m}, got {y.shape}")
-        out = np.zeros(self._n)
         mask = y != 0.0
-        k = np.count_nonzero(mask)
-        if 4 * k > self._m:
-            _kernels.csc_matvec(self._n, self._m, self._ptr, self._idx,
-                                self._val, y, out)
-        else:
-            rows = np.flatnonzero(mask)
-            ptr, idx, val = _gather(self._ptr, self._idx, self._val, rows,
-                                    self._n)
-            _kernels.csc_matvec(self._n, k, ptr, idx, val, y[rows], out)
-        return out
+        if 4 * np.count_nonzero(mask) > self._m:
+            return _matvec_t(self._ptr, self._idx, self._val, y, self._n)
+        rows = np.flatnonzero(mask)
+        ptr, idx, val = _gather(self._ptr, self._idx, self._val, rows, self._n)
+        return _matvec_t(ptr, idx, val, y[rows], self._n)
 
     def normal_apply(self, h) -> np.ndarray:
         """Return ``A.T @ (A @ h)``: ``A @ h`` accumulated row by row,
@@ -259,13 +267,8 @@ class SparseMatrix:
         h = np.asarray(h, dtype=np.float64)
         if h.shape != (self._n,):
             raise ValueError(f"h must have length {self._n}, got {h.shape}")
-        t = np.zeros(self._m)
-        _kernels.csr_matvec(self._m, self._n, self._ptr, self._idx, self._val,
-                            h, t)
-        out = np.zeros(self._n)
-        _kernels.csc_matvec(self._n, self._m, self._ptr, self._idx, self._val,
-                            t, out)
-        return out
+        t = _matvec(self._ptr, self._idx, self._val, h)
+        return _matvec_t(self._ptr, self._idx, self._val, t, self._n)
 
     def restricted_normal_apply(self, rows, h) -> np.ndarray:
         """Return ``A[rows, :].T @ (A[rows, :] @ h)``; only the nonzeros

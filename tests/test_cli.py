@@ -501,9 +501,8 @@ print(loaded)
 
 
 def test_import_predict_and_eval_never_load_scipy(svc_file, tmp_path):
-    # start-up and scoring build no matrix, so they load no kernels;
-    # training loads scipy's kernel extension by path, outside
-    # sys.modules, and never imports the scipy package
+    # scoring (predict, eval) and training load scipy's kernel extension
+    # by path, outside sys.modules, and never import the scipy package
     model = tmp_path / "m.model"
     write_model(Model(w=[0.5] * 10, task="svc"), model)
     src = Path(__file__).resolve().parent.parent / "src"

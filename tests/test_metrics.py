@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from almsvm.data_io import Dataset
+from almsvm.data_io import Dataset, parse_libsvm, split
 from almsvm.metrics import (Model, accuracy, mse, predict, predict_label,
                             predict_labels, scores)
 from almsvm.sparse import SparseMatrix
@@ -97,7 +97,7 @@ class TestScores:
 
 
 def _masked_scores(model, data):
-    """The scoring kernel with every entry past the model masked out."""
+    """Scoring oracle: a bincount over the entries inside the model."""
     row_ptr, cols, vals = data.samples.csr()
     rows = np.repeat(np.arange(data.m), np.diff(row_ptr))
     n = model.w.size - 1 if model.bias_augmented else model.w.size
@@ -108,8 +108,9 @@ def _masked_scores(model, data):
 
 
 class TestUnmaskedScores:
-    """Data whose indices all lie inside the model is scored without the
-    mask, bit for bit as with it."""
+    """Scoring has one path: every index past the model is clipped to a
+    zero weight, which gives bit for bit the scores of masking those
+    entries out, while every value is finite."""
 
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("past", [False, True])
@@ -134,6 +135,66 @@ class TestUnmaskedScores:
         assert got.dtype == np.float64
         assert got.tobytes() == _masked_scores(model, data).tobytes()
         assert got.tolist() == [-2.0] * len(rows)
+
+    @pytest.mark.parametrize("case", ["int64_past_int32", "all_past",
+                                      "negative_zero", "permuted_split",
+                                      "bias_slot"])
+    def test_one_path_bitwise_equal_to_the_masked_path(self, rng, case):
+        w = rng.normal(size=4)
+        bias = False
+        if case == "int64_past_int32":
+            # 1-based 2**31 + 1 is 0-based 2**31: the parse keeps int64
+            data = parse_libsvm(
+                "1 1:0.5 3:-1.5 2147483649:7.0\n-1 2:2.0 4:1.0\n")
+            assert data.samples.indices.dtype == np.int64
+        elif case == "all_past":
+            data = Dataset([_sample([(4, 1.0), (9, -2.0)]), _sample([(1, 3.0)])],
+                           np.zeros(2), 10)
+        elif case == "negative_zero":
+            # every kept product is -0.0; the clipped ones are +-0 too
+            w = np.array([-0.0, 0.0, 2.0, 3.0])
+            data = Dataset([_sample([(0, 1.0), (1, -1.0), (7, 5.0)]),
+                            _sample([(1, -4.0), (6, -1.0)])], np.zeros(2), 8)
+        elif case == "permuted_split":
+            whole = Dataset(_random_rows(rng, 60, 7), np.zeros(60), 7)
+            _, data = split(whole, 0.5, seed=3)
+            assert not np.array_equal(data.samples.starts[1:],
+                                      data.samples.ends[:-1])
+        else:
+            # index 3 is the bias slot of a 3-feature bias model
+            bias = True
+            data = Dataset([_sample([(0, 1.0), (3, 100.0)]), _sample([(3, -1.0)]),
+                            _sample([(2, 0.5), (5, 2.0)])], np.zeros(3), 6)
+        model = Model(w=w, task="svr", bias_augmented=bias)
+        assert scores(model, data).tobytes() == _masked_scores(model, data).tobytes()
+
+    def test_non_finite_value_past_the_model_gives_non_finite_score(self):
+        # v * 0.0 is nan for an infinite v: no entry is dropped unread
+        model = Model(w=[2.0], task="svr")
+        data = Dataset([_sample([(0, 1.0), (5, np.inf)]),
+                        _sample([(0, np.inf)]), _sample([(0, 1.0)])],
+                       np.zeros(3), 6)
+        got = scores(model, data)
+        assert np.isnan(got[0]) and got[1] == np.inf and got[2] == 2.0
+
+
+class TestNegativeIndex:
+    """A negative feature index is rejected, never read as ``w[-1]``."""
+
+    def _rows(self):
+        return [_sample([(-1, 1.0)]), _sample([(-1, 1.0), (0, 1.0)])]
+
+    def test_scores(self):
+        model = Model(w=[1.0, 2.0, 5.0], task="svr")
+        with pytest.raises(ValueError, match="negative"):
+            scores(model, Dataset(self._rows(), np.zeros(2), 3))
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_predict(self, bias):
+        model = Model(w=[1.0, 2.0, 5.0], task="svc", bias_augmented=bias)
+        for row in self._rows():
+            with pytest.raises(ValueError, match="negative"):
+                predict(model, row)
 
 
 def _toy_test_set(labels):
