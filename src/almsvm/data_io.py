@@ -164,26 +164,50 @@ class Samples(Sequence):
             yield idx[a:b], vals[a:b]
 
     def csr(self):
-        """``(row_ptr, indices, values)`` of these rows in order: views of
-        the flat arrays when the rows lie back to back in them, as after a
-        parse or a cut, and a gathered copy otherwise."""
+        """``(row_ptr, indices, values)`` of these rows in order, with an
+        int64 ``row_ptr`` and the store's index dtype: views of the flat
+        arrays when the rows lie back to back in them, as after a parse
+        or a cut, and otherwise one copy gathered by scipy's
+        ``csr_row_index`` (``sparse._gather``) over the rows' spans.
+
+        The spans are passed as the row pointer of a matrix whose row
+        ``2r`` is row ``r`` here (``span[2r] = starts[r]``,
+        ``span[2r + 1] = ends[r]``); the kernel reads only
+        ``span[row]`` and ``span[row + 1]`` of the rows it is given, so
+        the spans may be out of order, repeated or overlapping.
+        """
         starts, ends = self.starts, self.ends
         m = starts.size
         if m == 0:
             return np.zeros(1, dtype=np.int64), self.indices[:0], self.values[:0]
-        row_ptr = np.empty(m + 1, dtype=np.int64)
         if np.array_equal(starts[1:], ends[:-1]):
             lo, hi = int(starts[0]), int(ends[-1])
+            row_ptr = np.empty(m + 1, dtype=np.int64)
             row_ptr[0] = lo
             row_ptr[1:] = ends
             row_ptr -= lo
             return row_ptr, self.indices[lo:hi], self.values[lo:hi]
-        counts = ends - starts
-        row_ptr[0] = 0
-        np.cumsum(counts, out=row_ptr[1:])
-        sel = np.repeat(starts - row_ptr[:-1], counts)
-        sel += np.arange(sel.size)
-        return row_ptr, self.indices[sel], self.values[sel]
+        # sparse imports this module when it loads
+        from .sparse import _gather, _load_kernels
+
+        # the kernel checks no bounds: a span outside the flat arrays, or
+        # one that ends before it starts, would read or write past them
+        hi = int(ends.max())
+        if (int(starts.min()) < 0 or hi > min(self.indices.size, self.values.size)
+                or np.any(ends < starts)):
+            raise ValueError("row spans must lie within the flat arrays")
+        # one dtype for the table, its row ids up to 2m - 2 and the indices
+        dt = np.promote_types(self.indices.dtype, _index_dtype(2 * m, hi))
+        span = np.empty(2 * m, dtype=dt)
+        span[0::2] = starts
+        span[1::2] = ends
+        _load_kernels()
+        # the table already holds the indices' dtype, so no column count
+        # widens it
+        row_ptr, idx, vals = _gather(span, self.indices, self.values,
+                                     np.arange(0, 2 * m, 2, dtype=dt), 0)
+        return (row_ptr.astype(np.int64, copy=False),
+                idx.astype(self.indices.dtype, copy=False), vals)
 
 
 @dataclass
@@ -668,12 +692,16 @@ def format_float(x: float) -> str:
 
 
 def serialize_libsvm(d: Dataset) -> str:
-    lines = []
-    for (idx, vals), label in zip(d.samples, d.labels):
-        parts = [format_float(label)]
-        parts.extend(f"{int(i) + 1}:{format_float(v)}" for i, v in zip(idx, vals))
-        lines.append(" ".join(parts))
-    return "".join(line + "\n" for line in lines)
+    """LIBSVM text of ``d``, one line per sample, every number in
+    :func:`format_float`'s shortest round-trip form."""
+    row_ptr, idx, vals = d.samples.csr()
+    # Python ints and floats: the 1-based index cannot wrap, and the repr
+    # of a float is format_float's text
+    feats = [f"{i + 1}:{v!r}" for i, v in zip(idx.tolist(), vals.tolist())]
+    ptr = row_ptr.tolist()
+    labels = map(format_float, np.asarray(d.labels).tolist())
+    return "".join(" ".join([y, *feats[a:b]]) + "\n"
+                   for y, a, b in zip(labels, ptr, ptr[1:]))
 
 
 def write_libsvm(d: Dataset, path) -> None:

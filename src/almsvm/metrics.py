@@ -62,7 +62,9 @@ def _row_scores(model: Model, samples: Samples) -> np.ndarray:
     """
     row_ptr, cols, vals = samples.csr()
     n = model.w.size - 1 if model.bias_augmented else model.w.size
-    # cast first, so clipping makes the one copy of the indices
+    # cast first, so no index wraps; clipping then copies the indices,
+    # their one copy for back-to-back rows and their second for a part
+    # that csr() gathered
     dt = np.promote_types(cols.dtype,
                           _index_dtype(len(samples), n + 1, vals.size))
     cols = np.minimum(cols.astype(dt, copy=False), n)

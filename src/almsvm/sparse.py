@@ -18,7 +18,11 @@ building a scipy array object. Three routines are used, one call each:
 * ``A.T @ y`` is ``csc_matvec`` on the same three arrays, read as the
   CSC form of ``A.T``; it scatters row contributions in row order;
 * a row gather ``A[rows, :]`` is ``csr_row_index`` into arrays sized
-  from the cumulative row lengths, in the order of ``rows``.
+  from the cumulative row lengths, in the order of ``rows``. It gathers
+  a matrix's rows (the semismooth Newton step's active rows and the
+  sparse branch of ``A.T @ y`` below) and, second, a sample store's
+  spans, which :meth:`Samples.csr <almsvm.data_io.Samples.csr>` copies
+  when its rows do not lie back to back, as in a ``split`` part.
 
 Both products are therefore bit for bit equal to row-major reference
 kernels (the test suite keeps ``np.bincount`` ones as oracles) and to
@@ -47,8 +51,9 @@ each column past the model to a ``0.0`` slot of ``x`` and runs
 :func:`_matvec`: a clipped entry adds ``v * 0.0 = +-0`` for finite ``v``,
 so by the same argument each score is the kept entries' sum, bit for bit.
 
-The kernels are loaded when the first matrix is built or the first
-rows are scored, not when this module is.
+The kernels are loaded when the first matrix is built, the first rows
+are scored or a store's spans are first gathered, not when this module
+is.
 They are loaded from the extension file alone, not through the
 ``scipy.sparse`` package: :func:`_load_kernels` finds scipy's directory
 without importing scipy, finds ``sparse/_sparsetools`` there and runs
@@ -60,8 +65,9 @@ memory and takes under 1 ms; importing the package, which runs
 20 MB and takes 0.13-0.18 s (2-core Xeon, Python 3.11.7, scipy 1.17.1),
 which every ``train`` or ``bench`` process would pay. This is the only
 route: where scipy is missing, or its ``sparse`` directory holds no
-``_sparsetools`` extension file, building a matrix or scoring raises
-``ImportError`` naming the directories searched.
+``_sparsetools`` extension file, building a matrix, scoring or
+gathering a store's spans raises ``ImportError`` naming the directories
+searched.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ points by piecewise-quadratic enumeration, gradients by central
 differences, the optimal dual value by a general bound-constrained
 solver (L-BFGS-B), the Hessian-vector product by the unrestricted formula,
 the CSR products by ``np.bincount`` over the stored nonzeros in
-row-major order, LIBSVM text one token at a time, the split's shuffle
-by a plain xorshift64* generator — so the test suite can check the fast
+row-major order, LIBSVM text one token at a time (and written one
+number at a time), a store's gathered rows by numpy fancy indexing, the
+split's shuffle by a plain xorshift64* generator — so the test suite can check the fast
 paths against slow, obviously correct ones. ``from_dense`` and
 ``to_dense`` convert between dense arrays and :class:`SparseMatrix`
 with numpy alone, for writing small test matrices down.
@@ -20,13 +21,14 @@ import math
 import numpy as np
 
 from almsvm.alm import Hinge, Problem, primal_objective
-from almsvm.data_io import _INDEX_MAX, Dataset, ParseError
+from almsvm.data_io import _INDEX_MAX, Dataset, ParseError, Samples, format_float
 from almsvm.sparse import SparseMatrix
 
 __all__ = ["prox_oracle", "phi_value", "fd_gradient", "subgradient_solve",
            "box_dual_optimum", "hess_vec_way2", "matvec_oracle",
            "matvec_t_oracle", "normal_apply_oracle", "parse_libsvm_oracle",
-           "XorShift64Star", "from_dense", "to_dense"]
+           "serialize_libsvm_oracle", "csr_oracle", "XorShift64Star",
+           "from_dense", "to_dense"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -313,6 +315,33 @@ def parse_libsvm_oracle(text, n_features: int | None = None) -> Dataset:
             )
         n = n_features
     return Dataset(samples, y, n)
+
+
+def serialize_libsvm_oracle(d: Dataset) -> str:
+    """:func:`almsvm.data_io.serialize_libsvm` row by row, each number
+    formatted from its numpy scalar by ``format_float``."""
+    lines = []
+    for (idx, vals), label in zip(d.samples, d.labels):
+        parts = [format_float(label)]
+        parts.extend(f"{int(i) + 1}:{format_float(v)}" for i, v in zip(idx, vals))
+        lines.append(" ".join(parts))
+    return "".join(line + "\n" for line in lines)
+
+
+def csr_oracle(samples: Samples):
+    """:meth:`Samples.csr` by numpy alone: the rows' entries are picked
+    one by one by fancy indexing, with an int64 ``row_ptr``; for rows
+    that lie back to back the result equals the views ``csr`` returns."""
+    starts, ends = samples.starts, samples.ends
+    m = starts.size
+    row_ptr = np.zeros(m + 1, dtype=np.int64)
+    if m == 0:
+        return row_ptr, samples.indices[:0], samples.values[:0]
+    counts = ends - starts
+    np.cumsum(counts, out=row_ptr[1:])
+    sel = np.repeat(starts - row_ptr[:-1], counts)
+    sel += np.arange(sel.size)
+    return row_ptr, samples.indices[sel], samples.values[sel]
 
 
 class XorShift64Star:

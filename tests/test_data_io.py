@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from almsvm import data_io
+from almsvm import data_io, metrics, sparse, synthetic
+from almsvm.alm import build_svc
 from almsvm.data_io import (
     Dataset,
     ParseError,
@@ -17,7 +18,12 @@ from almsvm.data_io import (
     split,
 )
 
-from oracles import XorShift64Star, parse_libsvm_oracle
+from oracles import (
+    XorShift64Star,
+    csr_oracle,
+    parse_libsvm_oracle,
+    serialize_libsvm_oracle,
+)
 
 
 def assert_datasets_equal(a: Dataset, b: Dataset):
@@ -30,12 +36,19 @@ def assert_datasets_equal(a: Dataset, b: Dataset):
 
 
 
+def assert_arrays_bitwise_equal(xs, ys):
+    """Equal dtypes and bytes, pair by pair, so -0.0 differs from 0.0."""
+    xs, ys = list(xs), list(ys)
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def assert_bitwise_equal(a: Dataset, b: Dataset):
     """Equal arrays down to the bit, so -0.0 differs from 0.0."""
     assert a.n_features == b.n_features
     assert a.labels.tobytes() == b.labels.tobytes()
-    for x, y in zip(a.samples.csr(), b.samples.csr()):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert_arrays_bitwise_equal(a.samples.csr(), b.samples.csr())
 
 
 class TestParse:
@@ -547,6 +560,103 @@ class TestSamples:
         assert empty[0].tolist() == [0] and empty[1].size == 0
 
 
+# four rows of a parsed store, the second one empty
+_STORE = "1 1:1 3:2\n-1\n1 2:5\n1 1:4 2:-0.0 7:3\n"
+
+
+class TestGather:
+    """A part whose rows do not lie back to back is gathered by
+    ``csr_row_index`` into exactly the arrays numpy's fancy indexing
+    gives: the same bytes, an int64 ``row_ptr`` and the store's index
+    dtype."""
+
+    @pytest.mark.parametrize("rows", [
+        [3, 1, 0, 2], [3, 2, 1, 0], [2, 2, 0, 2], [1], [1, 1], [0, 2],
+        [3, 0, 3, 0, 1], []], ids=[
+        "permuted", "reversed", "repeated", "empty_row", "empty_rows",
+        "gap", "repeated_pairs", "empty_part"])
+    @pytest.mark.parametrize("text", [
+        _STORE, _STORE.replace("7:3", "3000000000:3")], ids=["int32", "int64"])
+    @pytest.mark.parametrize("span_dtype", [np.int32, np.int64])
+    def test_parts_match_the_numpy_gather(self, text, rows, span_dtype):
+        store = parse_libsvm(text).samples
+        part = store[np.array(rows, dtype=np.intp)]
+        part = Samples(store.indices, store.values,
+                       part.starts.astype(span_dtype),
+                       part.ends.astype(span_dtype))
+        got = part.csr()
+        assert_arrays_bitwise_equal(got, csr_oracle(part))
+        assert got[0].dtype == np.int64
+        assert got[1].dtype == store.indices.dtype
+
+    def test_overlapping_spans_are_gathered_as_given(self):
+        # spans need not be rows of one CSR layout
+        store = Samples([0, 1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0, 5.0],
+                        [3, 1, 0], [5, 4, 2])
+        assert_arrays_bitwise_equal(store.csr(), csr_oracle(store))
+        assert store.csr()[1].tolist() == [3, 4, 1, 2, 3, 0, 1]
+
+    def test_back_to_back_rows_are_not_gathered(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sparse, "_gather",
+                            lambda *a: calls.append(a) or pytest.fail())
+        store = parse_libsvm(_STORE).samples
+        for part in (store, store[1:3], store[np.array([1, 2, 3])]):
+            assert_arrays_bitwise_equal(part.csr(), csr_oracle(part))
+        assert calls == []
+
+    @pytest.mark.parametrize("starts,ends", [
+        ([2, -1], [3, 1]), ([2, 0], [3, 6]), ([2, 1], [3, 0])],
+        ids=["negative_start", "end_past_the_store", "end_before_start"])
+    def test_spans_outside_the_store_are_rejected(self, starts, ends):
+        store = Samples([0, 1, 2, 3, 4], [1.0] * 5, starts, ends)
+        with pytest.raises(ValueError, match="row spans"):
+            store.csr()
+
+    @pytest.mark.parametrize("rows,store_ends,dtype", [
+        ([2, 1, 0], None, np.int32),
+        ([3, 2, 1, 0], None, np.int64),
+        ([1, 0], [4, 8], np.int64),
+    ], ids=["fits", "2m_past_the_limit", "end_past_the_limit"])
+    def test_the_span_table_holds_2m_and_the_last_end(
+            self, monkeypatch, rows, store_ends, dtype):
+        # the int32 limit lowered to 7 stands in for 2**31 - 1: a part of
+        # four rows has 2m = 8 past it, a store of eight entries an end
+        # past it, and the indices, all below 7, stay int32
+        ends = np.array(store_ends or [1, 2, 3, 4])
+        store = Samples.from_csr(np.r_[0, ends], np.arange(ends[-1]) % 4,
+                                 np.arange(ends[-1], dtype=np.float64))
+        monkeypatch.setattr(data_io, "_INT32_MAX", 7)
+        seen = []
+        gather = sparse._gather
+        monkeypatch.setattr(
+            sparse, "_gather",
+            lambda span, *a: seen.append(span.dtype) or gather(span, *a))
+        part = store[np.array(rows)]
+        got = part.csr()
+        assert seen == [dtype]
+        assert store.indices.dtype == np.int32
+        assert_arrays_bitwise_equal(got, csr_oracle(part))
+
+    @pytest.mark.parametrize("make", [
+        lambda: synthetic.svc_margin_gap(300, 100, density=0.1, seed=3),
+        lambda: synthetic.svc_sparse_binary(300, 40, density=0.1, seed=3),
+    ], ids=["svc_margin_gap", "svc_sparse_binary"])
+    def test_split_parts_read_as_their_contiguous_copies(self, make):
+        # the generators of the benchmark's two workloads, small
+        d = make()
+        w = np.random.default_rng(0).normal(size=d.n_features)
+        model = metrics.Model(w=w, task="svc")
+        for part in split(d, 0.8, 7):
+            copy = Dataset(Samples.from_pairs(list(part.samples)),
+                           part.labels, part.n_features)
+            a, b = build_svc(part, 0.5).B, build_svc(copy, 0.5).B
+            assert_arrays_bitwise_equal((a.row_ptr, a.col_idx, a.values),
+                                        (b.row_ptr, b.col_idx, b.values))
+            assert (metrics.scores(model, part).tobytes()
+                    == metrics.scores(model, copy).tobytes())
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse(self, rng):
         rows = []
@@ -561,6 +671,26 @@ class TestRoundTrip:
     def test_serialized_form(self):
         d = Dataset([(np.array([0, 2]), np.array([0.5, 2.0]))], np.array([1.0]), 3)
         assert serialize_libsvm(d) == "1.0 1:0.5 3:2.0\n"
+
+    @pytest.mark.parametrize("rows,labels", [
+        ([], []),
+        ([([], []), ([0], [-0.0]), ([], [])], [1, -1, 0]),
+        ([([1, 4], [5e-324, 2.2250738585072014e-308 / 3]),
+          ([0, 2], [0.1 + 0.2, 1 / 3])], [-0.0, 0.30000000000000004]),
+        ([([3], [1.7976931348623157e308]), ([0, 2**31, 2**40], [1.0, -2.5, 1e-7])],
+         [1.0, -1.0]),
+    ], ids=["no_rows", "empty_rows_and_minus_zero", "subnormal_and_17_digits",
+            "index_past_int32"])
+    def test_matches_the_row_by_row_writer(self, rows, labels):
+        d = Dataset(rows, np.array(labels), 2**40 + 1)
+        assert serialize_libsvm(d) == serialize_libsvm_oracle(d)
+
+    def test_a_split_part_matches_the_row_by_row_writer(self):
+        d = synthetic.svc_sparse_binary(200, 30, density=0.2, seed=1)
+        for part in split(d, 0.7, 3):
+            text = serialize_libsvm(part)
+            assert text == serialize_libsvm_oracle(part)
+            assert_datasets_equal(parse_libsvm(text, n_features=30), part)
 
 
 class TestNormalizeLabels:

@@ -39,3 +39,17 @@ def test_one_sparse_matrix_type_over_three_kernels():
     assert sorted(called) == ["csc_matvec", "csr_matvec", "csr_row_index"]
     for path in Path(almsvm.__file__).parent.glob("*.py"):
         assert "np.bincount(" not in path.read_text(), path.name
+
+
+def test_one_gather_kernel_for_matrices_and_stores():
+    # a store's spans are gathered by the same csr_row_index call as the
+    # Newton step's rows, and only sparse touches scipy's routines
+    sources = {path.name: path.read_text()
+               for path in Path(almsvm.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items()
+            if "csr_row_index(" in text] == ["sparse.py"]
+    assert sources["sparse.py"].count("csr_row_index(") == 1
+    assert "csr_row_index(" in inspect.getsource(sparse._gather)
+    assert [name for name, text in sources.items()
+            if "_kernels." in text] == ["sparse.py"]
+    assert "np.repeat(" not in sources["data_io.py"]
