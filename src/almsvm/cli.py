@@ -14,6 +14,7 @@ writes the full solve reports as a JSON list, one object per dataset.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -229,6 +230,18 @@ def _config(args) -> SolverConfig:
     )
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Put the data file ``path`` in front of a run error raised inside;
+    a ParseError or OSError already names its file."""
+    try:
+        yield
+    except (ParseError, OSError):
+        raise
+    except _RUN_ERRORS as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _train_on(args, task: str, train: Dataset):
     """Optionally add a bias feature, then assemble and solve the task's
     problem; classification labels are mapped to {-1, +1} first."""
@@ -261,8 +274,9 @@ def _train_on(args, task: str, train: Dataset):
 
 
 def cmd_train(args) -> int:
-    data = load_libsvm(args.data, n_features=args.n_features)
-    model, report = _train_on(args, args.task, data)
+    with _naming(args.data):
+        data = load_libsvm(args.data, n_features=args.n_features)
+        model, report = _train_on(args, args.task, data)
     write_model(model, args.model)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -307,15 +321,11 @@ def cmd_eval(args) -> int:
 
 def _bench_one(args, path: str):
     """Load, split, train and score one dataset; an error names the file."""
-    try:
+    with _naming(path):
         data = load_libsvm(path, n_features=args.n_features)
         train, test = split(data, args.split, args.seed)
         model, report = _train_on(args, args.task, train)
         metric = (accuracy if args.task == "svc" else mse)(model, test)
-    except (ParseError, OSError):
-        raise  # these already name the file
-    except _RUN_ERRORS as exc:
-        raise type(exc)(f"{path}: {exc}") from None
     return Path(path).stem, report, metric
 
 

@@ -1,5 +1,6 @@
-"""The CSR sample store, LIBSVM-format parsing and writing, label
-normalization, deterministic splits and bias augmentation.
+"""Labeled datasets over the CSR sample store of :mod:`almsvm.sparse`,
+LIBSVM-format parsing and writing, label normalization, deterministic
+splits and bias augmentation.
 
 Feature ids are 1-based on disk (LIBSVM convention) and 0-based
 everywhere inside this package; the conversion happens at the parse and
@@ -11,14 +12,14 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .sparse import Samples, _index_dtype
+
 __all__ = [
     "ParseError",
-    "Samples",
     "Dataset",
     "parse_libsvm",
     "load_libsvm",
@@ -34,8 +35,6 @@ _MASK64 = (1 << 64) - 1
 # the largest 1-based feature index read: its 0-based index fits in
 # int64, the widest index dtype (see _index_dtype)
 _INDEX_MAX = (1 << 63) - 1
-# the range of the narrow index dtype
-_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
 
 # The classes of the fast parse path's bytes, 0 for one outside its
 # alphabet; a carriage return is read as a space, only before a newline.
@@ -66,150 +65,6 @@ class ParseError(ValueError):
     """Malformed input; the message names the offending 1-based line."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
-
-def _index_dtype(*bounds: int):
-    """The package's one index dtype rule: int32 when every one of
-    ``bounds`` fits in it, else int64. The sample store passes the
-    smallest and largest feature index it holds, a matrix its row count,
-    column count and number of nonzeros."""
-    fits = _INT32_MIN <= min(bounds) and max(bounds) <= _INT32_MAX
-    return np.int32 if fits else np.int64
-
-
-def _as_index(a, name: str) -> np.ndarray:
-    """``a`` as an index array: int32 and int64 arrays as they are, any
-    other integers as int64; a non-empty array that is not of an integer
-    dtype is rejected, not truncated."""
-    a = np.asarray(a)
-    if a.size and a.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
-    return a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
-
-
-def _narrow(a: np.ndarray) -> np.ndarray:
-    """The int32 or int64 array ``a`` in :func:`_index_dtype` of its
-    values: an int64 array whose values fit is copied to int32."""
-    if a.dtype == np.int32:
-        return a
-    bounds = (int(a.min()), int(a.max())) if a.size else (0,)
-    return a.astype(_index_dtype(*bounds), copy=False)
-
-
-class Samples(Sequence):
-    """The rows of a dataset, held as one CSR store.
-
-    Row ``r`` is the pair ``(indices[starts[r]:ends[r]],
-    values[starts[r]:ends[r]])`` of 0-based feature indices and float64
-    values, both read-only views into two flat arrays. The indices are
-    int32 when every one of them fits in it and int64 otherwise
-    (:func:`_index_dtype`); an int64 array whose values fit is narrowed
-    once, when the store is built. ``starts`` and ``ends`` are kept as
-    given, int32 or int64. Indexing with an integer gives that pair; a
-    slice or an array of row numbers gives a :class:`Samples` that
-    shares the flat arrays and holds only its own ``starts`` and
-    ``ends``.
-    """
-
-    __slots__ = ("indices", "values", "starts", "ends")
-
-    def __init__(self, indices, values, starts, ends):
-        self.indices = _readonly(_narrow(_as_index(indices, "indices")))
-        self.values = _readonly(np.asarray(values, dtype=np.float64))
-        self.starts = _readonly(_as_index(starts, "starts"))
-        self.ends = _readonly(_as_index(ends, "ends"))
-
-    @classmethod
-    def from_csr(cls, row_ptr, indices, values) -> "Samples":
-        """Wrap CSR arrays: row ``r`` spans ``row_ptr[r]:row_ptr[r + 1]``."""
-        row_ptr = _as_index(row_ptr, "row_ptr")
-        return cls(indices, values, row_ptr[:-1], row_ptr[1:])
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "Samples":
-        """Concatenate an iterable of ``(indices, values)`` pairs once."""
-        idx_parts, val_parts = [], []
-        for idx, val in pairs:
-            idx = _as_index(idx, "indices")
-            val = np.asarray(val, dtype=np.float64)
-            if idx.ndim != 1 or idx.shape != val.shape:
-                raise ValueError("indices and values must have equal length")
-            idx_parts.append(idx)
-            val_parts.append(val)
-        row_ptr = np.zeros(len(idx_parts) + 1, dtype=np.int64)
-        np.cumsum([idx.size for idx in idx_parts], out=row_ptr[1:])
-        return cls.from_csr(
-            row_ptr,
-            np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64),
-            np.concatenate(val_parts) if val_parts else np.empty(0),
-        )
-
-    def __len__(self) -> int:
-        return self.starts.size
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            a, b = int(self.starts[key]), int(self.ends[key])
-            return self.indices[a:b], self.values[a:b]
-        return Samples(self.indices, self.values, self.starts[key],
-                       self.ends[key])
-
-    def __iter__(self):
-        idx, vals = self.indices, self.values
-        for a, b in zip(self.starts.tolist(), self.ends.tolist()):
-            yield idx[a:b], vals[a:b]
-
-    def csr(self):
-        """``(row_ptr, indices, values)`` of these rows in order, with an
-        int64 ``row_ptr`` and the store's index dtype: views of the flat
-        arrays when the rows lie back to back in them, as after a parse
-        or a cut, and otherwise one copy gathered by scipy's
-        ``csr_row_index`` (``sparse._gather``) over the rows' spans.
-
-        The spans are passed as the row pointer of a matrix whose row
-        ``2r`` is row ``r`` here (``span[2r] = starts[r]``,
-        ``span[2r + 1] = ends[r]``); the kernel reads only
-        ``span[row]`` and ``span[row + 1]`` of the rows it is given, so
-        the spans may be out of order, repeated or overlapping.
-        """
-        starts, ends = self.starts, self.ends
-        m = starts.size
-        if m == 0:
-            return np.zeros(1, dtype=np.int64), self.indices[:0], self.values[:0]
-        if np.array_equal(starts[1:], ends[:-1]):
-            lo, hi = int(starts[0]), int(ends[-1])
-            row_ptr = np.empty(m + 1, dtype=np.int64)
-            row_ptr[0] = lo
-            row_ptr[1:] = ends
-            row_ptr -= lo
-            return row_ptr, self.indices[lo:hi], self.values[lo:hi]
-        # sparse imports this module when it loads
-        from .sparse import _gather, _load_kernels
-
-        # the kernel checks no bounds: a span outside the flat arrays, or
-        # one that ends before it starts, would read or write past them
-        hi = int(ends.max())
-        if (int(starts.min()) < 0 or hi > min(self.indices.size, self.values.size)
-                or np.any(ends < starts)):
-            raise ValueError("row spans must lie within the flat arrays")
-        # one dtype for the table, its row ids up to 2m - 2 and the indices
-        dt = np.promote_types(self.indices.dtype, _index_dtype(2 * m, hi))
-        span = np.empty(2 * m, dtype=dt)
-        span[0::2] = starts
-        span[1::2] = ends
-        _load_kernels()
-        # the table already holds the indices' dtype, so no column count
-        # widens it
-        row_ptr, idx, vals = _gather(span, self.indices, self.values,
-                                     np.arange(0, 2 * m, 2, dtype=dt), 0)
-        return (row_ptr.astype(np.int64, copy=False),
-                idx.astype(self.indices.dtype, copy=False), vals)
-
-
 @dataclass
 class Dataset:
     """Labeled sparse samples.
@@ -217,8 +72,9 @@ class Dataset:
     ``samples`` is a :class:`Samples` store whose rows have strictly
     increasing indices below ``n_features``; any other sequence of
     ``(indices, values)`` pairs is concatenated into one when the
-    dataset is built. ``labels`` has one real per sample. Instances are
-    treated as immutable; derived datasets share the sample store.
+    dataset is built. ``labels`` is a 1-D float64 array, one real per
+    sample. Instances are treated as immutable; derived datasets share
+    the sample store.
     """
 
     samples: Samples
@@ -228,6 +84,10 @@ class Dataset:
     def __post_init__(self):
         if not isinstance(self.samples, Samples):
             self.samples = Samples.from_pairs(self.samples)
+        self.labels = np.asarray(self.labels, dtype=np.float64)
+        if self.labels.ndim != 1:
+            raise ValueError("labels must be one real per sample, "
+                             f"got shape {self.labels.shape}")
         if len(self.labels) != len(self.samples):
             raise ValueError(f"{len(self.labels)} labels for "
                              f"{len(self.samples)} samples")
@@ -273,7 +133,7 @@ def parse_libsvm(text, n_features: int | None = None) -> Dataset:
                 f"n_features={n_features} below max index {max_idx} in data"
             )
         n = n_features
-    return Dataset(Samples.from_csr(row_ptr, cols, values), y, n)
+    return Dataset(Samples(row_ptr, cols, values), y, n)
 
 
 def _decode(buf: bytes, first_line: int = 1) -> str:
@@ -699,7 +559,7 @@ def serialize_libsvm(d: Dataset) -> str:
     # of a float is format_float's text
     feats = [f"{i + 1}:{v!r}" for i, v in zip(idx.tolist(), vals.tolist())]
     ptr = row_ptr.tolist()
-    labels = map(format_float, np.asarray(d.labels).tolist())
+    labels = map(format_float, d.labels.tolist())
     return "".join(" ".join([y, *feats[a:b]]) + "\n"
                    for y, a, b in zip(labels, ptr, ptr[1:]))
 
@@ -786,6 +646,6 @@ def augment_bias(d: Dataset) -> Dataset:
     ends = row_ptr[1:]
     # widened when the new index does not fit the store's dtype
     idx = idx.astype(np.promote_types(idx.dtype, _index_dtype(n)), copy=False)
-    samples = Samples.from_csr(row_ptr + np.arange(d.m + 1),
-                               np.insert(idx, ends, n), np.insert(vals, ends, 1.0))
+    samples = Samples(row_ptr + np.arange(d.m + 1), np.insert(idx, ends, n),
+                      np.insert(vals, ends, 1.0))
     return Dataset(samples, d.labels, n + 1)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import Dataset, Samples, _index_dtype
-from .sparse import _load_kernels, _matvec
+from .data_io import Dataset
+from .sparse import Samples, _index_dtype, _matvec
 
 __all__ = ["Model", "scores", "predict", "predict_label", "predict_labels",
            "accuracy", "mse"]
@@ -70,7 +70,6 @@ def _row_scores(model: Model, samples: Samples) -> np.ndarray:
     cols = np.minimum(cols.astype(dt, copy=False), n)
     if cols.min(initial=0) < 0:
         raise ValueError("negative feature index")
-    _load_kernels()
     s = _matvec(row_ptr.astype(dt, copy=False), cols, vals,
                 np.append(model.w[:n], 0.0))
     if model.bias_augmented:

@@ -1,11 +1,12 @@
-"""CSR sparse-matrix kernels: scipy's compiled CSR routines, called directly.
+"""CSR storage and kernels: the sample store, the matrix and scipy's
+compiled CSR routines, called directly.
 
-A :class:`SparseMatrix` holds three validated arrays, ``row_ptr``,
-``col_idx`` and ``values`` (float64), and nothing else. The two
-structure arrays are int32 when the row count, the column count and the
-number of nonzeros all fit in it, and int64 otherwise; the rule is
-``data_io._index_dtype``, the one the sample store
-(:class:`~almsvm.data_io.Samples`) follows for its feature indices, so
+A :class:`Samples` store holds the rows of a dataset as ``row_ptr``,
+``indices`` and ``values``; a :class:`SparseMatrix` holds ``row_ptr``,
+``col_idx`` and ``values`` (float64), and nothing else. Both are
+read-only and checked once, when built, and each keeps its two
+structure arrays in one index dtype, int32 when the bounds it passes to
+:func:`_index_dtype` fit in it and int64 otherwise, so
 :meth:`SparseMatrix.from_rows` wraps a store's int32 index array
 without a copy. scipy's kernels run the same arithmetic for
 either index type, so only the bytes each product streams change. Each
@@ -20,9 +21,9 @@ building a scipy array object. Three routines are used, one call each:
 * a row gather ``A[rows, :]`` is ``csr_row_index`` into arrays sized
   from the cumulative row lengths, in the order of ``rows``. It gathers
   a matrix's rows (the semismooth Newton step's active rows and the
-  sparse branch of ``A.T @ y`` below) and, second, a sample store's
-  spans, which :meth:`Samples.csr <almsvm.data_io.Samples.csr>` copies
-  when its rows do not lie back to back, as in a ``split`` part.
+  sparse branch of ``A.T @ y`` below) and a store part's rows, which
+  :meth:`Samples.csr` copies when they are not one ascending run of the
+  store, as in a ``split`` part.
 
 Both products are therefore bit for bit equal to row-major reference
 kernels (the test suite keeps ``np.bincount`` ones as oracles) and to
@@ -51,49 +52,40 @@ each column past the model to a ``0.0`` slot of ``x`` and runs
 :func:`_matvec`: a clipped entry adds ``v * 0.0 = +-0`` for finite ``v``,
 so by the same argument each score is the kept entries' sum, bit for bit.
 
-The kernels are loaded when the first matrix is built, the first rows
-are scored or a store's spans are first gathered, not when this module
-is.
-They are loaded from the extension file alone, not through the
-``scipy.sparse`` package: :func:`_load_kernels` finds scipy's directory
-without importing scipy, finds ``sparse/_sparsetools`` there and runs
-that extension module by itself. The module object is kept only here,
-not in ``sys.modules``, so a later ``import scipy.sparse`` loads its own
-copy. Loading the file adds about 0.2 MB of resident
-memory and takes under 1 ms; importing the package, which runs
+The kernels are bound once, when this module is imported, which
+``import almsvm`` does. They are loaded from the extension file alone,
+not through the ``scipy.sparse`` package: :func:`_load_kernels` finds
+scipy's directory without importing scipy, finds ``sparse/_sparsetools``
+there and runs that extension module by itself. The module object is
+kept only here, not in ``sys.modules``, so a later ``import
+scipy.sparse`` loads its own copy. Loading the file adds about 0.2 MB of
+resident memory and takes under 1 ms; importing the package, which runs
 ``scipy/sparse/__init__`` and pulls in about 325 modules, adds about
 20 MB and takes 0.13-0.18 s (2-core Xeon, Python 3.11.7, scipy 1.17.1),
 which every ``train`` or ``bench`` process would pay. This is the only
 route: where scipy is missing, or its ``sparse`` directory holds no
-``_sparsetools`` extension file, building a matrix, scoring or
-gathering a store's spans raises ``ImportError`` naming the directories
-searched.
+``_sparsetools`` extension file, ``import almsvm`` raises ``ImportError``
+naming the directories searched.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from collections.abc import Sequence
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .data_io import Samples, _as_index, _index_dtype, _readonly
+__all__ = ["Samples", "SparseMatrix"]
 
-__all__ = ["SparseMatrix"]
-
-# scipy's _sparsetools extension module, bound by the first _load_kernels()
-_kernels = None
+# the range of the narrow index dtype
+_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
 
 
 def _load_kernels():
-    """Bind ``_kernels`` once, from scipy's extension file; see the
-    module docstring."""
-    global _kernels
-    if _kernels is not None:
-        return
-    from importlib.machinery import ExtensionFileLoader, PathFinder
-    from importlib.util import find_spec, module_from_spec
-
+    """scipy's ``_sparsetools`` module, run from its file (module docstring)."""
     scipy = find_spec("scipy")
     if scipy is None:
         raise ImportError("almsvm needs scipy: no module named 'scipy'",
@@ -109,7 +101,35 @@ def _load_kernels():
     # a single-phase extension module enters itself in sys.modules
     if sys.modules.get(spec.name) is kernels:
         del sys.modules[spec.name]
-    _kernels = kernels
+    return kernels
+
+
+_kernels = _load_kernels()
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _index_dtype(*bounds: int):
+    """The package's one index dtype rule: int32 when every one of
+    ``bounds`` fits in it, else int64. A store passes its row count, its
+    last row pointer and the smallest and largest feature index it
+    holds, a matrix its row count, column count and number of nonzeros."""
+    fits = _INT32_MIN <= min(bounds) and max(bounds) <= _INT32_MAX
+    return np.int32 if fits else np.int64
+
+
+def _as_index(a, name: str) -> np.ndarray:
+    """``a`` as an index array: int32 and int64 arrays as they are, any
+    other integers as int64; a non-empty array that is not of an integer
+    dtype is rejected, not truncated."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    return a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
 
 
 def _matvec(row_ptr, col_idx, values, x) -> np.ndarray:
@@ -140,6 +160,116 @@ def _gather(row_ptr, col_idx, values, rows, n):
     _kernels.csr_row_index(rows.size, rows, row_ptr.astype(dt, copy=False),
                            col_idx.astype(dt, copy=False), values, idx, val)
     return ptr, idx, val
+
+
+class Samples(Sequence):
+    """The rows of a dataset, held as one CSR store.
+
+    Row ``r`` is the pair of read-only views ``(indices[a:b],
+    values[a:b])``, ``a, b = row_ptr[r], row_ptr[r + 1]``, of 0-based
+    feature indices and float64 values. The constructor checks once that
+    ``row_ptr`` is made of integers, does not decrease, starts at 0 or
+    later and ends within the flat arrays, and stores it and ``indices``
+    in :func:`_index_dtype` of the row count, the last row pointer and
+    the smallest and largest index. Indexing with an integer gives that
+    pair; a slice, an array of row numbers or a mask gives a part, which
+    shares the three arrays and holds only its row ids (:attr:`ids`),
+    taken from ``arange(len)`` or its parent's ids.
+    """
+
+    __slots__ = ("_ptr", "_idx", "_val", "_ids")
+
+    def __init__(self, row_ptr, indices, values):
+        row_ptr = _as_index(row_ptr, "row_ptr")
+        indices = _as_index(indices, "indices")
+        values = np.asarray(values, dtype=np.float64)
+        if indices.ndim != 1 or indices.shape != values.shape:
+            raise ValueError("indices and values must have equal length")
+        if (row_ptr.ndim != 1 or row_ptr.size == 0 or row_ptr[0] < 0
+                or row_ptr[-1] > values.size):
+            raise ValueError("row_ptr must lie within the flat arrays")
+        if np.any(row_ptr[1:] < row_ptr[:-1]):
+            raise ValueError("row_ptr must be non-decreasing")
+        # an int32 array's values fit by its dtype
+        bounds = ((int(indices.min()), int(indices.max()))
+                  if indices.dtype == np.int64 and indices.size else (0,))
+        dt = _index_dtype(row_ptr.size - 1, int(row_ptr[-1]), *bounds)
+        self._ptr = _readonly(row_ptr.astype(dt, copy=False))
+        self._idx = _readonly(indices.astype(dt, copy=False))
+        self._val, self._ids = _readonly(values), None
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "Samples":
+        """Concatenate an iterable of ``(indices, values)`` pairs once."""
+        idx_parts, val_parts = [], []
+        for idx, val in pairs:
+            idx = _as_index(idx, "indices")
+            val = np.asarray(val, dtype=np.float64)
+            if idx.ndim != 1 or idx.shape != val.shape:
+                raise ValueError("indices and values must have equal length")
+            idx_parts.append(idx)
+            val_parts.append(val)
+        row_ptr = np.zeros(len(idx_parts) + 1, dtype=np.int64)
+        np.cumsum([idx.size for idx in idx_parts], out=row_ptr[1:])
+        return cls(
+            row_ptr,
+            np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64),
+            np.concatenate(val_parts) if val_parts else np.empty(0),
+        )
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        """The store's row pointer, which its parts share."""
+        return self._ptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._idx
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._val
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The ids of these rows in :attr:`row_ptr`, in order: ``arange(len)``
+        for a store as built, in its index dtype."""
+        if self._ids is None:
+            return np.arange(self._ptr.size - 1, dtype=self._ptr.dtype)
+        return self._ids
+
+    def __len__(self) -> int:
+        return self._ptr.size - 1 if self._ids is None else self._ids.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            r = (range(len(self))[key] if self._ids is None
+                 else int(self._ids[key]))
+            a, b = int(self._ptr[r]), int(self._ptr[r + 1])
+            return self._idx[a:b], self._val[a:b]
+        part = Samples.__new__(Samples)
+        part._ptr, part._idx, part._val = self._ptr, self._idx, self._val
+        part._ids = _readonly(self.ids[key])
+        return part
+
+    def __iter__(self):
+        ptr, idx, vals, ids = self._ptr, self._idx, self._val, self.ids
+        for a, b in zip(ptr[ids].tolist(), ptr[ids + 1].tolist()):
+            yield idx[a:b], vals[a:b]
+
+    def csr(self):
+        """``(row_ptr, indices, values)`` of these rows in order, in the
+        store's index dtype: views of the flat arrays when the rows are
+        one ascending run of the store, as after a parse or a cut, else
+        one copy by :func:`_gather`, called as ``gather_rows`` calls it,
+        which widens to int64 when repeated rows pass int32."""
+        ptr, ids = self._ptr, self._ids
+        if ids is not None:
+            if not (ids.size and np.all(np.diff(ids) == 1)):
+                return _gather(ptr, self._idx, self._val, ids, 0)
+            ptr = ptr[int(ids[0]):int(ids[-1]) + 2]
+        lo, hi = ptr[0], ptr[-1]
+        return ptr - lo, self._idx[lo:hi], self._val[lo:hi]
 
 
 class SparseMatrix:
@@ -182,7 +312,6 @@ class SparseMatrix:
                 )
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        _load_kernels()
         # cast only after the checks above, so no index can wrap
         dt = _index_dtype(m, n, values.size)
         self._ptr = _readonly(row_ptr.astype(dt, copy=False))
@@ -232,9 +361,9 @@ class SparseMatrix:
     @classmethod
     def from_rows(cls, rows, n_cols: int) -> "SparseMatrix":
         """Build from (indices, values) pairs: a :class:`Samples` store,
-        whose flat arrays are wrapped without a copy when its rows lie back
-        to back and its indices have the matrix's index dtype, as they do
-        whenever it is int32, or any iterable of pairs, concatenated once.
+        whose flat arrays are wrapped without a copy when its rows are one
+        ascending run and its indices have the matrix's index dtype, as
+        they do whenever it is int32, or any iterable of pairs, concatenated once.
 
         Indices are 0-based and strictly increasing within each pair.
         """

@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .alm import C_SCALE_SVC, C_SCALE_SVR, EPSILON
-from .data_io import Dataset, Samples, _index_dtype
+from .data_io import Dataset
+from .sparse import Samples, _index_dtype
 
 __all__ = [
     "svc_blobs",
@@ -41,7 +42,7 @@ def _fixed_width_rows(cols: np.ndarray, vals: np.ndarray) -> Samples:
     ``vals``; the generators make ``cols`` in the store's index dtype of
     their ``n`` columns, so it is not copied."""
     m, k = cols.shape
-    return Samples.from_csr(k * np.arange(m + 1), cols.reshape(-1), vals.reshape(-1))
+    return Samples(k * np.arange(m + 1), cols.reshape(-1), vals.reshape(-1))
 
 
 def _dense_rows(x: np.ndarray) -> Samples:

@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from almsvm.alm import Hinge, Problem, primal_objective
-from almsvm.data_io import _INDEX_MAX, Dataset, ParseError, Samples, format_float
-from almsvm.sparse import SparseMatrix
+from almsvm.data_io import _INDEX_MAX, Dataset, ParseError, format_float
+from almsvm.sparse import Samples, SparseMatrix
 
 __all__ = ["prox_oracle", "phi_value", "fd_gradient", "subgradient_solve",
            "box_dual_optimum", "hess_vec_way2", "matvec_oracle",
@@ -329,18 +329,16 @@ def serialize_libsvm_oracle(d: Dataset) -> str:
 
 
 def csr_oracle(samples: Samples):
-    """:meth:`Samples.csr` by numpy alone: the rows' entries are picked
-    one by one by fancy indexing, with an int64 ``row_ptr``; for rows
-    that lie back to back the result equals the views ``csr`` returns."""
-    starts, ends = samples.starts, samples.ends
-    m = starts.size
-    row_ptr = np.zeros(m + 1, dtype=np.int64)
-    if m == 0:
-        return row_ptr, samples.indices[:0], samples.values[:0]
-    counts = ends - starts
+    """:meth:`Samples.csr` by numpy alone: the entries of the rows
+    ``samples.ids`` of the store's ``row_ptr`` are picked one by one by
+    fancy indexing, in the store's index dtype; for rows that are one
+    ascending run of the store the result equals the views ``csr``
+    returns."""
+    ptr, ids = samples.row_ptr, samples.ids
+    starts, counts = ptr[ids], ptr[ids + 1] - ptr[ids]
+    row_ptr = np.zeros(ids.size + 1, dtype=ptr.dtype)
     np.cumsum(counts, out=row_ptr[1:])
-    sel = np.repeat(starts - row_ptr[:-1], counts)
-    sel += np.arange(sel.size)
+    sel = np.repeat(starts - row_ptr[:-1], counts) + np.arange(row_ptr[-1])
     return row_ptr, samples.indices[sel], samples.values[sel]
 
 

@@ -21,7 +21,8 @@ from almsvm.alm import (
     make_subproblem_oracle,
     primal_objective,
 )
-from almsvm.data_io import Dataset, Samples
+from almsvm.data_io import Dataset
+from almsvm.sparse import Samples
 from almsvm.synthetic import svc_blobs, svr_linear
 
 from conftest import bundled_instances, random_problem

@@ -10,13 +10,13 @@ from almsvm.alm import build_svc
 from almsvm.data_io import (
     Dataset,
     ParseError,
-    Samples,
     augment_bias,
     normalize_labels,
     parse_libsvm,
     serialize_libsvm,
     split,
 )
+from almsvm.sparse import Samples
 
 from oracles import (
     XorShift64Star,
@@ -507,19 +507,17 @@ class TestSamples:
         # an empty list has numpy's default float dtype but no index in it
         assert Dataset([([], [])], np.array([1.0]), 3).samples.indices.size == 0
 
-    @pytest.mark.parametrize("make,name", [
-        (lambda: Samples.from_csr(np.array([0, 1.7, 2]), np.array([0.9, 2.2]),
-                                  [1.0, 2.0]), "row_ptr"),
-        (lambda: Samples(np.array([0, 2]), [1.0, 2.0], np.array([0.0, 1.5]),
-                         np.array([1, 2])), "starts"),
-        (lambda: Samples(np.array([0, 2]), [1.0, 2.0], np.array([0, 1]),
-                         np.array([1.0, 2.5])), "ends"),
-    ], ids=["row_ptr", "starts", "ends"])
-    def test_non_integer_row_bounds_are_rejected_not_truncated(self, make,
-                                                               name):
-        # int64 conversion would store starts [0, 1] and indices [0, 2]
-        with pytest.raises(ValueError, match=f"{name} must be integers"):
-            make()
+    @pytest.mark.parametrize("row_ptr,message", [
+        (np.array([0, 1.7, 2]), "row_ptr must be integers"),
+        ([0, 2, 1], "row_ptr must be non-decreasing"),
+        ([-1, 1, 2], "row_ptr must lie within the flat arrays"),
+        ([0, 1, 3], "row_ptr must lie within the flat arrays"),
+    ], ids=["non_integer", "decreasing", "starts_below_0", "ends_past_the_arrays"])
+    def test_invalid_row_ptr_is_rejected(self, row_ptr, message):
+        # the kernel that gathers a part checks no bounds; int64
+        # conversion would store the non-integer row_ptr as [0, 1, 2]
+        with pytest.raises(ValueError, match=message):
+            Samples(row_ptr, np.array([0, 2]), [1.0, 2.0])
 
     @pytest.mark.parametrize("top,dtype", [(2**31 - 1, np.int32),
                                            (2**31, np.int64)])
@@ -529,12 +527,44 @@ class TestSamples:
         assert s.indices.tolist() == [0, top, 3]
 
     def test_int32_indices_are_kept_and_int64_ones_narrowed(self):
+        # row_ptr takes the indices' dtype: an int64 row_ptr would make
+        # every gather cast the whole index array
         idx = np.array([0, 2, 1], dtype=np.int32)
-        s = Samples.from_csr(np.array([0, 2, 3]), idx, [1.0, 2.0, 3.0])
+        s = Samples(np.array([0, 2, 3]), idx, [1.0, 2.0, 3.0])
         assert np.shares_memory(s.indices, idx)
-        wide = Samples.from_csr([0, 2, 3], idx.astype(np.int64), [1.0, 2.0, 3.0])
-        assert wide.indices.dtype == np.int32
+        assert s.row_ptr.dtype == np.int32
+        wide = Samples([0, 2, 3], idx.astype(np.int64), [1.0, 2.0, 3.0])
+        assert wide.indices.dtype == wide.row_ptr.dtype == np.int32
         np.testing.assert_array_equal(wide.indices, idx)
+        # one index past int32 widens both arrays
+        big = Samples([0, 2, 3], [0, 2999999999, 1], [1.0, 2.0, 3.0])
+        assert big.indices.dtype == big.row_ptr.dtype == np.int64
+        assert big.indices.tolist() == [0, 2999999999, 1]
+
+    def test_arrays_are_read_only_attributes(self):
+        # a store's ids are a fresh arange on each read, a part's are its own
+        s = parse_libsvm("1 1:1 3:2\n-1 2:5\n").samples
+        part = s[::-1]
+        for store, names in ((s, ("row_ptr", "indices", "values")),
+                             (part, ("row_ptr", "indices", "values", "ids"))):
+            for name in names:
+                assert not getattr(store, name).flags.writeable
+                with pytest.raises(AttributeError):
+                    setattr(store, name, np.zeros(3))
+
+    def test_list_labels_are_held_as_a_float_array(self):
+        pairs = [([0], [1.0]), ([1], [2.0]), ([0, 1], [1.0, 1.0]), ([], [])]
+        labels = np.array([1.0, 2.0, 1.0, 2.0])
+        listed, arrayed = Dataset(pairs, labels.tolist(), 2), Dataset(pairs, labels, 2)
+        assert listed.labels.dtype == np.float64
+        assert arrayed.labels is labels
+        (a, map_a), (b, map_b) = normalize_labels(listed), normalize_labels(arrayed)
+        assert map_a == map_b
+        assert_datasets_equal(a, b)
+        for x, y in zip(split(listed, 0.5, 3), split(arrayed, 0.5, 3)):
+            assert_datasets_equal(x, y)
+        with pytest.raises(ValueError, match="one real per sample"):
+            Dataset(pairs, labels.reshape(4, 1), 2)
 
     def test_slices_and_selections_share_the_store(self):
         d = parse_libsvm("1 1:1 3:2\n-1\n1 2:5\n1 1:4 2:4\n")
@@ -564,37 +594,72 @@ class TestSamples:
 _STORE = "1 1:1 3:2\n-1\n1 2:5\n1 1:4 2:-0.0 7:3\n"
 
 
-class TestGather:
-    """A part whose rows do not lie back to back is gathered by
-    ``csr_row_index`` into exactly the arrays numpy's fancy indexing
-    gives: the same bytes, an int64 ``row_ptr`` and the store's index
-    dtype."""
+def _split_part(store):
+    """A part of a part: rows of a ``split`` result."""
+    train, _ = split(Dataset(store, np.zeros(len(store)), 0), 0.75, 7)
+    return train.samples[np.array([2, 0, 2])]
 
-    @pytest.mark.parametrize("rows", [
-        [3, 1, 0, 2], [3, 2, 1, 0], [2, 2, 0, 2], [1], [1, 1], [0, 2],
-        [3, 0, 3, 0, 1], []], ids=[
-        "permuted", "reversed", "repeated", "empty_row", "empty_rows",
-        "gap", "repeated_pairs", "empty_part"])
+
+# parts of the four-row store by name; a key of negative ids or a mask
+# takes its ids from arange(len), like any other
+_PARTS = {
+    "permuted": lambda s: s[np.array([3, 1, 0, 2])],
+    "reversed": lambda s: s[::-1],
+    "repeated": lambda s: s[np.array([2, 2, 0, 2])],
+    "empty_row": lambda s: s[np.array([1])],
+    "empty_rows": lambda s: s[np.array([1, 1])],
+    "gap": lambda s: s[np.array([0, 2])],
+    "repeated_pairs": lambda s: s[np.array([3, 0, 3, 0, 1])],
+    "empty_part": lambda s: s[np.array([], dtype=np.intp)],
+    "part_of_a_split_part": _split_part,
+    "negative_ids": lambda s: s[np.array([-1, 0, -3])],
+    "mask": lambda s: s[np.array([True, False, True, True])],
+    "list": lambda s: s[[3, 0]],
+    "stepped_slice": lambda s: s[::2],
+    "run": lambda s: s[1:],
+    "store": lambda s: s,
+}
+
+
+class TestGather:
+    """A part whose rows are not one ascending run of its store is
+    gathered by ``csr_row_index`` into exactly the arrays numpy's fancy
+    indexing gives: the same bytes, in the store's index dtype."""
+
+    @pytest.mark.parametrize("make", _PARTS.values(), ids=_PARTS.keys())
     @pytest.mark.parametrize("text", [
         _STORE, _STORE.replace("7:3", "3000000000:3")], ids=["int32", "int64"])
-    @pytest.mark.parametrize("span_dtype", [np.int32, np.int64])
-    def test_parts_match_the_numpy_gather(self, text, rows, span_dtype):
+    def test_parts_match_the_numpy_gather(self, text, make):
         store = parse_libsvm(text).samples
-        part = store[np.array(rows, dtype=np.intp)]
-        part = Samples(store.indices, store.values,
-                       part.starts.astype(span_dtype),
-                       part.ends.astype(span_dtype))
-        got = part.csr()
-        assert_arrays_bitwise_equal(got, csr_oracle(part))
-        assert got[0].dtype == np.int64
-        assert got[1].dtype == store.indices.dtype
+        dtype = np.int64 if "3000000000" in text else np.int32
+        assert store.row_ptr.dtype == store.indices.dtype == dtype
+        part = make(store)
+        got, want = part.csr(), csr_oracle(part)
+        assert_arrays_bitwise_equal(got, want)
+        assert got[0].dtype == got[1].dtype == dtype
+        # each row alike by iteration and by a non-negative and a
+        # negative int key
+        row_ptr, idx, vals = want
+        for r, pair in enumerate(part):
+            a, b = row_ptr[r], row_ptr[r + 1]
+            for row in (pair, part[r], part[r - len(part)]):
+                assert_arrays_bitwise_equal(row, (idx[a:b], vals[a:b]))
 
-    def test_overlapping_spans_are_gathered_as_given(self):
-        # spans need not be rows of one CSR layout
-        store = Samples([0, 1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0, 5.0],
-                        [3, 1, 0], [5, 4, 2])
-        assert_arrays_bitwise_equal(store.csr(), csr_oracle(store))
-        assert store.csr()[1].tolist() == [3, 4, 1, 2, 3, 0, 1]
+    def test_gather_reads_the_store_arrays_as_they_are(self, monkeypatch):
+        # an int32 store's own arrays go to the kernel: no read casts
+        # the store's indices
+        calls = []
+        gather = sparse._gather
+        monkeypatch.setattr(sparse, "_gather",
+                            lambda *a: calls.append(a) or gather(*a))
+        store = parse_libsvm(_STORE).samples
+        part = store[np.array([3, 1])]
+        got = part.csr()
+        (row_ptr, idx, vals, ids, n), = calls
+        assert row_ptr is store.row_ptr and idx is store.indices
+        assert vals is store.values and ids is part.ids and n == 0
+        assert row_ptr.dtype == idx.dtype == ids.dtype == np.int32
+        assert got[1].dtype == np.int32
 
     def test_back_to_back_rows_are_not_gathered(self, monkeypatch):
         calls = []
@@ -605,38 +670,25 @@ class TestGather:
             assert_arrays_bitwise_equal(part.csr(), csr_oracle(part))
         assert calls == []
 
-    @pytest.mark.parametrize("starts,ends", [
-        ([2, -1], [3, 1]), ([2, 0], [3, 6]), ([2, 1], [3, 0])],
-        ids=["negative_start", "end_past_the_store", "end_before_start"])
-    def test_spans_outside_the_store_are_rejected(self, starts, ends):
-        store = Samples([0, 1, 2, 3, 4], [1.0] * 5, starts, ends)
-        with pytest.raises(ValueError, match="row spans"):
-            store.csr()
-
-    @pytest.mark.parametrize("rows,store_ends,dtype", [
-        ([2, 1, 0], None, np.int32),
-        ([3, 2, 1, 0], None, np.int64),
-        ([1, 0], [4, 8], np.int64),
-    ], ids=["fits", "2m_past_the_limit", "end_past_the_limit"])
-    def test_the_span_table_holds_2m_and_the_last_end(
-            self, monkeypatch, rows, store_ends, dtype):
-        # the int32 limit lowered to 7 stands in for 2**31 - 1: a part of
-        # four rows has 2m = 8 past it, a store of eight entries an end
-        # past it, and the indices, all below 7, stay int32
-        ends = np.array(store_ends or [1, 2, 3, 4])
-        store = Samples.from_csr(np.r_[0, ends], np.arange(ends[-1]) % 4,
-                                 np.arange(ends[-1], dtype=np.float64))
-        monkeypatch.setattr(data_io, "_INT32_MAX", 7)
-        seen = []
-        gather = sparse._gather
-        monkeypatch.setattr(
-            sparse, "_gather",
-            lambda span, *a: seen.append(span.dtype) or gather(span, *a))
+    @pytest.mark.parametrize("rows,dtype", [
+        ([2, 1, 0], np.int32), ([3, 2, 1, 0, 3, 2, 1, 0], np.int64),
+    ], ids=["fits", "repeats_past_the_limit"])
+    def test_a_gather_widens_only_past_the_limit(self, monkeypatch, rows,
+                                                 dtype):
+        # the int32 limit lowered to 7 stands in for 2**31 - 1: a store
+        # of four entries is int32, a part repeating them eight times
+        # is gathered as int64, and a store of eight rows, empty or not,
+        # is int64 throughout
+        monkeypatch.setattr(sparse, "_INT32_MAX", 7)
+        store = Samples(np.arange(5), np.arange(4) % 3, np.arange(4.0))
+        assert store.row_ptr.dtype == store.indices.dtype == np.int32
         part = store[np.array(rows)]
         got = part.csr()
-        assert seen == [dtype]
-        assert store.indices.dtype == np.int32
-        assert_arrays_bitwise_equal(got, csr_oracle(part))
+        assert got[0].dtype == got[1].dtype == dtype
+        want = csr_oracle(part)
+        assert_arrays_bitwise_equal(
+            got, (want[0].astype(dtype), want[1].astype(dtype), want[2]))
+        assert Samples(np.zeros(9, int), [], []).row_ptr.dtype == np.int64
 
     @pytest.mark.parametrize("make", [
         lambda: synthetic.svc_margin_gap(300, 100, density=0.1, seed=3),

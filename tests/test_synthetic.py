@@ -21,9 +21,10 @@ from conftest import bundled_instances
 def _digest(data) -> str:
     s = data.samples
     h = hashlib.sha256()
-    # the indices as int64, as the digests were pinned, whatever the
-    # store's index dtype
-    for a in (s.indices.astype(np.int64), s.values, s.starts, s.ends,
+    # the indices and the rows' starts and ends as int64, as the digests
+    # were pinned, whatever the store's index dtype
+    row_ptr = s.csr()[0].astype(np.int64)
+    for a in (s.indices.astype(np.int64), s.values, row_ptr[:-1], row_ptr[1:],
               data.labels):
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(str(data.n_features).encode())
