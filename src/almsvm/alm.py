@@ -262,9 +262,11 @@ class SolverConfig:
 
     Defaults follow the reference parameterization: sigma starts at 0.15
     and grows by 1/theta = 1.25 per outer iteration up to 2; at most 10
-    outer iterations. Each outer iteration k runs at most
-    ``NEWTON_MAXIT`` Newton steps to the inner tolerance
-    ``max(NEWTON_TOL_FLOOR, 10**-(k+1))``; the line-search and CG
+    outer iterations. ``tol`` bounds both the KKT residual and the
+    duality gap relative to ``1 + |primal|`` of a converged solve. Each
+    outer iteration k runs at most ``NEWTON_MAXIT`` Newton steps to the
+    inner tolerance ``max(NEWTON_TOL_FLOOR, min(10**-(k+1), r))``, ``r``
+    the previous outer iteration's KKT residual; the line-search and CG
     constants are fixed in :mod:`almsvm.newton`.
     """
 
@@ -312,8 +314,12 @@ class SolveReport:
     """Statistics of one ``alm_solve`` run.
 
     ``status`` is ``"converged"`` when the KKT residual reached ``tol``
-    and ``"max_outer"`` when the outer iteration limit ended the run
-    first; the latter also adds a warning. ``outer`` holds one
+    and the last record's gap certifies its objective, ``primal - dual
+    <= tol * (1 + |primal|)``, and ``"max_outer"`` when the outer
+    iteration limit ended the run first; the latter also adds a warning.
+    ``objective`` is the last record's primal value, which is never below
+    the optimum, so a converged objective is within ``tol * (1 +
+    |objective|)`` above it. ``outer`` holds one
     :class:`OuterRecord` per outer iteration, ``k`` of them;
     ``kkt_residual`` is the largest of the last record's ``r1``, ``r2``
     and ``r3``. A Newton solve with a CG curvature breakdown or a
@@ -388,7 +394,8 @@ class SmoothedSubproblem:
     per iterate (the :class:`~almsvm.newton.Subproblem` protocol).
 
     It keeps ``z = B w + d + lam/sigma`` of the iterate ``w``. Every
-    trial point of the line search reads ``z + alpha * B d``, and the
+    trial point of the line search reads ``z + alpha * B d``, and so
+    does each iteration of the ray search (:meth:`derivatives`); the
     accepted trial becomes the iterate together with its value, which is
     the next step's ``f0``. Within one ``newton_solve`` the cached ``z``
     therefore drifts from ``B w + ...`` at rounding level; ``reset``
@@ -491,6 +498,20 @@ class SmoothedSubproblem:
             return self._f
         return self._trial_at(alpha)[3]
 
+    def derivatives(self, alpha: float):
+        """``(phi'(alpha), phi''(alpha))`` on the ray ``w + alpha*d``,
+        from one classification of ``z + alpha * B d``: ``phi'`` is
+        ``<w + alpha d, d> + sigma <(B d)_I, y_I> + C <sat, B d>`` and
+        ``phi''`` is ``|d|^2 + sigma |(B d)_I|^2``. No product with
+        ``B`` is taken."""
+        d, bd = self._d, self._bd
+        rows, y, sat = self.p.penalty.split(self.z + alpha * bd, self.sigma)
+        bd_i = bd[rows]
+        dd = float(d @ d)
+        d1 = (float(self.w @ d) + alpha * dd + self.sigma * float(bd_i @ y)
+              + self.p.penalty.C * float(bd @ sat))
+        return d1, dd + self.sigma * float(bd_i @ bd_i)
+
     def _trial_at(self, alpha: float):
         if self._trial is None or self._trial[0] != alpha:
             w = self.w + alpha * self._d
@@ -545,13 +566,18 @@ def _check_finite(*arrays) -> None:
 def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     """Run the outer loop and return ``(w, SolveReport)``.
 
-    Starts from w = ones, lam = 0. Each outer iteration k solves the
+    Starts from w = 0, lam = 0. Each outer iteration k solves the
     subproblem to gradient tolerance ``max(NEWTON_TOL_FLOOR,
-    10**-(k+1))`` in at most ``NEWTON_MAXIT`` Newton steps, recovers s
-    through the prox at scale 1/sigma, updates lam = sigma * (z - s)
-    (the multiplier step written in terms of z), clipped into the
-    penalty's box, and grows sigma by 1/theta up to sigma_max. Stops
-    early once max(r1, r2, r3) drops to ``cfg.tol``.
+    min(10**-(k+1), r))``, ``r`` the previous outer iteration's KKT
+    residual (none before the first), in at most ``NEWTON_MAXIT``
+    Newton steps; the cap by ``r`` keeps an outer iteration whose start
+    already meets ``10**-(k+1)`` from skipping its Newton steps. It then
+    recovers s through the prox at scale 1/sigma, updates lam = sigma *
+    (z - s) (the multiplier step written in terms of z), clipped into
+    the penalty's box, and grows sigma by 1/theta up to sigma_max. Stops
+    early, ``converged``, once max(r1, r2, r3) drops to ``cfg.tol`` and
+    the duality gap certifies the objective: ``primal - dual <= cfg.tol
+    * (1 + |primal|)``.
 
     ``z - s`` lies in ``[0, C/sigma]`` (``[-C/sigma, C/sigma]`` for
     regression), so the clip moves only coordinates that rounding pushed
@@ -566,13 +592,14 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     """
     cfg = cfg if cfg is not None else SolverConfig()
     report = SolveReport()
-    w = np.ones(p.n)
+    w = np.zeros(p.n)
     bw = carry = None
     lam = np.zeros(p.m)
     sigma = cfg.sigma0
     t0 = time.perf_counter()
     for k in range(cfg.max_outer):
-        tol_k = max(NEWTON_TOL_FLOOR, 10.0 ** (-(k + 1)))
+        tol_k = max(NEWTON_TOL_FLOOR,
+                    min(10.0 ** (-(k + 1)), report.kkt_residual))
         sub = make_subproblem_oracle(p, lam, sigma, bw=bw, carry=carry)
         w, stats = newton_solve(sub, w, tol_k, NEWTON_MAXIT)
         carry = sub.carry
@@ -606,13 +633,15 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
         report.outer.append(OuterRecord(sigma, tol_k, stats, pv, dv, r1, r2, r3))
 
         sigma = min(cfg.sigma_max, sigma / cfg.theta)
-        if report.kkt_residual <= cfg.tol:
+        if (report.kkt_residual <= cfg.tol
+                and pv - dv <= cfg.tol * (1.0 + abs(pv))):
             report.status = CONVERGED
             break
     else:
         report.warnings.append(
-            f"max_outer={cfg.max_outer} reached with KKT residual "
-            f"{report.kkt_residual:.3e} above tol {cfg.tol:.1e}"
+            f"max_outer={cfg.max_outer} reached above tol {cfg.tol:.1e}: "
+            f"KKT residual {report.kkt_residual:.3e}, duality gap "
+            f"{(pv - dv) / (1.0 + abs(pv)):.3e} relative to 1 + |primal|"
         )
     report.time_seconds = time.perf_counter() - t0
     last = report.outer[-1]

@@ -73,8 +73,11 @@ class Dataset:
     increasing indices below ``n_features``; any other sequence of
     ``(indices, values)`` pairs is concatenated into one when the
     dataset is built. ``labels`` is a 1-D float64 array, one real per
-    sample. Instances are treated as immutable; derived datasets share
-    the sample store.
+    sample. ``n_features`` is an integer above the store's
+    :attr:`~almsvm.sparse.Samples.max_index` (for a part, that of the
+    store it comes from), so it is 0 only for a store without indices.
+    Instances are treated as immutable; derived datasets share the
+    sample store.
     """
 
     samples: Samples
@@ -91,6 +94,13 @@ class Dataset:
         if len(self.labels) != len(self.samples):
             raise ValueError(f"{len(self.labels)} labels for "
                              f"{len(self.samples)} samples")
+        n = self.n_features
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or n < 0):
+            raise ValueError(f"n_features must be a nonnegative integer, got {n!r}")
+        if n <= self.samples.max_index:
+            raise ValueError(f"n_features={n} must exceed the largest "
+                             f"feature index {self.samples.max_index}")
 
     @property
     def m(self) -> int:
@@ -555,6 +565,13 @@ def serialize_libsvm(d: Dataset) -> str:
     """LIBSVM text of ``d``, one line per sample, every number in
     :func:`format_float`'s shortest round-trip form."""
     row_ptr, idx, vals = d.samples.csr()
+    # the reader takes finite numbers only; name the first row it would refuse
+    bad = np.union1d(np.flatnonzero(~np.isfinite(d.labels)),
+                     np.searchsorted(row_ptr, np.flatnonzero(~np.isfinite(vals)),
+                                     side="right") - 1)
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: a non-finite label or value "
+                         "has no LIBSVM text")
     # Python ints and floats: the 1-based index cannot wrap, and the repr
     # of a float is format_float's text
     feats = [f"{i + 1}:{v!r}" for i, v in zip(idx.tolist(), vals.tolist())]
@@ -621,6 +638,8 @@ def split(d: Dataset, train_fraction: float, seed: int):
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if d.m < 2:
         raise ValueError("need at least 2 samples to split")
     x = _seed_state(seed)

@@ -22,8 +22,8 @@ class Model:
     to -1 and +1 during training; ``bias_augmented`` says whether the
     last weight is a bias applied to an implicit constant feature.
     Construction enforces what a model file must hold: ``task`` is
-    ``"svc"`` or ``"svr"``, and the weights, ``c_used``, ``eps_used`` and
-    the label pair are finite.
+    ``"svc"`` or ``"svr"``, the weights are a non-empty 1-D array, and
+    they, ``c_used``, ``eps_used`` and the label pair are finite.
     """
 
     w: np.ndarray
@@ -35,6 +35,9 @@ class Model:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
+        if self.w.ndim != 1:
+            raise ValueError("model weights must be a 1-D array, "
+                             f"got shape {self.w.shape}")
         if self.w.size == 0:
             raise ValueError("model has no weights")
         if not np.all(np.isfinite(self.w)):

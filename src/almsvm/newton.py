@@ -4,7 +4,12 @@ Solves ``grad(w) = 0`` for a strongly convex, piecewise-smooth objective
 supplied through a :class:`Subproblem`. Each iteration solves the
 Newton system ``V d = -g`` approximately by conjugate gradients, with a
 forcing term ``mu_j = min(CG_ETA0, CG_ETA1 * |g|)`` that tightens as the
-gradient shrinks, then backtracks along ``d`` under the Armijo rule.
+gradient shrinks. The step along ``d`` is the unit step when it passes
+the Armijo rule. Otherwise it is the minimizer of the objective on the
+ray ``phi(alpha) = f(w + alpha*d)`` over ``[0, 1]``, found by a
+safeguarded one-dimensional semismooth Newton iteration on ``phi'(alpha)
+= 0`` to ``|phi'(alpha)| <= RAY_TOL * |phi'(0)|``, and the Armijo rule
+is checked there, backtracking by ``LS_RHO`` if it fails.
 Because the Hessian selection satisfies ``V - I >= 0``, CG directions
 are always well defined; a steepest-descent fallback covers the case
 where rounding still produces a non-descent direction. CG curvature
@@ -24,6 +29,8 @@ __all__ = ["Subproblem", "NewtonStats", "CgBreakdownError",
 
 LS_RHO = 0.5  # Armijo step shrink factor
 LS_C1 = 1e-4  # Armijo sufficient-decrease constant
+LS_MAXIT = 50  # iteration cap of the ray search and of the backtracking
+RAY_TOL = 0.01  # ray search stops at |phi'(alpha)| <= RAY_TOL * |phi'(0)|
 CG_ETA0 = 0.9
 CG_ETA1 = 0.1
 CG_MAXIT = 200  # CG iteration cap per Newton step
@@ -44,10 +51,12 @@ class Subproblem(Protocol):
     cycle per Newton step: ``grad()`` at the iterate, ``linearize()``
     for the active-set size |I| of the generalized-Hessian selection
     there, ``hvp`` inside CG, ``set_direction(d)`` once,
-    ``value(alpha)`` for the objective at ``w + alpha*d`` (``value(0.0)``
-    is the value at ``w``) and ``accept(alpha)`` to move the iterate
-    there. ``hvp`` must be symmetric positive definite for any active
-    set.
+    ``value(alpha)`` for the objective ``phi(alpha)`` at ``w + alpha*d``
+    (``value(0.0)`` is the value at ``w``) and ``accept(alpha)`` to move
+    the iterate there. When the unit step fails the Armijo rule,
+    ``derivatives(alpha)`` gives ``(phi'(alpha), phi''(alpha))`` on the
+    ray, ``phi''`` being a generalized second derivative. ``hvp`` must
+    be symmetric positive definite for any active set.
 
     ``linearize`` is called only after ``grad`` at the same iterate,
     and the two share one classification of its rows: the solver's
@@ -69,6 +78,8 @@ class Subproblem(Protocol):
     def set_direction(self, d: np.ndarray) -> None: ...
 
     def value(self, alpha: float) -> float: ...
+
+    def derivatives(self, alpha: float) -> tuple[float, float]: ...
 
     def accept(self, alpha: float) -> None: ...
 
@@ -143,6 +154,30 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
     return x, maxit, False
 
 
+def _ray_step(sub: Subproblem, slope: float) -> float:
+    """The minimizer of ``phi(alpha)`` over ``[0, 1]`` along the current
+    direction, where ``slope = phi'(0) < 0``.
+
+    Semismooth Newton on ``phi'(alpha) = 0`` from ``alpha = 1``, kept
+    inside a bracket ``[lo, hi]`` with ``phi'(lo) < 0 < phi'(hi)``; a
+    Newton point outside the bracket is replaced by its midpoint. Stops
+    at ``|phi'(alpha)| <= RAY_TOL * |slope|``, or at ``alpha = 1`` when
+    ``phi`` still descends there, or after ``LS_MAXIT`` iterations.
+    """
+    lo, hi, alpha = 0.0, 1.0, 1.0
+    for _ in range(LS_MAXIT):
+        d1, d2 = sub.derivatives(alpha)
+        if abs(d1) <= -RAY_TOL * slope or (d1 < 0.0 and alpha == 1.0):
+            break
+        if d1 < 0.0:
+            lo = alpha
+        else:
+            hi = alpha
+        nxt = alpha - d1 / d2 if d2 > 0.0 else lo
+        alpha = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return alpha
+
+
 def newton_solve(sub: Subproblem, w0, tol: float, max_iter: int):
     """Run the globalized Newton iteration from ``w0`` until
     ``|grad| <= tol`` or for at most ``max_iter`` steps.
@@ -175,15 +210,17 @@ def newton_solve(sub: Subproblem, w0, tol: float, max_iter: int):
         sub.set_direction(d)
         f0 = sub.value(0.0)
         alpha = 1.0
-        for _ in range(50):
-            if sub.value(alpha) <= f0 + LS_C1 * alpha * slope:
-                break
-            alpha *= LS_RHO
-        else:
-            raise LineSearchError(
-                "no Armijo step after 50 backtracks; "
-                "gradient and value are inconsistent"
-            )
+        if sub.value(1.0) > f0 + LS_C1 * slope:
+            alpha = _ray_step(sub, slope)
+            for _ in range(LS_MAXIT):
+                if sub.value(alpha) <= f0 + LS_C1 * alpha * slope:
+                    break
+                alpha *= LS_RHO
+            else:
+                raise LineSearchError(
+                    f"no Armijo step after {LS_MAXIT} backtracks; "
+                    "gradient and value are inconsistent"
+                )
         sub.accept(alpha)
         stats.step_sizes.append(alpha)
         stats.iterations += 1

@@ -171,13 +171,14 @@ class Samples(Sequence):
     ``row_ptr`` is made of integers, does not decrease, starts at 0 or
     later and ends within the flat arrays, and stores it and ``indices``
     in :func:`_index_dtype` of the row count, the last row pointer and
-    the smallest and largest index. Indexing with an integer gives that
-    pair; a slice, an array of row numbers or a mask gives a part, which
-    shares the three arrays and holds only its row ids (:attr:`ids`),
-    taken from ``arange(len)`` or its parent's ids.
+    the smallest and largest index (:attr:`max_index`). Indexing with an
+    integer, or a 0-d integer array, gives that pair; a slice, an array
+    of row numbers or a mask gives a part, which shares the three arrays
+    and holds only its row ids (:attr:`ids`), taken from ``arange(len)``
+    or its parent's ids.
     """
 
-    __slots__ = ("_ptr", "_idx", "_val", "_ids")
+    __slots__ = ("_ptr", "_idx", "_val", "_ids", "_max")
 
     def __init__(self, row_ptr, indices, values):
         row_ptr = _as_index(row_ptr, "row_ptr")
@@ -190,8 +191,9 @@ class Samples(Sequence):
             raise ValueError("row_ptr must lie within the flat arrays")
         if np.any(row_ptr[1:] < row_ptr[:-1]):
             raise ValueError("row_ptr must be non-decreasing")
+        self._max = int(indices.max()) if indices.size else -1
         # an int32 array's values fit by its dtype
-        bounds = ((int(indices.min()), int(indices.max()))
+        bounds = ((int(indices.min()), self._max)
                   if indices.dtype == np.int64 and indices.size else (0,))
         dt = _index_dtype(row_ptr.size - 1, int(row_ptr[-1]), *bounds)
         self._ptr = _readonly(row_ptr.astype(dt, copy=False))
@@ -231,6 +233,12 @@ class Samples(Sequence):
         return self._val
 
     @property
+    def max_index(self) -> int:
+        """The largest index in :attr:`indices`, -1 when there is none,
+        found once when the store is built; a part reports its store's."""
+        return self._max
+
+    @property
     def ids(self) -> np.ndarray:
         """The ids of these rows in :attr:`row_ptr`, in order: ``arange(len)``
         for a store as built, in its index dtype."""
@@ -242,6 +250,9 @@ class Samples(Sequence):
         return self._ptr.size - 1 if self._ids is None else self._ids.size
 
     def __getitem__(self, key):
+        if (isinstance(key, np.ndarray) and key.ndim == 0
+                and key.dtype.kind in "iu"):
+            key = int(key)
         if isinstance(key, (int, np.integer)):
             r = (range(len(self))[key] if self._ids is None
                  else int(self._ids[key]))
@@ -249,6 +260,7 @@ class Samples(Sequence):
             return self._idx[a:b], self._val[a:b]
         part = Samples.__new__(Samples)
         part._ptr, part._idx, part._val = self._ptr, self._idx, self._val
+        part._max = self._max
         part._ids = _readonly(self.ids[key])
         return part
 

@@ -407,19 +407,45 @@ class TestAlmSolve:
         assert any("max_outer=2" in w and "above tol" in w
                    for w in report.warnings)
 
+    @pytest.mark.parametrize("name", ["blobs200x10", "svr500x50"])
+    def test_converged_only_with_a_certified_gap(self, name):
+        # a run cut after j outer iterations repeats the first j of the
+        # full run; it reports converged exactly when the KKT residual is
+        # within tol and the gap P - D within tol * (1 + |P|). On
+        # blobs200x10 the KKT residual reaches tol two outer iterations
+        # before the gap does
+        p = next(i for i in bundled_instances() if i.name == name).build()
+        tol = SolverConfig().tol
+        _, full = alm_solve(p)
+        assert full.status == CONVERGED
+        kkt_only = 0
+        for j in range(1, full.k + 1):
+            _, report = alm_solve(p, SolverConfig(max_outer=j))
+            last = report.outer[-1]
+            kkt_ok = report.kkt_residual <= tol
+            gap_ok = last.primal - last.dual <= tol * (1.0 + abs(last.primal))
+            assert (report.status == CONVERGED) == (kkt_ok and gap_ok), j
+            assert (report.status == CONVERGED) == (j == full.k), j
+            kkt_only += kkt_ok and not gap_ok
+        assert kkt_only == (2 if name == "blobs200x10" else 0)
+
     def test_bundled_iteration_counts_are_pinned(self):
-        # k and it_sn as recorded with a full matvec per line-search trial;
-        # evaluating trials at z + alpha * B d must not change them
-        expected = {"blobs50x2": (9, 13), "blobs200x10": (7, 20),
-                    "gap5000x123": (2, 32), "svr500x50": (3, 14),
-                    "svr300x500": (3, 20)}
+        # k, it_sn and status from w = 0 with the ray step; blobs50x2
+        # reaches KKT 2e-8 but not the certified gap (1.6e-6 of
+        # 1 + |primal|) within max_outer
+        expected = {"blobs50x2": (10, 14, MAX_OUTER),
+                    "blobs200x10": (9, 15, CONVERGED),
+                    "gap5000x123": (3, 18, CONVERGED),
+                    "svr500x50": (3, 11, CONVERGED),
+                    "svr300x500": (2, 17, CONVERGED)}
         for inst in bundled_instances():
             data = inst.make()
             c = inst.c_of(data)
             p = (build_svc(data, c) if inst.task == "svc"
                  else build_svr(data, c, inst.eps))
             _, report = alm_solve(p)
-            assert (report.k, report.it_sn) == expected[inst.name], inst.name
+            assert (report.k, report.it_sn, report.status) == \
+                expected[inst.name], inst.name
             # the Hessian selection is positive definite: CG never breaks
             # down and never needs the steepest-descent fallback
             assert all(rec.newton.cg_breakdowns == 0

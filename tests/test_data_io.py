@@ -484,6 +484,34 @@ class TestSamples:
         with pytest.raises(IndexError):
             s[2]
 
+    def test_a_0d_integer_array_key_is_a_row(self):
+        s = parse_libsvm(_STORE, n_features=7).samples
+        part = s[np.array([3, 0, 2])]
+        for store in (s, part):
+            for key in (1, -1):
+                for zero_d in (np.array(key), np.array(key, dtype=np.int32)):
+                    got, expect = store[zero_d], store[key]
+                    np.testing.assert_array_equal(got[0], expect[0])
+                    np.testing.assert_array_equal(got[1], expect[1])
+
+    @pytest.mark.parametrize("n_features", [0, -3, 2.5, 6, 7.0, True],
+                             ids=["zero", "negative", "fraction",
+                                  "at_the_largest_index", "float", "bool"])
+    def test_n_features_must_exceed_every_index(self, n_features):
+        s = parse_libsvm(_STORE).samples  # largest 0-based index 6
+        assert s.max_index == s[np.array([0, 2])].max_index == 6
+        for rows in (s, s[np.array([0, 2])]):
+            with pytest.raises(ValueError, match="n_features"):
+                Dataset(rows, np.zeros(len(rows)), n_features)
+
+    def test_n_features_above_every_index_is_kept(self):
+        s = parse_libsvm(_STORE).samples
+        assert Dataset(s, np.zeros(4), np.int64(7)).n_features == 7
+        # a store without indices, as from a file of labels only
+        empty = Samples([0, 0, 0], [], [])
+        assert empty.max_index == -1
+        assert Dataset(empty, np.zeros(2), 0).m == 2
+
     def test_a_pair_list_is_concatenated_once(self):
         rows = [(np.array([0]), np.array([1.0])), (np.array([], np.int64),
                                                    np.array([]))]
@@ -596,7 +624,8 @@ _STORE = "1 1:1 3:2\n-1\n1 2:5\n1 1:4 2:-0.0 7:3\n"
 
 def _split_part(store):
     """A part of a part: rows of a ``split`` result."""
-    train, _ = split(Dataset(store, np.zeros(len(store)), 0), 0.75, 7)
+    train, _ = split(Dataset(store, np.zeros(len(store)), store.max_index + 1),
+                     0.75, 7)
     return train.samples[np.array([2, 0, 2])]
 
 
@@ -737,6 +766,24 @@ class TestRoundTrip:
         d = Dataset(rows, np.array(labels), 2**40 + 1)
         assert serialize_libsvm(d) == serialize_libsvm_oracle(d)
 
+    @pytest.mark.parametrize("bad_label,bad_value,row", [
+        (None, (2, np.nan), 2), (1, None, 1), (3, (2, -np.inf), 2),
+    ], ids=["nan_value", "inf_label", "first_of_both"])
+    def test_a_non_finite_number_is_refused_naming_its_row(
+            self, bad_label, bad_value, row):
+        # the reader refuses non-finite numbers, so the writer does not
+        # write them
+        labels = np.ones(4)
+        values = [[0.5], [1.0], [2.0, 3.0], [4.0]]
+        if bad_label is not None:
+            labels[bad_label] = np.inf
+        if bad_value is not None:
+            values[bad_value[0]][1] = bad_value[1]
+        rows = [(np.arange(len(v)), v) for v in values]
+        d = Dataset(rows, labels, 2)
+        with pytest.raises(ValueError, match=f"^row {row}: "):
+            serialize_libsvm(d)
+
     def test_a_split_part_matches_the_row_by_row_writer(self):
         d = synthetic.svc_sparse_binary(200, 30, density=0.2, seed=1)
         for part in split(d, 0.7, 3):
@@ -817,6 +864,11 @@ class TestSplit:
         t2, s2 = split(d, 0.8, seed=1)
         assert_datasets_equal(t1, t2)
         assert_datasets_equal(s1, s2)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            split(_trivial_dataset(10), 0.8, seed)
 
     def test_frozen_permutation(self):
         # Fisher-Yates over 10 items under seed 1, derived by hand from

@@ -257,6 +257,12 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             Model(w=[], task="svc")
 
+    @pytest.mark.parametrize("w", [[[1.0, 2.0]], [[1.0], [2.0]], 3.0],
+                             ids=["row", "column", "scalar"])
+    def test_rejects_weights_that_are_not_1d(self, w):
+        with pytest.raises(ValueError, match="1-D"):
+            Model(w=w, task="svc")
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Model(w=[np.nan], task="svc")

@@ -147,13 +147,36 @@ class TestCgInPlaceMatchesOutOfPlace:
         # an operator may hand back the very vector it was given
         assert self._check(lambda v: v, rng.normal(size=6), 1e-12, 10) == (1, False)
 
+    def test_non_finite_curvature_raises(self, rng):
+        with pytest.raises(newton_mod.CgBreakdownError, match="curvature"):
+            cg_solve(lambda v: np.full_like(v, np.nan), rng.normal(size=5),
+                     1e-12, 10)
+
+    def test_non_finite_residual_raises(self, rng):
+        # the product turns non-finite only for CG's explicit residual
+        # refresh hvp(x) after iteration 50, so p'Ap stays finite up to
+        # there and the residual is the first non-finite quantity; the
+        # spread spectrum keeps CG from converging before it
+        diag = np.geomspace(1.0, 1e8, 200)
+        calls = []
+
+        def hvp(v):
+            calls.append(1)
+            return diag * v if len(calls) <= 50 else np.full_like(v, np.inf)
+
+        with pytest.raises(newton_mod.CgBreakdownError, match="residual"):
+            cg_solve(hvp, rng.normal(size=200), 1e-300, 200)
+        assert len(calls) == 51
+
 
 class CallbackSubproblem:
     """The Subproblem protocol over plain value/grad/hvp callbacks of w,
-    with an empty active set."""
+    with an empty active set. ``derivatives`` reads ``grad`` on the ray
+    and ``curvature``, by default ``hvp``, along the direction."""
 
-    def __init__(self, value, grad, hvp):
+    def __init__(self, value, grad, hvp, curvature=None):
         self._value, self._grad, self._hvp = value, grad, hvp
+        self._curvature = hvp if curvature is None else curvature
 
     def reset(self, w):
         self.w = w
@@ -172,6 +195,11 @@ class CallbackSubproblem:
 
     def value(self, alpha):
         return self._value(self.w + alpha * self._d)
+
+    def derivatives(self, alpha):
+        d = self._d
+        return (float(self._grad(self.w + alpha * d) @ d),
+                float(d @ self._curvature(d)))
 
     def accept(self, alpha):
         self.w = self.w + alpha * self._d
@@ -281,7 +309,9 @@ class TestNewtonSolve:
         assert stats.descent_fallbacks >= 1
 
     def test_inconsistent_oracle_raises_line_search_error(self, rng):
-        # gradient claims descent along -w but the value grows that way
+        # gradient claims descent along -w but the value grows that way;
+        # the ray derivative is still negative at alpha = 1, so the ray
+        # search hands back the unit step and the backtracking fails
         lying = CallbackSubproblem(
             value=lambda w: float(w @ w),
             grad=lambda w: -w,
@@ -298,6 +328,110 @@ class TestNewtonSolve:
         assert len(stats.step_sizes) == stats.iterations
         assert len(stats.active_set_sizes) == stats.iterations
         assert len(stats.grad_norms) == stats.iterations + 1
+
+
+class TestRayStep:
+    """The step when the unit step fails Armijo: the minimizer of
+    ``phi(alpha) = value(alpha)`` over [0, 1], found from ``phi'`` and
+    ``phi''`` that ``derivatives`` returns."""
+
+    def test_quadratic_ray_step_is_exact(self, rng):
+        # CG solves with a third of the Hessian, so its direction is
+        # three times too long and the unit step fails Armijo; on a
+        # quadratic one Newton step on phi' from alpha = 1 lands on the
+        # ray minimizer -g.d / (d.Hd) = 1/3, which backtracking by halves
+        # cannot reach
+        a = rng.normal(size=(6, 6))
+        H = a @ a.T + 6.0 * np.eye(6)
+        b = rng.normal(size=6)
+        seen = {}
+        sub = CallbackSubproblem(
+            value=lambda w: 0.5 * float(w @ H @ w) - float(b @ w),
+            grad=lambda w: H @ w - b,
+            hvp=lambda h: (H @ h) / 3.0,
+            curvature=lambda h: H @ h,
+        )
+        real_set = sub.set_direction
+
+        def set_direction(d):
+            seen.setdefault("d", d)
+            seen.setdefault("g", H @ sub.w - b)
+            real_set(d)
+
+        sub.set_direction = set_direction
+        _, stats = newton_solve(sub, rng.normal(size=6), 1e-12, 1)
+        g, d = seen["g"], seen["d"]
+        assert stats.step_sizes[0] == pytest.approx(-(g @ d) / (d @ H @ d),
+                                                    rel=1e-12)
+        assert stats.step_sizes[0] == pytest.approx(1.0 / 3.0, rel=1e-6)
+
+    @staticmethod
+    def _subproblem(name, rng):
+        p = next(i for i in bundled_instances() if i.name == name).build()
+        lo, hi = p.penalty.box
+        sub = make_subproblem_oracle(p, rng.uniform(lo, hi, size=p.m), 0.4)
+        sub.reset(rng.normal(size=p.n) * 0.1)
+        return p, sub
+
+    @pytest.mark.parametrize("name", ["gap5000x123", "svr500x50"],
+                             ids=["Hinge", "EpsInsensitive"])
+    def test_derivatives_match_central_differences(self, name, rng):
+        # phi is piecewise quadratic along the ray, so within one piece a
+        # central difference of value is phi' and one of phi' is phi'',
+        # both up to rounding; an alpha whose difference interval holds
+        # a kink (a row changes class) is skipped
+        p, sub = self._subproblem(name, rng)
+        sub.grad()
+        d = rng.normal(size=p.n) * 0.05
+        sub.set_direction(d)
+        bd = p.B.matvec(d)
+        h, checked = 1e-6, 0
+        for alpha in np.linspace(0.05, 1.0, 20):
+            rows = [p.penalty.split(sub.z + a * bd, sub.sigma)
+                    for a in (alpha - h, alpha + h)]
+            if not (np.array_equal(rows[0][0], rows[1][0])
+                    and np.array_equal(rows[0][2], rows[1][2])):
+                continue
+            d1, d2 = sub.derivatives(alpha)
+            fd1 = (sub.value(alpha + h) - sub.value(alpha - h)) / (2 * h)
+            fd2 = (sub.derivatives(alpha + h)[0]
+                   - sub.derivatives(alpha - h)[0]) / (2 * h)
+            scale = 1.0 + abs(sub.value(alpha))
+            assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-8 * scale)
+            assert d2 == pytest.approx(fd2, rel=1e-6)
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("name", ["gap5000x123", "svr300x500"],
+                             ids=["Hinge", "EpsInsensitive"])
+    def test_taken_steps_satisfy_armijo(self, name):
+        # the first Newton solve of alm_solve (w = 0, lam = 0, sigma0)
+        # takes ray steps on both instances; every accepted step passes
+        # Armijo, and a ray step meets the ray search's stopping rule
+        p = next(i for i in bundled_instances() if i.name == name).build()
+        sub = make_subproblem_oracle(p, np.zeros(p.m), 0.15)
+        real_grad, real_accept = sub.grad, sub.accept
+        state, ray_steps = {}, []
+
+        def grad():
+            state["g"] = real_grad()
+            return state["g"]
+
+        def accept(alpha):
+            slope = float(state["g"] @ sub._d)
+            f0 = sub.value(0.0)
+            assert sub.value(alpha) <= f0 + newton_mod.LS_C1 * alpha * slope
+            if alpha < 1.0:
+                assert sub.value(1.0) > f0 + newton_mod.LS_C1 * slope
+                assert abs(sub.derivatives(alpha)[0]) <= \
+                    newton_mod.RAY_TOL * -slope
+                ray_steps.append(alpha)
+            real_accept(alpha)
+
+        sub.grad, sub.accept = grad, accept
+        _, stats = newton_solve(sub, np.zeros(p.n), 0.1, NEWTON_MAXIT)
+        assert len(ray_steps) >= 3
+        assert any(math.log2(a) != round(math.log2(a)) for a in ray_steps)
 
 
 def _bundled_svc(name):
@@ -355,16 +489,20 @@ class TestSubproblemContract:
         assert counts["matvec_t"] == report.it_sn + 2 * report.k
         assert counts["restricted_normal_apply"] == 0
 
-    @pytest.mark.parametrize("make,full", [
-        (lambda: _bundled_svc("gap5000x123"), False),
-        (_noisy_sparse_svc, True),
+    @pytest.mark.parametrize("make,full,first", [
+        (lambda: _bundled_svc("gap5000x123"), False, True),
+        (_noisy_sparse_svc, True, False),
     ], ids=["gap5000x123", "svc_sparse_binary"])
     def test_certificate_reads_b_once_per_outer_iteration(self, make, full,
-                                                          monkeypatch):
+                                                          first, monkeypatch):
         # matvec_t gathers rows through sparse._gather on its sparse
         # branch; a call that never reaches it read every row of B. On
         # gap5000x123 lam is nonzero on fewer than m/4 rows, on the
-        # noisy sparse binary data on about half of them.
+        # noisy sparse binary data on about half of them. At the start
+        # w = 0, z = d + 0 = ones, and a row is saturated where
+        # 1 >= C/sigma0: on gap5000x123 (C/sigma0 = 0.73) every row, so
+        # the first gradient's B.T sat reads all of B; on the noisy data
+        # (C/sigma0 = 1.83) none, so it reads no row.
         p = make()
         real_mt, real_gather = SparseMatrix.matvec_t, sparse_mod._gather
         real_grad = SmoothedSubproblem.grad
@@ -397,12 +535,13 @@ class TestSubproblemContract:
         gradient = [read_all for in_grad, read_all in calls if in_grad]
         assert certificate == [full] * report.k
         assert len(gradient) == report.it_sn + report.k
-        # the first gradient of the solve reads all of B; a later outer
-        # iteration's first gradient updates the carried g_sat from the
-        # rows that changed side, here fewer than m/4
+        # the first gradient of the solve takes the full product B.T sat
+        # (which reads every row only when more than m/4 rows saturate);
+        # a later outer iteration's first gradient updates the carried
+        # g_sat from the rows that changed side, here fewer than m/4
         starts = np.cumsum([0] + [rec.newton.iterations + 1
                                   for rec in report.outer[:-1]])
-        assert [gradient[i] for i in starts] == [True] + [False] * (report.k - 1)
+        assert [gradient[i] for i in starts] == [first] + [False] * (report.k - 1)
 
     def test_handed_over_bw_gives_the_same_iterates(self, rng):
         p = _bundled_svc("gap5000x123")
@@ -459,7 +598,9 @@ class TestIncrementalGradient:
     @staticmethod
     def _watch(monkeypatch, p):
         """Record, per gradient, its distance to the fresh gradient
-        relative to ``1 + |w|``; per gradient after the first, how many
+        relative to ``1 + |w| + |fresh|``, the scale of the sum's terms
+        (at w = 0 the gradient is ``C * B.T sat`` alone, with |g| up to
+        1.3e3 on gap5000x123); per gradient after the first, how many
         rows changed saturation sign; and per outer start after the
         first, the sign vectors ``(before, after)``."""
         real = SmoothedSubproblem.grad
@@ -470,7 +611,8 @@ class TestIncrementalGradient:
             s = p.penalty.prox(self.z, 1.0 / self.sigma)
             fresh = self.w + self.sigma * p.B.matvec_t(self.z - s)
             errors.append(float(np.linalg.norm(g - fresh))
-                          / (1.0 + float(np.linalg.norm(self.w))))
+                          / (1.0 + float(np.linalg.norm(self.w))
+                             + float(np.linalg.norm(fresh))))
             sat = p.penalty.split(self.z, self.sigma)[2]
             if last:
                 changed.append(int(np.count_nonzero(sat != last["sat"])))
