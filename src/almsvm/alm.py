@@ -36,12 +36,13 @@ constant ``+-C/sigma``) or neither (``z - prox(z)`` is zero).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import Dataset
+from .data_io import Dataset, _finite
 from .newton import NewtonStats, newton_solve
 from .sparse import SparseMatrix
 
@@ -82,7 +83,7 @@ class DivergedError(RuntimeError):
 
 
 def _weight(C: float) -> float:
-    if not (math.isfinite(C) and C > 0):
+    if (C := _finite(C, "C")) <= 0:
         raise ValueError("C must be positive and finite")
     return C
 
@@ -193,9 +194,9 @@ class EpsInsensitive:
     """``C * sum(max(|s_i| - eps, 0))``; conjugate ``eps*|lam|_1`` on [-C, C]."""
 
     def __init__(self, C: float, eps: float):
-        if not (math.isfinite(eps) and eps >= 0):
+        self.C, self.eps = _weight(C), _finite(eps, "eps")
+        if self.eps < 0:
             raise ValueError("eps must be nonnegative and finite")
-        self.C, self.eps = _weight(C), eps
         self.box = (-self.C, self.C)
 
     def value(self, s) -> float:
@@ -277,11 +278,12 @@ class SolverConfig:
     max_outer: int = 10
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.sigma0, self.sigma_max, self.tol))):
-            raise ValueError("sigma0, sigma_max and tol must be finite")
+        for name in ("sigma0", "sigma_max", "tol"):
+            setattr(self, name, _finite(getattr(self, name), name))
         if not 0.0 < self.sigma0 <= self.sigma_max:
             raise ValueError("need 0 < sigma0 <= sigma_max")
-        if not 0.0 < self.theta <= 1.0:
+        if not (isinstance(self.theta, numbers.Real) and self.theta is not True
+                and 0.0 < self.theta <= 1.0):
             raise ValueError("theta must be in (0, 1]")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
@@ -313,14 +315,13 @@ class OuterRecord:
 class SolveReport:
     """Statistics of one ``alm_solve`` run.
 
-    ``status`` is ``"converged"`` when the KKT residual reached ``tol``
-    and the last record's gap certifies its objective, ``primal - dual
-    <= tol * (1 + |primal|)``, and ``"max_outer"`` when the outer
-    iteration limit ended the run first; the latter also adds a warning.
-    ``objective`` is the last record's primal value, which is never below
-    the optimum, so a converged objective is within ``tol * (1 +
-    |objective|)`` above it. ``outer`` holds one
-    :class:`OuterRecord` per outer iteration, ``k`` of them;
+    ``objective`` is the last record's primal value, never below the
+    optimum, ``duality_gap`` its ``primal - dual`` and ``duality_gap_rel``
+    that gap over ``1 + |primal|``. ``status`` is ``"converged"`` when the
+    KKT residual and ``duality_gap_rel`` reached ``tol``, which certifies
+    the objective, and ``"max_outer"`` when the outer iteration limit
+    ended the run first; the latter also adds a warning. ``outer`` holds
+    one :class:`OuterRecord` per outer iteration, ``k`` of them;
     ``kkt_residual`` is the largest of the last record's ``r1``, ``r2``
     and ``r3``. A Newton solve with a CG curvature breakdown or a
     steepest-descent fallback adds a warning too.
@@ -576,8 +577,8 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     (z - s) (the multiplier step written in terms of z), clipped into
     the penalty's box, and grows sigma by 1/theta up to sigma_max. Stops
     early, ``converged``, once max(r1, r2, r3) drops to ``cfg.tol`` and
-    the duality gap certifies the objective: ``primal - dual <= cfg.tol
-    * (1 + |primal|)``.
+    the duality gap certifies the objective: ``(primal - dual) / (1 +
+    |primal|) <= cfg.tol``, the report's ``duality_gap_rel``.
 
     ``z - s`` lies in ``[0, C/sigma]`` (``[-C/sigma, C/sigma]`` for
     regression), so the clip moves only coordinates that rounding pushed
@@ -631,23 +632,18 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
         pv = primal_objective(p, w, bw=bw)
         dv, _ = dual_objective(p, lam, bt=bt)
         report.outer.append(OuterRecord(sigma, tol_k, stats, pv, dv, r1, r2, r3))
+        report.objective, report.duality_gap = pv, pv - dv
+        report.duality_gap_rel = report.duality_gap / (1.0 + abs(pv))
 
         sigma = min(cfg.sigma_max, sigma / cfg.theta)
-        if (report.kkt_residual <= cfg.tol
-                and pv - dv <= cfg.tol * (1.0 + abs(pv))):
+        if report.kkt_residual <= cfg.tol and report.duality_gap_rel <= cfg.tol:
             report.status = CONVERGED
             break
     else:
         report.warnings.append(
             f"max_outer={cfg.max_outer} reached above tol {cfg.tol:.1e}: "
             f"KKT residual {report.kkt_residual:.3e}, duality gap "
-            f"{(pv - dv) / (1.0 + abs(pv)):.3e} relative to 1 + |primal|"
+            f"{report.duality_gap_rel:.3e} relative to 1 + |primal|"
         )
     report.time_seconds = time.perf_counter() - t0
-    last = report.outer[-1]
-    report.objective = last.primal
-    report.duality_gap = last.primal - last.dual
-    report.duality_gap_rel = report.duality_gap / (
-        1.0 + abs(last.primal) + abs(last.dual)
-    )
     return w, report

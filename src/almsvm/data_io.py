@@ -10,13 +10,14 @@ serialize boundary only.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import Samples, _index_dtype
+from .sparse import Samples, _as_array, _first_bad_index, _index_dtype
 
 __all__ = [
     "ParseError",
@@ -69,15 +70,13 @@ class ParseError(ValueError):
 class Dataset:
     """Labeled sparse samples.
 
-    ``samples`` is a :class:`Samples` store whose rows have strictly
-    increasing indices below ``n_features``; any other sequence of
-    ``(indices, values)`` pairs is concatenated into one when the
-    dataset is built. ``labels`` is a 1-D float64 array, one real per
-    sample. ``n_features`` is an integer above the store's
-    :attr:`~almsvm.sparse.Samples.max_index` (for a part, that of the
-    store it comes from), so it is 0 only for a store without indices.
-    Instances are treated as immutable; derived datasets share the
-    sample store.
+    ``samples`` is a :class:`Samples` store, which keeps the row rule;
+    any other sequence of ``(indices, values)`` pairs is concatenated
+    into one when the dataset is built. ``labels`` is a 1-D float64
+    array, one finite real per sample. ``n_features`` is an integer above
+    the store's :attr:`~almsvm.sparse.Samples.max_index` (for a part,
+    that of its store), so it is 0 only for a store without indices.
+    Instances are treated as immutable; derived datasets share the store.
     """
 
     samples: Samples
@@ -87,10 +86,13 @@ class Dataset:
     def __post_init__(self):
         if not isinstance(self.samples, Samples):
             self.samples = Samples.from_pairs(self.samples)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
+        self.labels = _as_array(self.labels, "labels", np.float64)
         if self.labels.ndim != 1:
             raise ValueError("labels must be one real per sample, "
                              f"got shape {self.labels.shape}")
+        if not (finite := np.isfinite(self.labels)).all():
+            r = int(np.argmin(finite))
+            raise ValueError(f"row {r}: label {self.labels[r]} is not finite")
         if len(self.labels) != len(self.samples):
             raise ValueError(f"{len(self.labels)} labels for "
                              f"{len(self.samples)} samples")
@@ -200,8 +202,7 @@ def _parse_lines(text: str, first_line: int = 1):
             vals.extend(map(float, parts[3::3]))
         except (ValueError, OverflowError):
             # rows parsed so far may hold an earlier fault
-            done = ends[-1] if ends else 0
-            _check_indices(np.frombuffer(idx, np.int64, done), ends, linenos)
+            _check_indices(np.frombuffer(idx, np.int64), ends, linenos)
             _raise_line_fault(lineno, tokens)
         labels.append(label)
         ends.append(len(idx))
@@ -513,19 +514,10 @@ def _raise_line_fault(lineno: int, tokens) -> None:
 
 
 def _check_indices(cols: np.ndarray, ends, linenos) -> None:
-    """Name the first 1-based index that is below 1 or not above its
-    predecessor in its row; ``ends[r]`` is where row ``r`` ends in
-    ``cols``."""
-    if cols.size == 0:
-        return
-    bad = np.empty(cols.size, dtype=bool)
-    np.less_equal(cols[1:], cols[:-1], out=bad[1:])
+    """Name the first 1-based index below 1 or not above its predecessor
+    in its row, found by the store's rule; row ``r`` ends at ``ends[r]``."""
     ends = np.frombuffer(ends, dtype=np.int64)
-    starts = np.concatenate(([0], ends[:-1]))
-    first = starts[starts < ends]
-    bad[first] = cols[first] < 1
-    if bad.any():
-        p = int(np.argmax(bad))
+    if (p := _first_bad_index(cols, np.concatenate(([0], ends)), low=1)) >= 0:
         i = int(cols[p])
         lineno = linenos[int(np.searchsorted(ends, p, side="right"))]
         if i < 1:
@@ -556,6 +548,15 @@ def load_libsvm(path, n_features: int | None = None) -> Dataset:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _finite(x, name: str) -> float:
+    """``x`` as a float if it is a real number, not a bool, within float64's
+    range; else a ``ValueError`` naming ``name``."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+            or not abs(x) <= float(np.finfo(np.float64).max)):
+        raise ValueError(f"{name} must be finite and real, got {x!r}")
+    return float(x)
+
+
 def format_float(x: float) -> str:
     """The shortest decimal that reads back as the same float64."""
     return repr(float(x))
@@ -565,13 +566,11 @@ def serialize_libsvm(d: Dataset) -> str:
     """LIBSVM text of ``d``, one line per sample, every number in
     :func:`format_float`'s shortest round-trip form."""
     row_ptr, idx, vals = d.samples.csr()
-    # the reader takes finite numbers only; name the first row it would refuse
-    bad = np.union1d(np.flatnonzero(~np.isfinite(d.labels)),
-                     np.searchsorted(row_ptr, np.flatnonzero(~np.isfinite(vals)),
-                                     side="right") - 1)
+    # the reader takes finite numbers only; Dataset has checked the labels
+    bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
-        raise ValueError(f"row {bad[0]}: a non-finite label or value "
-                         "has no LIBSVM text")
+        row = int(np.searchsorted(row_ptr, bad[0], side="right")) - 1
+        raise ValueError(f"row {row}: a non-finite value has no LIBSVM text")
     # Python ints and floats: the 1-based index cannot wrap, and the repr
     # of a float is format_float's text
     feats = [f"{i + 1}:{v!r}" for i, v in zip(idx.tolist(), vals.tolist())]

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import Dataset
-from .sparse import Samples, _index_dtype, _matvec
+from .data_io import Dataset, _finite
+from .sparse import Samples, _as_array, _index_dtype, _matvec
 
 __all__ = ["Model", "scores", "predict", "predict_label", "predict_labels",
            "accuracy", "mse"]
@@ -21,9 +20,11 @@ class Model:
     ``label_map = (lo, hi)`` records which original labels were mapped
     to -1 and +1 during training; ``bias_augmented`` says whether the
     last weight is a bias applied to an implicit constant feature.
-    Construction enforces what a model file must hold: ``task`` is
-    ``"svc"`` or ``"svr"``, the weights are a non-empty 1-D array, and
-    they, ``c_used``, ``eps_used`` and the label pair are finite.
+    Construction enforces what a model file must hold, naming a fault by
+    its header key: ``task`` is ``"svc"`` or ``"svr"``, ``bias_augmented``
+    a bool, the weights a non-empty 1-D array, and they, ``c_used``,
+    ``eps_used`` and the label pair (a tuple or list) finite reals, held
+    as floats.
     """
 
     w: np.ndarray
@@ -34,7 +35,7 @@ class Model:
     eps_used: float = 0.0
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
+        self.w = _as_array(self.w, "model weights", np.float64)
         if self.w.ndim != 1:
             raise ValueError("model weights must be a 1-D array, "
                              f"got shape {self.w.shape}")
@@ -42,15 +43,17 @@ class Model:
             raise ValueError("model has no weights")
         if not np.all(np.isfinite(self.w)):
             raise ValueError("model weights must be finite")
-        if self.task not in ("svc", "svr"):
+        if not isinstance(self.task, str) or self.task not in ("svc", "svr"):
             raise ValueError(f"unknown task {self.task!r}")
-        if not (math.isfinite(self.c_used) and math.isfinite(self.eps_used)):
-            raise ValueError("c and eps must be finite")
+        if not isinstance(self.bias_augmented, (bool, np.bool_)):
+            raise ValueError(f"bias must be a bool, got {self.bias_augmented!r}")
+        self.c_used = _finite(self.c_used, "c")
+        self.eps_used = _finite(self.eps_used, "eps")
         if self.label_map is not None:
-            if len(self.label_map) != 2:
+            pair = self.label_map
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
                 raise ValueError("labels must be none or a pair")
-            if not all(map(math.isfinite, self.label_map)):
-                raise ValueError("labels must be finite")
+            self.label_map = (_finite(pair[0], "labels"), _finite(pair[1], "labels"))
 
 
 def _row_scores(model: Model, samples: Samples) -> np.ndarray:
@@ -59,9 +62,8 @@ def _row_scores(model: Model, samples: Samples) -> np.ndarray:
     An index past the model's dictionary (test files routinely carry
     indices the training file never saw) reads one extra weight of
     ``0.0``, so its value adds nothing if finite and makes the score
-    non-finite if not (see :mod:`almsvm.sparse`). A negative index is
-    rejected. For a bias-augmented model the constant feature is
-    appended implicitly.
+    non-finite if not (see :mod:`almsvm.sparse`). For a bias-augmented
+    model the constant feature is appended implicitly.
     """
     row_ptr, cols, vals = samples.csr()
     n = model.w.size - 1 if model.bias_augmented else model.w.size
@@ -71,8 +73,6 @@ def _row_scores(model: Model, samples: Samples) -> np.ndarray:
     dt = np.promote_types(cols.dtype,
                           _index_dtype(len(samples), n + 1, vals.size))
     cols = np.minimum(cols.astype(dt, copy=False), n)
-    if cols.min(initial=0) < 0:
-        raise ValueError("negative feature index")
     s = _matvec(row_ptr.astype(dt, copy=False), cols, vals,
                 np.append(model.w[:n], 0.0))
     if model.bias_augmented:
@@ -87,8 +87,8 @@ def scores(model: Model, data: Dataset) -> np.ndarray:
 
 
 def predict(model: Model, sample) -> float:
-    """Raw score w . x for one sparse sample: :func:`scores` on one row,
-    so it agrees with it bit for bit; a negative index is rejected."""
+    """Raw score w . x for one sparse sample, a store's row: :func:`scores`
+    on one row, so it agrees with it bit for bit."""
     return float(_row_scores(model, Samples.from_pairs([sample]))[0])
 
 

@@ -4,72 +4,63 @@ compiled CSR routines, called directly.
 A :class:`Samples` store holds the rows of a dataset as ``row_ptr``,
 ``indices`` and ``values``; a :class:`SparseMatrix` holds ``row_ptr``,
 ``col_idx`` and ``values`` (float64), and nothing else. Both are
-read-only and checked once, when built, and each keeps its two
-structure arrays in one index dtype, int32 when the bounds it passes to
-:func:`_index_dtype` fit in it and int64 otherwise, so
-:meth:`SparseMatrix.from_rows` wraps a store's int32 index array
-without a copy. scipy's kernels run the same arithmetic for
-either index type, so only the bytes each product streams change. Each
-operation calls the compiled routine of ``scipy.sparse._sparsetools``
-that scipy's own ``csr_array`` runs for the same operation, without
-building a scipy array object. Three routines are used, one call each:
+read-only and checked once, when built. The store checks the row rule,
+indices at least 0 and strictly increasing in each row, by
+:func:`_first_bad_index`, which the parser calls too; a matrix is built
+from a store and checks only its shape, its column count and finite
+values. Each keeps its structure arrays in one index dtype, int32 when
+the bounds it passes to :func:`_index_dtype` fit in it and int64
+otherwise, so :meth:`SparseMatrix.from_rows` wraps a store's int32
+indices without a copy; the kernels run the same arithmetic for either.
+Each operation calls the compiled routine of ``scipy.sparse._sparsetools``
+that scipy's own ``csr_array`` runs for it, without building a scipy
+array object. Three routines are used, one call each:
 
 * ``A @ x`` is ``csr_matvec``, which accumulates each row left to
   right in stored order;
 * ``A.T @ y`` is ``csc_matvec`` on the same three arrays, read as the
   CSC form of ``A.T``; it scatters row contributions in row order;
-* a row gather ``A[rows, :]`` is ``csr_row_index`` into arrays sized
-  from the cumulative row lengths, in the order of ``rows``. It gathers
-  a matrix's rows (the semismooth Newton step's active rows and the
-  sparse branch of ``A.T @ y`` below) and a store part's rows, which
-  :meth:`Samples.csr` copies when they are not one ascending run of the
-  store, as in a ``split`` part.
+* a row gather ``A[rows, :]`` is ``csr_row_index``, in the order of
+  ``rows``. It gathers a matrix's rows (the semismooth Newton step's
+  active rows and the sparse branch of ``A.T @ y`` below) and the rows
+  of a store part that are not one ascending run, as in a ``split`` part.
 
 Both products are therefore bit for bit equal to row-major reference
 kernels (the test suite keeps ``np.bincount`` ones as oracles) and to
-scipy's public ``csr_array`` operators, and single-threaded runs
-reproduce exactly. ``_sparsetools`` is private to scipy; these three
-routines and their argument order are those of scipy 1.17.1, the tested
-version, and the tests compare every product bitwise against the
-public operators, so a change in them shows there and needs one edit.
+scipy's public ``csr_array`` operators, which the tests compare them
+against, and single-threaded runs reproduce exactly. ``_sparsetools``
+is private; these routines and their arguments are those of scipy
+1.17.1, the tested version.
 
-The gathered rows ``A[rows, :]`` are themselves a :class:`SparseMatrix`,
-of shape ``(rows.size, n)``, which the semismooth Newton step builds
-once per iterate from its active rows. It is stored without the O(nnz)
-checks of the constructor: each row of a valid matrix is a valid row,
-so any sequence of them, repeats included, is a valid matrix. It keeps
-its parent's index dtype, or int64 when repeated rows add up to more
-nonzeros than int32 holds.
+The gathered rows ``A[rows, :]``, which the semismooth Newton step takes
+once per iterate, are a :class:`SparseMatrix` of shape ``(rows.size,
+n)`` stored without the O(nnz) checks: each row of a valid matrix is a
+valid row, so any sequence of them, repeats included, is a valid
+matrix. It keeps its parent's index dtype, or int64 when repeated rows
+add up to more nonzeros than int32 holds.
 
 When at most one ``y_i`` in four is nonzero, ``A.T @ y`` gathers and
 scatters only the rows with ``y_i != 0``, still in row order. A skipped
 row adds the products ``a_ij * (+-0)``, which are zeros, to
-accumulators that start at ``+0.0``; an accumulator that starts at
-``+0.0`` is never ``-0.0``, and adding a zero leaves any other value as
-it is, so every column receives the same nonzero terms in the same
-order and the result is the full kernel's, bit for bit. Scoring clips
-each column past the model to a ``0.0`` slot of ``x`` and runs
-:func:`_matvec`: a clipped entry adds ``v * 0.0 = +-0`` for finite ``v``,
-so by the same argument each score is the kept entries' sum, bit for bit.
+accumulators that start at ``+0.0``; such an accumulator is never
+``-0.0``, and adding a zero leaves any other value as it is, so every
+column receives the same nonzero terms in the same order and the result
+is the full kernel's, bit for bit. Scoring clips each column past the
+model to a ``0.0`` slot of ``x`` and runs :func:`_matvec`: a clipped
+entry adds ``v * 0.0 = +-0`` for finite ``v``, so by the same argument
+each score is the kept entries' sum, bit for bit.
 
-The kernels are bound once, when this module is imported, which
-``import almsvm`` does. They are loaded from the extension file alone,
-not through the ``scipy.sparse`` package: :func:`_load_kernels` finds
-scipy's directory without importing scipy, finds ``sparse/_sparsetools``
-there and runs that extension module by itself. The module object is
-kept only here, not in ``sys.modules``, so a later ``import
-scipy.sparse`` loads its own copy. Loading the file adds about 0.2 MB of
-resident memory and takes under 1 ms; importing the package, which runs
-``scipy/sparse/__init__`` and pulls in about 325 modules, adds about
-20 MB and takes 0.13-0.18 s (2-core Xeon, Python 3.11.7, scipy 1.17.1),
-which every ``train`` or ``bench`` process would pay. This is the only
-route: where scipy is missing, or its ``sparse`` directory holds no
-``_sparsetools`` extension file, ``import almsvm`` raises ``ImportError``
-naming the directories searched.
+The kernels are bound once, when this module is imported, by
+:func:`_load_kernels`: it runs scipy's ``sparse/_sparsetools`` extension
+file alone, found without importing scipy and kept out of
+``sys.modules``, which spares each process the ``scipy.sparse`` package
+(README, *Install and test*). Where scipy is missing, or that file is,
+``import almsvm`` raises ``ImportError`` naming the directories searched.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 from collections.abc import Sequence
@@ -122,14 +113,39 @@ def _index_dtype(*bounds: int):
     return np.int32 if fits else np.int64
 
 
+def _as_array(a, name: str, dtype=None) -> np.ndarray:
+    """``a`` as a C-contiguous array, of ``dtype`` if given; what numpy
+    cannot read so is rejected naming ``name``."""
+    try:
+        return np.asarray(a, dtype=dtype, order="C")
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+
+
 def _as_index(a, name: str) -> np.ndarray:
-    """``a`` as an index array: int32 and int64 arrays as they are, any
-    other integers as int64; a non-empty array that is not of an integer
-    dtype is rejected, not truncated."""
-    a = np.asarray(a)
+    """``a`` as an index array by :func:`_as_array`: int32 and int64
+    arrays as they are, any other integers as int64; a non-empty array
+    that is not of an integer dtype is rejected, not truncated."""
+    a = _as_array(a, name)
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
     return a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
+
+
+def _first_bad_index(indices, row_ptr, low: int = 0) -> int:
+    """The row rule: the position of the first index of the rows
+    ``indices[row_ptr[r]:row_ptr[r + 1]]`` that is below ``low`` (1 for
+    the parser's) or not above the one before it in its row, else -1."""
+    lo, hi = int(row_ptr[0]), int(row_ptr[-1])
+    if lo == hi:
+        return -1
+    bad = np.empty(hi - lo, dtype=bool)
+    np.less_equal(indices[lo + 1:hi], indices[lo:hi - 1], out=bad[1:])
+    starts = row_ptr[:-1]
+    firsts = starts[starts < row_ptr[1:]]
+    bad[firsts - lo] = indices[firsts] < low
+    p = int(np.argmax(bad))
+    return lo + p if bad[p] else -1
 
 
 def _matvec(row_ptr, col_idx, values, x) -> np.ndarray:
@@ -169,13 +185,15 @@ class Samples(Sequence):
     values[a:b])``, ``a, b = row_ptr[r], row_ptr[r + 1]``, of 0-based
     feature indices and float64 values. The constructor checks once that
     ``row_ptr`` is made of integers, does not decrease, starts at 0 or
-    later and ends within the flat arrays, and stores it and ``indices``
-    in :func:`_index_dtype` of the row count, the last row pointer and
-    the smallest and largest index (:attr:`max_index`). Indexing with an
-    integer, or a 0-d integer array, gives that pair; a slice, an array
-    of row numbers or a mask gives a part, which shares the three arrays
-    and holds only its row ids (:attr:`ids`), taken from ``arange(len)``
-    or its parent's ids.
+    later and ends within the flat arrays, and that the rows it spans
+    keep the row rule, naming the first row that does not; the values
+    are not checked. The three arrays are C-contiguous, ``row_ptr`` and
+    ``indices`` in :func:`_index_dtype` of the row count, the last row
+    pointer and the smallest and largest index (:attr:`max_index`).
+    Indexing with an integer, or a 0-d integer array, gives that pair; a
+    slice, an array of row numbers or a mask gives a part, which shares
+    the three arrays and holds only its row ids (:attr:`ids`), taken
+    from ``arange(len)`` or its parent's ids.
     """
 
     __slots__ = ("_ptr", "_idx", "_val", "_ids", "_max")
@@ -183,7 +201,7 @@ class Samples(Sequence):
     def __init__(self, row_ptr, indices, values):
         row_ptr = _as_index(row_ptr, "row_ptr")
         indices = _as_index(indices, "indices")
-        values = np.asarray(values, dtype=np.float64)
+        values = _as_array(values, "values", np.float64)
         if indices.ndim != 1 or indices.shape != values.shape:
             raise ValueError("indices and values must have equal length")
         if (row_ptr.ndim != 1 or row_ptr.size == 0 or row_ptr[0] < 0
@@ -191,6 +209,10 @@ class Samples(Sequence):
             raise ValueError("row_ptr must lie within the flat arrays")
         if np.any(row_ptr[1:] < row_ptr[:-1]):
             raise ValueError("row_ptr must be non-decreasing")
+        if (p := _first_bad_index(indices, row_ptr)) >= 0:
+            r, i = np.searchsorted(row_ptr, p, side="right") - 1, indices[p]
+            raise ValueError(f"row {r}: index {i} " + (
+                "is negative" if i < 0 else "not strictly increasing"))
         self._max = int(indices.max()) if indices.size else -1
         # an int32 array's values fit by its dtype
         bounds = ((int(indices.min()), self._max)
@@ -203,21 +225,17 @@ class Samples(Sequence):
     @classmethod
     def from_pairs(cls, pairs) -> "Samples":
         """Concatenate an iterable of ``(indices, values)`` pairs once."""
-        idx_parts, val_parts = [], []
-        for idx, val in pairs:
-            idx = _as_index(idx, "indices")
-            val = np.asarray(val, dtype=np.float64)
-            if idx.ndim != 1 or idx.shape != val.shape:
-                raise ValueError("indices and values must have equal length")
-            idx_parts.append(idx)
-            val_parts.append(val)
-        row_ptr = np.zeros(len(idx_parts) + 1, dtype=np.int64)
-        np.cumsum([idx.size for idx in idx_parts], out=row_ptr[1:])
-        return cls(
-            row_ptr,
-            np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64),
-            np.concatenate(val_parts) if val_parts else np.empty(0),
-        )
+        try:
+            pairs = [(idx, val) for idx, val in pairs]
+        except (TypeError, ValueError):
+            raise ValueError("samples must be (indices, values) pairs") from None
+        pairs = [(_as_index(idx, "indices"), _as_array(val, "values", np.float64))
+                 for idx, val in pairs]
+        if any(idx.ndim != 1 or idx.shape != val.shape for idx, val in pairs):
+            raise ValueError("indices and values must have equal length")
+        return cls(np.cumsum([0] + [idx.size for idx, _ in pairs]),
+                   np.concatenate([np.empty(0, np.int32), *(i for i, _ in pairs)]),
+                   np.concatenate([np.empty(0), *(v for _, v in pairs)]))
 
     @property
     def row_ptr(self) -> np.ndarray:
@@ -287,53 +305,34 @@ class Samples(Sequence):
 class SparseMatrix:
     """Immutable CSR matrix with float64 values and 0-based indices.
 
-    ``row_ptr`` has length ``m + 1``; column indices are strictly
-    increasing within each row and every value is finite. ``row_ptr``,
-    ``col_idx`` and ``values`` are read-only views of the stored arrays;
-    :meth:`scale_rows` shares the structure arrays instead of copying
-    them, and :meth:`gather_rows` copies only the rows it selects.
+    ``row_ptr`` has length ``m + 1`` and runs from 0 to nnz, its rows
+    keep the row rule of :class:`Samples`, every index is below ``n`` and
+    every value is finite. ``row_ptr``, ``col_idx`` and ``values`` are
+    read-only views of the stored arrays; :meth:`scale_rows` shares the
+    structure arrays, and :meth:`gather_rows` copies only its rows.
     """
 
     __slots__ = ("_ptr", "_idx", "_val", "_m", "_n")
 
     def __init__(self, row_ptr, col_idx, values, shape):
-        m, n = int(shape[0]), int(shape[1])
-        if m < 0 or n < 0:
-            raise ValueError("shape must be nonnegative")
-        row_ptr = np.ascontiguousarray(_as_index(row_ptr, "row_ptr"))
-        col_idx = np.ascontiguousarray(_as_index(col_idx, "col_idx"))
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if row_ptr.shape != (m + 1,):
-            raise ValueError(f"row_ptr must have length m+1 = {m + 1}")
-        if row_ptr[0] != 0 or row_ptr[-1] != values.size:
-            raise ValueError("row_ptr must run from 0 to nnz")
-        if np.any(np.diff(row_ptr) < 0):
-            raise ValueError("row_ptr must be non-decreasing")
-        if col_idx.shape != values.shape:
-            raise ValueError("col_idx and values must have equal length")
-        if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= n):
-            raise ValueError("column index out of range")
-        if col_idx.size > 1:
-            increasing = col_idx[1:] > col_idx[:-1]
-            # a step from one row's last entry to the next row's first is free
-            starts = row_ptr[1:-1]
-            increasing[starts[(starts > 0) & (starts < col_idx.size)] - 1] = True
-            if not increasing.all():
-                raise ValueError(
-                    "column indices must be strictly increasing within a row"
-                )
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
-        # cast only after the checks above, so no index can wrap
-        dt = _index_dtype(m, n, values.size)
-        self._ptr = _readonly(row_ptr.astype(dt, copy=False))
-        self._idx = _readonly(col_idx.astype(dt, copy=False))
-        self._val, self._m, self._n = _readonly(values), m, n
+        try:
+            m, n = map(operator.index, shape)
+        except (TypeError, ValueError):
+            raise ValueError(f"shape must be two integers, got {shape!r}") from None
+        # the store checks dtypes, lengths and the row rule, from_rows the rest
+        rows = Samples(_as_index(row_ptr, "row_ptr"),
+                       _as_index(col_idx, "col_idx"), values)
+        ptr = rows.row_ptr
+        if ptr.shape != (m + 1,) or ptr[0] != 0 or ptr[-1] != rows.values.size:
+            raise ValueError("row_ptr must run from 0 to nnz in shape[0] + 1 = "
+                             f"{m + 1} entries")
+        a = SparseMatrix.from_rows(rows, n)
+        self._ptr, self._idx, self._val, self._m, self._n = (
+            a._ptr, a._idx, a._val, m, n)
 
     @classmethod
     def _valid(cls, row_ptr, col_idx, values, m, n) -> "SparseMatrix":
-        """A matrix of arrays already known to be valid; nothing is
-        checked."""
+        """A matrix of arrays known to be valid; nothing is checked."""
         a = cls.__new__(cls)
         a._ptr, a._idx, a._val = _readonly(row_ptr), _readonly(col_idx), _readonly(values)
         a._m, a._n = m, n
@@ -372,17 +371,22 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, rows, n_cols: int) -> "SparseMatrix":
-        """Build from (indices, values) pairs: a :class:`Samples` store,
-        whose flat arrays are wrapped without a copy when its rows are one
-        ascending run and its indices have the matrix's index dtype, as
-        they do whenever it is int32, or any iterable of pairs, concatenated once.
-
-        Indices are 0-based and strictly increasing within each pair.
-        """
+        """Build from a :class:`Samples` store, which has checked its rows,
+        or any iterable of (indices, values) pairs, concatenated once into
+        one; the store's arrays are wrapped without a copy when its rows are
+        one ascending run in the matrix's index dtype, as int32 ones are."""
         if not isinstance(rows, Samples):
             rows = Samples.from_pairs(rows)
+        n = int(n_cols)
+        if rows.max_index >= n:
+            raise ValueError(f"column index {rows.max_index} out of range "
+                             f"for {n} columns")
         row_ptr, col_idx, values = rows.csr()
-        return cls(row_ptr, col_idx, values, (len(rows), n_cols))
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        dt = _index_dtype(len(rows), n, values.size)
+        return cls._valid(row_ptr.astype(dt, copy=False),
+                          col_idx.astype(dt, copy=False), values, len(rows), n)
 
     def matvec(self, x) -> np.ndarray:
         """Return ``A @ x``, accumulating each row left to right."""

@@ -62,10 +62,13 @@ class TestBuild:
             build_svc(_dataset([[1.0]], [2.0], 1), 1.0)
 
     def test_svc_rejects_an_unchecked_sample_store(self):
-        # Dataset and Samples check no row structure; building B does
-        store = Samples.from_pairs([([2, 1], [1.0, 1.0])])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            build_svc(Dataset(store, np.array([1.0]), 3), 1.0)
+        # the store checks the row rule when it is built, so neither a
+        # Dataset nor B can hold an unsorted row
+        for build in (lambda: Samples.from_pairs([([2, 1], [1.0, 1.0])]),
+                      lambda: Dataset([([2, 1], [1.0, 1.0])], [1.0], 3)):
+            with pytest.raises(ValueError,
+                               match="^row 0: index 1 not strictly increasing$"):
+                build()
 
     def test_svr_layout(self, rng):
         x = rng.normal(size=(3, 4))
@@ -425,6 +428,9 @@ class TestAlmSolve:
             kkt_ok = report.kkt_residual <= tol
             gap_ok = last.primal - last.dual <= tol * (1.0 + abs(last.primal))
             assert (report.status == CONVERGED) == (kkt_ok and gap_ok), j
+            # the reported relative gap is the one the status certifies
+            assert report.duality_gap_rel == (
+                (last.primal - last.dual) / (1.0 + abs(last.primal))), j
             assert (report.status == CONVERGED) == (j == full.k), j
             kkt_only += kkt_ok and not gap_ok
         assert kkt_only == (2 if name == "blobs200x10" else 0)

@@ -527,6 +527,15 @@ class TestSamples:
         with pytest.raises(ValueError, match=message):
             Dataset(rows, np.array(labels), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_label_is_rejected_naming_its_row(self, bad):
+        # the parser refuses such a label, and training would fail later
+        rows = [([0], [1.0])] * 3
+        labels = [1.0, -1.0, bad]
+        message = f"^row 2: label {bad} is not finite$"
+        with pytest.raises(ValueError, match=message):
+            Dataset(rows, labels, 1)
+
     def test_non_integer_indices_are_rejected_not_truncated(self):
         # int64 conversion would store [0, 2]
         with pytest.raises(ValueError, match="indices must be integers"):
@@ -767,12 +776,13 @@ class TestRoundTrip:
         assert serialize_libsvm(d) == serialize_libsvm_oracle(d)
 
     @pytest.mark.parametrize("bad_label,bad_value,row", [
-        (None, (2, np.nan), 2), (1, None, 1), (3, (2, -np.inf), 2),
+        (None, (2, np.nan), 2), (1, None, 1), (3, (2, -np.inf), 3),
     ], ids=["nan_value", "inf_label", "first_of_both"])
     def test_a_non_finite_number_is_refused_naming_its_row(
             self, bad_label, bad_value, row):
-        # the reader refuses non-finite numbers, so the writer does not
-        # write them
+        # the reader refuses non-finite numbers, so no text holds them:
+        # a dataset refuses a non-finite label when it is built, before
+        # any value is looked at, and the writer a non-finite value
         labels = np.ones(4)
         values = [[0.5], [1.0], [2.0, 3.0], [4.0]]
         if bad_label is not None:
@@ -780,9 +790,8 @@ class TestRoundTrip:
         if bad_value is not None:
             values[bad_value[0]][1] = bad_value[1]
         rows = [(np.arange(len(v)), v) for v in values]
-        d = Dataset(rows, labels, 2)
         with pytest.raises(ValueError, match=f"^row {row}: "):
-            serialize_libsvm(d)
+            serialize_libsvm(Dataset(rows, labels, 2))
 
     def test_a_split_part_matches_the_row_by_row_writer(self):
         d = synthetic.svc_sparse_binary(200, 30, density=0.2, seed=1)

@@ -1,23 +1,29 @@
-"""Property-based checks of the two readers of outside input.
+"""Property-based checks of the two readers of outside input and of the
+library's constructors.
 
 ``parse_libsvm`` must accept exactly what the token-at-a-time oracle
 accepts, return bitwise the same arrays, and reject every corrupted text
 with the oracle's message, on its fast path as well as on the per-line
 one. ``read_model`` must turn every corrupted header into a
-``ValueError`` that names the file.
+``ValueError`` that names the file. ``Samples``, ``Dataset``,
+``SparseMatrix``, ``Model``, ``SolverConfig`` and the penalties must
+reject a malformed field with a ``ValueError`` that names it.
 """
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from almsvm import data_io
+from almsvm.alm import EpsInsensitive, Hinge, SolverConfig
 from almsvm.cli import read_model, write_model
-from almsvm.data_io import ParseError, parse_libsvm
+from almsvm.data_io import Dataset, ParseError, parse_libsvm
 from almsvm.metrics import Model
+from almsvm.sparse import Samples, SparseMatrix
 
 from oracles import parse_libsvm_oracle
 
@@ -337,3 +343,125 @@ def test_index_past_int64_is_named_before_a_later_fault():
         expected = ("error", f"line 1: feature index {index} too large")
         assert outcome(parse_libsvm_oracle, text) == expected
         assert outcome(parse_libsvm, text) == expected
+
+
+# values no scalar field takes: text, bytes, None, containers, complex
+# numbers, bools, non-finite floats and integers past float64's range
+NOT_A_REAL = st.one_of(
+    st.text(max_size=4), st.binary(max_size=2), st.none(),
+    st.lists(st.floats(), max_size=2).map(tuple),
+    st.sampled_from([True, False, 1j, {}, [1.0], math.nan, math.inf,
+                     -math.inf, 10**400, -(10**400)]))
+# values no array field takes: none of them is an array of numbers
+NOT_AN_ARRAY = st.one_of(
+    st.text(max_size=4), st.binary(max_size=2),
+    st.sampled_from([{}, [1j], [object()], [[1.0], [2.0, 3.0]], [None, "a"]]))
+NOT_AN_INDEX_ARRAY = st.one_of(NOT_AN_ARRAY, st.none(), st.sampled_from(
+    [[0.5, 2.0, 1.0], ["0", "2", "1"], [[0, 2, 1]]]))
+
+# the three rows [0, 2], [1] and [] of a 3-column store
+ROWS = {"row_ptr": [0, 2, 3, 3], "indices": [0, 2, 1],
+        "values": [1.0, 2.0, 3.0]}
+PAIRS = [([0, 2], [1.0, 2.0]), ([1], [3.0]), ([], [])]
+
+# per constructor: its valid arguments, and per field a strategy of values
+# that field does not take and the pattern a ValueError for it must match
+CONSTRUCTORS = {
+    "Samples": (Samples, ROWS, {
+        "row_ptr": (st.one_of(NOT_AN_INDEX_ARRAY, st.sampled_from(
+            [[], [0, 3, 2, 3], [-1, 2, 3, 3], [0, 2, 3, 4]])), "row_ptr"),
+        "indices": (st.one_of(NOT_AN_INDEX_ARRAY, st.sampled_from(
+            [[2, 0, 1], [0, 0, 1], [-1, 2, 1], [0, 2]])),
+                    r"indices|^row \d+: index"),
+        "values": (st.one_of(NOT_AN_ARRAY, st.none(), st.sampled_from(
+            [[1.0, 2.0], [[1.0, 2.0, 3.0]]])), "values"),
+    }),
+    "Dataset": (Dataset, {"samples": PAIRS, "labels": [1.0, -1.0, 1.0],
+                          "n_features": 3}, {
+        "samples": (st.sampled_from(
+            [None, 5, [5], [([0], [1.0], 0)], [([0],)], PAIRS[:2],
+             [([1, 0], [1.0, 2.0])] * 3, [("a", [1.0])] * 3,
+             [([0], "a")] * 3]), r"samples|indices|values|^row \d+: index"),
+        "labels": (st.one_of(NOT_AN_ARRAY, st.none(), st.sampled_from(
+            [[1.0], [[1.0, -1.0, 1.0]], [1.0, math.nan, 1.0],
+             [1.0, -1.0, -math.inf]])), "label"),
+        "n_features": (st.one_of(
+            st.integers(max_value=2), st.floats(), st.text(max_size=2),
+            st.sampled_from([None, True, 3.0, np.array(3)])), "n_features"),
+    }),
+    "SparseMatrix": (SparseMatrix, {
+        "row_ptr": ROWS["row_ptr"], "col_idx": ROWS["indices"],
+        "values": ROWS["values"], "shape": (3, 3)}, {
+        "row_ptr": (st.one_of(NOT_AN_INDEX_ARRAY, st.sampled_from(
+            [[0, 3, 2, 3], [1, 2, 3, 3], [0, 2, 3], [0, 2, 2, 2]])),
+                    "row_ptr"),
+        "col_idx": (st.one_of(NOT_AN_INDEX_ARRAY, st.sampled_from(
+            [[2, 0, 1], [0, 0, 1], [-1, 2, 1], [0, 3, 1]])),
+                    r"col_idx|indices|column|^row \d+: index"),
+        "values": (st.one_of(NOT_AN_ARRAY, st.none(), st.sampled_from(
+            [[1.0, 2.0], [1.0, math.nan, 3.0], [math.inf] * 3])), "values"),
+        "shape": (st.sampled_from(
+            [None, 3, (3,), (3, 3, 3), (3.0, 3), ("3", 3), (2, 3), (4, 3),
+             (3, 2)]), "shape|column"),
+    }),
+    "Model": (Model, {"w": [1.0, -2.0], "task": "svc"}, {
+        "w": (st.one_of(NOT_AN_ARRAY, st.none(), st.sampled_from(
+            [[], [[1.0, 2.0]], [math.nan], 3.0])), "weights"),
+        "task": (st.one_of(st.text(max_size=4).filter(
+            lambda t: t not in ("svc", "svr")), st.sampled_from(
+                [None, 5, ["svc"], b"svc"])), "task"),
+        "bias_augmented": (st.one_of(st.text(max_size=2), st.sampled_from(
+            [None, 0, 1, 1.0])), "bias"),
+        # a pair with a malformed side, or no pair at all
+        "label_map": (st.one_of(
+            st.tuples(st.just(0.0), NOT_A_REAL),
+            st.tuples(NOT_A_REAL, st.just(1.0)),
+            st.sampled_from([(0.0,), (0.0, 1.0, 2.0), ("a", "b"), "ab", b"ab",
+                             5, 0.5, {}, {0.0: 1.0, 1.0: 2.0}])),
+                      "labels"),
+        "c_used": (NOT_A_REAL, r"\bc\b"),
+        "eps_used": (NOT_A_REAL, r"\beps\b"),
+    }),
+    "SolverConfig": (SolverConfig, {}, {
+        "sigma0": (st.one_of(NOT_A_REAL, st.sampled_from([0.0, -1.0, 3.0])),
+                   "sigma0"),
+        "sigma_max": (st.one_of(NOT_A_REAL, st.just(0.1)), "sigma_max"),
+        "theta": (st.one_of(NOT_A_REAL, st.sampled_from([0.0, -0.5, 1.5])),
+                  "theta"),
+        "tol": (st.one_of(NOT_A_REAL, st.sampled_from([0.0, -1e-6])), "tol"),
+        "max_outer": (st.one_of(st.integers(max_value=0), st.floats(),
+                                st.text(max_size=2), st.sampled_from(
+                                    [None, True, [1], np.float64(2.0)])),
+                      "max_outer"),
+    }),
+    "Hinge": (Hinge, {"C": 1.0}, {
+        "C": (st.one_of(NOT_A_REAL, st.sampled_from([0.0, -1.0, "1"])),
+              r"\bC\b"),
+    }),
+    "EpsInsensitive": (EpsInsensitive, {"C": 1.0, "eps": 0.1}, {
+        "C": (st.one_of(NOT_A_REAL, st.sampled_from([0.0, -1.0])), r"\bC\b"),
+        "eps": (st.one_of(NOT_A_REAL, st.sampled_from([-0.1, "0.1"])),
+                r"\beps\b"),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_valid_arguments_build(name):
+    build, valid, _ = CONSTRUCTORS[name]
+    build(**valid)
+
+
+@FUZZ
+@given(st.data())
+def test_a_malformed_field_raises_a_value_error_naming_it(data):
+    """Each constructor, given valid arguments but one malformed field,
+    raises a ValueError whose message names that field; never a
+    TypeError or IndexError from deeper down."""
+    name = data.draw(st.sampled_from(sorted(CONSTRUCTORS)))
+    build, valid, fields = CONSTRUCTORS[name]
+    field = data.draw(st.sampled_from(sorted(fields)))
+    bad, pattern = fields[field]
+    kwargs = {**valid, field: data.draw(bad)}
+    with pytest.raises(ValueError, match=pattern):
+        build(**kwargs)

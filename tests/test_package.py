@@ -6,12 +6,13 @@ import importlib
 import inspect
 import pkgutil
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import almsvm
-from almsvm import sparse
+from almsvm import data_io, metrics, sparse
 
 
 def test_package_modules():
@@ -104,3 +105,34 @@ def test_one_index_dtype_rule():
                for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name == "_index_dtype"]
     assert defined == ["sparse.py"]
+
+
+def _compared_names(source: str) -> set:
+    """The names and attributes read on either side of a comparison or
+    by a numpy comparison function in ``source``."""
+    tree = ast.parse(textwrap.dedent(source))
+    sides = [side for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             for side in (node.left, *node.comparators)]
+    sides += [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "attr", "") in (
+                  "less", "less_equal", "greater", "greater_equal", "diff")
+              for arg in node.args]
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for side in sides for node in ast.walk(side)} - {None}
+
+
+def test_one_row_rule():
+    # the comparison that checks index order and sign is written once, in
+    # sparse; the store and the parser call it, and the matrix and the
+    # scorer compare no index array of their own
+    defined = [name for name, tree in _trees().items() for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_first_bad_index"]
+    assert defined == ["sparse.py"]
+    for fn in (sparse.Samples.__init__, data_io._check_indices):
+        assert "_first_bad_index(" in inspect.getsource(fn)
+    index_arrays = {"indices", "col_idx", "cols", "idx", "_idx"}
+    for source in (inspect.getsource(sparse.SparseMatrix.__init__),
+                   inspect.getsource(sparse.SparseMatrix.from_rows),
+                   inspect.getsource(metrics)):
+        assert _compared_names(source) & index_arrays == set()

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from almsvm import sparse
-from almsvm.data_io import parse_libsvm
-from almsvm.sparse import Samples, SparseMatrix, _index_dtype
+from almsvm.data_io import Dataset, augment_bias, parse_libsvm
+from almsvm.sparse import Samples, SparseMatrix, _first_bad_index, _index_dtype
+from almsvm.synthetic import svc_sparse_binary
 
 from conftest import random_sparse
 from oracles import (from_dense, matvec_oracle, matvec_t_oracle,
@@ -63,18 +64,25 @@ class TestConstruction:
                 [(np.array([0]), np.array([1.0])),
                  (np.array([0, 2]), np.array([bad, 2.0]))], 3)
 
-    @pytest.mark.parametrize("cols,vals,message", [
-        ([2, 0], [1.0, 2.0], "strictly increasing"),
-        ([1, 1], [1.0, 2.0], "strictly increasing"),
-        ([0, 3], [1.0, 2.0], "out of range"),
-        ([-1, 0], [1.0, 2.0], "out of range"),
-        ([0, 2], [np.nan, 2.0], "finite"),
+    @pytest.mark.parametrize("cols,vals,store_message,matrix_message", [
+        ([2, 0], [1.0, 2.0], "row 1: index 0 not strictly increasing", None),
+        ([1, 1], [1.0, 2.0], "row 1: index 1 not strictly increasing", None),
+        ([0, 3], [1.0, 2.0], None, "column index 3 out of range for 3 columns"),
+        ([-1, 0], [1.0, 2.0], "row 1: index -1 is negative", None),
+        ([0, 2], [np.nan, 2.0], None, "values must be finite"),
     ], ids=["unsorted", "repeated", "above", "negative", "nan"])
-    def test_rejects_a_bad_samples_store(self, cols, vals, message):
-        # Samples checks nothing, so its rows are checked here as a list
-        # of pairs is
-        store = Samples.from_pairs([([0], [1.0]), (cols, vals)])
-        with pytest.raises(ValueError, match=message):
+    def test_rejects_a_bad_samples_store(self, cols, vals, store_message,
+                                         matrix_message):
+        # the store itself rejects a row that breaks the row rule, naming
+        # the row; the matrix checks a valid store only for what a matrix
+        # adds, its column count and finite values
+        pairs = [([0], [1.0]), (cols, vals)]
+        if store_message is not None:
+            with pytest.raises(ValueError, match=f"^{store_message}$"):
+                Samples.from_pairs(pairs)
+            return
+        store = Samples.from_pairs(pairs)
+        with pytest.raises(ValueError, match=f"^{matrix_message}$"):
             SparseMatrix.from_rows(store, 3)
 
     def test_a_parsed_store_is_wrapped_without_a_copy(self):
@@ -101,6 +109,90 @@ class TestConstruction:
         for arr in (a.row_ptr, a.col_idx, a.values):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+def _first_bad_loop(indices, row_ptr, low):
+    """``(position, row)`` of the first index that is below ``low`` or
+    not above its predecessor in its row, ``(-1, -1)`` when none is."""
+    for r in range(len(row_ptr) - 1):
+        prev = low - 1
+        for p in range(row_ptr[r], row_ptr[r + 1]):
+            if indices[p] <= prev:
+                return p, r
+            prev = indices[p]
+    return -1, -1
+
+
+@st.composite
+def row_sets(draw):
+    """Flat indices and a row pointer over part of them: sorted rows, one
+    of them possibly corrupted, between up to two unspanned entries on
+    either side."""
+    lengths = draw(st.lists(st.integers(0, 4), max_size=6))
+    lo, slack = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    row_ptr = [lo]
+    indices = draw(st.lists(st.integers(-2, 9), min_size=lo, max_size=lo))
+    for k in lengths:
+        indices += sorted(draw(st.sets(st.integers(0, 9), min_size=k, max_size=k)))
+        row_ptr.append(len(indices))
+    indices += draw(st.lists(st.integers(-2, 9), min_size=slack, max_size=slack))
+    if row_ptr[-1] > lo and draw(st.booleans()):
+        indices[draw(st.integers(lo, row_ptr[-1] - 1))] = draw(st.integers(-2, 9))
+    return indices, row_ptr
+
+
+class TestRowRule:
+    """The row rule, indices at least 0 and strictly increasing in each
+    row, is checked by one function, when a store is built."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=row_sets(), low=st.sampled_from([0, 1]),
+           dtype=st.sampled_from([np.int32, np.int64]))
+    def test_first_bad_index_matches_a_loop(self, rows, low, dtype):
+        indices, row_ptr = rows
+        got = _first_bad_index(np.array(indices, dtype=dtype),
+                               np.array(row_ptr, dtype=dtype), low)
+        assert got == _first_bad_loop(indices, row_ptr, low)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=row_sets())
+    def test_a_store_rejects_exactly_the_rows_that_break_it(self, rows):
+        indices, row_ptr = rows
+        p, r = _first_bad_loop(indices, row_ptr, 0)
+        values = np.arange(len(indices), dtype=np.float64)
+        if p < 0:
+            s = Samples(row_ptr, indices, values)
+            assert s.indices.tolist() == indices
+            return
+        fault = "is negative" if indices[p] < 0 else "not strictly increasing"
+        message = f"^row {r}: index {indices[p]} {fault}$"
+        with pytest.raises(ValueError, match=message):
+            Samples(row_ptr, indices, values)
+
+    @pytest.mark.parametrize("row,message", [
+        ([3, 1], "index 1 not strictly increasing"),
+        ([2, 2], "index 2 not strictly increasing"),
+        ([-2, 0], "index -2 is negative"),
+    ], ids=["unsorted", "repeated", "negative"])
+    def test_every_way_to_build_a_store_names_the_row(self, row, message):
+        pairs = [([0, 1], [1.0, 1.0]), ([], []), (row, [1.0, 2.0])]
+        builds = (lambda: Samples([0, 2, 2, 4], [0, 1, *row], np.ones(4)),
+                  lambda: Samples.from_pairs(pairs),
+                  lambda: Dataset(pairs, np.zeros(3), 5),
+                  lambda: SparseMatrix.from_rows(pairs, 5),
+                  lambda: SparseMatrix([0, 2, 2, 4], [0, 1, *row], np.ones(4),
+                                       (3, 5)))
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^row 2: {message}$"):
+                build()
+
+    def test_built_stores_are_accepted_unchanged(self):
+        parsed = parse_libsvm("1 1:1 3:2\n-1\n1 2:5 9:1\n").samples
+        generated = svc_sparse_binary(300, 40, seed=0)
+        for s in (parsed, generated.samples, augment_bias(generated).samples):
+            again = Samples(s.row_ptr, s.indices, s.values)
+            for a, b in zip(again.csr(), s.csr()):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestMatvec:
