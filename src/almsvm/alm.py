@@ -17,7 +17,10 @@ envelope of the penalty scaled by 1/sigma), recovers the auxiliary point
 s through the proximal map, updates the multiplier lam and grows the
 penalty parameter sigma geometrically up to a cap. Optimality is
 certified by three scaled KKT residuals and the duality gap against the
-box-projected multiplier.
+box-projected multiplier. After an outer iteration that has not
+converged, an active-set finish (:func:`_finish`) may solve the original
+problem's KKT system on that iteration's partition of the rows; its
+point is kept only when the same certificate passes.
 
 Beyond its value (``p_value``, ``p_eps_value``), the solver reaches
 each penalty only through maps at a scale M > 0: the proximal map
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_io import Dataset, _finite
-from .newton import NewtonStats, newton_solve
+from .newton import CG_MAXIT, NewtonStats, cg_solve, newton_solve
 from .sparse import SparseMatrix
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "Problem",
     "SolverConfig",
     "OuterRecord",
+    "FinishRecord",
     "SolveReport",
     "Hinge",
     "EpsInsensitive",
@@ -71,6 +75,9 @@ MAX_OUTER = "max_outer"
 
 NEWTON_TOL_FLOOR = 1e-6
 NEWTON_MAXIT = 50  # Newton step cap per outer iteration
+FINISH_FREE_RATIO = 0.5  # an active-set finish runs only when |F| <= ratio * n
+FINISH_ROUNDS = 6  # active-set rounds of one finish
+FINISH_CG_RTOL = 1e-9  # finish CG tolerance, relative to its right-hand side
 
 # the reference parameterization
 C_SCALE_SVC = 550.0  # classification C = C_SCALE_SVC / m
@@ -163,6 +170,8 @@ class Hinge:
     def __init__(self, C: float):
         self.C = _weight(C)
         self.box = (0.0, self.C)
+        # the zero piece's ends: a row on the margin has s = 0
+        self.kinks = (-math.inf, 0.0)
 
     def value(self, s) -> float:
         return p_value(s, self.C)
@@ -198,6 +207,8 @@ class EpsInsensitive:
         if self.eps < 0:
             raise ValueError("eps must be nonnegative and finite")
         self.box = (-self.C, self.C)
+        # the zero piece's ends: a row on the tube has s = +-eps
+        self.kinks = (-self.eps, self.eps)
 
     def value(self, s) -> float:
         return p_eps_value(s, self.C, self.eps)
@@ -312,6 +323,31 @@ class OuterRecord:
 
 
 @dataclass
+class FinishRecord:
+    """One active-set finish (:func:`_finish`), tried after outer
+    iteration ``outer`` (0-based): its rounds, their CG iterations, the
+    free-row count ``free`` of its last round and its ``outcome``:
+    ``"accepted"``; ``"uncertified"`` when the partition settled but the
+    certificate failed; ``"cg_cap"`` when a CG solve reached ``CG_MAXIT``
+    or broke down; ``"stalled"`` when a round moved no fewer rows than
+    the one before; ``"unsettled"`` when rows still moved in round
+    ``FINISH_ROUNDS``. A settled finish also holds its certificate: the
+    primal and dual values and the residuals of :func:`kkt_residual`;
+    the others hold None there."""
+
+    outer: int
+    free: int
+    rounds: int = 0
+    cg_iterations: int = 0
+    outcome: str = ""
+    primal: float | None = None
+    dual: float | None = None
+    r1: float | None = None
+    r2: float | None = None
+    r3: float | None = None
+
+
+@dataclass
 class SolveReport:
     """Statistics of one ``alm_solve`` run.
 
@@ -324,7 +360,11 @@ class SolveReport:
     one :class:`OuterRecord` per outer iteration, ``k`` of them;
     ``kkt_residual`` is the largest of the last record's ``r1``, ``r2``
     and ``r3``. A Newton solve with a CG curvature breakdown or a
-    steepest-descent fallback adds a warning too.
+    steepest-descent fallback adds a warning too. ``finish`` holds one
+    :class:`FinishRecord` per active-set finish tried; when the last one
+    is accepted, the objective, gap and KKT residual are its
+    certificate's instead of the last outer record's. ``it_cg`` counts
+    the CG iterations of the Newton solves; a finish counts its own.
     """
 
     status: str = MAX_OUTER
@@ -337,6 +377,7 @@ class SolveReport:
     duality_gap_rel: float = math.inf
     objective: float = math.inf
     outer: list[OuterRecord] = field(default_factory=list)
+    finish: list[FinishRecord] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -564,6 +605,96 @@ def _check_finite(*arrays) -> None:
             raise DivergedError("non-finite solver state encountered")
 
 
+def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
+    """The active-set finish after outer iteration ``outer``: a
+    primal-dual active-set iteration on the original problem's KKT
+    system, started from the partition of ``penalty.split(z, sigma)``.
+
+    Returns None when that partition has more than ``FINISH_FREE_RATIO
+    * n`` free rows F, else ``(FinishRecord, w)``, ``w`` the last
+    round's point. A row of F sits on a kink of the penalty (its end of
+    ``penalty.kinks`` on the side of ``z``) with its multiplier free in
+    that side of ``penalty.box``; a saturated row (``sat`` = +-1) has
+    the multiplier ``C * sat``, any other row 0. A round solves ``B_F
+    B_F.T lam_F = B_F w0 + d_F - t_F``, ``w0 = -C * B.T sat`` and ``t_F``
+    the kinks, by :func:`~almsvm.newton.cg_solve` from the current
+    multipliers on the gathered rows ``B_F``, sets ``w = w0 - B_F.T
+    lam_F`` and takes ``s = B w + d`` afresh. Then a row of F whose
+    multiplier left its side of the box moves to the bound it crossed,
+    and any other row whose ``s`` crossed a kink its multiplier needs
+    (``s`` above the upper kink at 0, below the lower one at 0, on the
+    inner side of its own kink when saturated) moves into F. A round
+    that moves no row ends the finish with the certificate of
+    :func:`alm_solve` at ``w``, its ``s``, its multipliers, a fresh
+    ``B.T lam`` and ``tol``. A CG solve that breaks down or reaches
+    ``CG_MAXIT``, a round that moves no fewer rows than the one before
+    and rows still moving after ``FINISH_ROUNDS`` rounds end it
+    uncertified. ``lam`` and ``z`` are not changed.
+    """
+    pen = p.penalty
+    rows, _, sat = pen.split(z, sigma)
+    if rows.size > FINISH_FREE_RATIO * p.n:
+        return None
+    lo, hi = pen.kinks
+    free = np.zeros(p.m, dtype=bool)
+    free[rows] = True
+    side = np.zeros(p.m, dtype=np.int8)
+    side[rows] = np.sign(z[rows])
+    mult = pen.C * sat
+    mult[rows] = lam[rows]
+    rec = FinishRecord(outer, rows.size)
+    moved_before = math.inf
+    for _ in range(FINISH_ROUNDS):
+        rows = np.flatnonzero(free)
+        block = p.B.gather_rows(rows)
+        w0 = p.B.matvec_t(sat)
+        w0 *= -pen.C
+        rhs = block.matvec(w0) + p.d[rows] - np.where(side[rows] > 0, hi, lo)
+        rec.rounds += 1
+        rec.free = rows.size
+        x, it, broke = np.zeros(rows.size), 0, False
+        if (rtol := FINISH_CG_RTOL * float(np.linalg.norm(rhs))) > 0.0:
+            x, it, broke = cg_solve(lambda v: block.matvec(block.matvec_t(v)),
+                                    rhs, rtol, CG_MAXIT, x0=mult[rows])
+        rec.cg_iterations += it
+        if broke or it >= CG_MAXIT:
+            rec.outcome = "cg_cap"
+            return rec, None
+        w = w0 - block.matvec_t(x)
+        bw = p.B.matvec(w)
+        s = bw + p.d
+        mult[rows] = x
+        # the moves, all read from the round's point
+        q = side[rows] * x
+        down, up = rows[q < 0.0], rows[q > pen.C]
+        enter_hi = ~free & (((sat == 0) & (s > hi)) | ((sat == 1) & (s < hi)))
+        enter_lo = ~free & (((sat == 0) & (s < lo)) | ((sat == -1) & (s > lo)))
+        moved = down.size + up.size + np.count_nonzero(enter_hi | enter_lo)
+        if moved == 0:
+            break
+        if moved >= moved_before:
+            rec.outcome = "stalled"
+            return rec, None
+        moved_before = moved
+        free[down] = free[up] = False
+        sat[up] = side[up]
+        mult[down], mult[up] = 0.0, pen.C * side[up]
+        free |= enter_hi | enter_lo
+        side[enter_hi], side[enter_lo] = 1, -1
+        sat[enter_hi | enter_lo] = 0
+    else:
+        rec.outcome = "unsettled"
+        return rec, None
+    bt = p.B.matvec_t(mult)
+    rec.r1, rec.r2, rec.r3 = kkt_residual(p, w, s, mult, bw=bw, bt=bt)
+    rec.primal = primal_objective(p, w, bw=bw)
+    rec.dual, _ = dual_objective(p, mult, bt=bt)
+    ok = (max(rec.r1, rec.r2, rec.r3) <= tol
+          and rec.primal - rec.dual <= tol * (1.0 + abs(rec.primal)))
+    rec.outcome = "accepted" if ok else "uncertified"
+    return rec, (w if ok else None)
+
+
 def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     """Run the outer loop and return ``(w, SolveReport)``.
 
@@ -590,6 +721,19 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     ``carry``, so only the first gradient of the solve reads all of
     ``B``; per outer iteration the certificate pays one ``matvec`` and
     one ``matvec_t``.
+
+    After an outer iteration that has not converged, :func:`_finish`
+    tries an active-set finish from the partition of that iteration's
+    ``z`` at its ``sigma``, when at most ``FINISH_FREE_RATIO * n`` rows
+    are free (``B_F B_F.T`` is singular beyond ``n``). It is abandoned
+    when a CG solve reaches ``CG_MAXIT`` or breaks down, when a round
+    moves no fewer rows than the one before, or when rows still move
+    after ``FINISH_ROUNDS`` rounds. A settled finish is certified as
+    above, from a fresh ``B w`` and ``B.T lam``; the solve keeps its
+    point and ends ``converged`` only when that certificate passes
+    ``tol``. The finish copies what it changes, so a rejected one leaves
+    ``w``, ``lam``, ``sigma``, ``carry`` and every later iterate as they
+    were. Each finish tried adds a :class:`FinishRecord` to the report.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     report = SolveReport()
@@ -635,10 +779,22 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
         report.objective, report.duality_gap = pv, pv - dv
         report.duality_gap_rel = report.duality_gap / (1.0 + abs(pv))
 
-        sigma = min(cfg.sigma_max, sigma / cfg.theta)
         if report.kkt_residual <= cfg.tol and report.duality_gap_rel <= cfg.tol:
             report.status = CONVERGED
             break
+        finished = _finish(p, z, sigma, lam, cfg.tol, k)
+        if finished is not None:
+            rec, w_fin = finished
+            report.finish.append(rec)
+            if w_fin is not None:
+                w = w_fin
+                report.kkt_residual = max(rec.r1, rec.r2, rec.r3)
+                report.objective = rec.primal
+                report.duality_gap = rec.primal - rec.dual
+                report.duality_gap_rel = report.duality_gap / (1.0 + abs(rec.primal))
+                report.status = CONVERGED
+                break
+        sigma = min(cfg.sigma_max, sigma / cfg.theta)
     else:
         report.warnings.append(
             f"max_outer={cfg.max_outer} reached above tol {cfg.tol:.1e}: "

@@ -8,7 +8,10 @@ followed by n weight lines, each the shortest round-trippable decimal of
 one coordinate. Bench rows are CSV with the header
 ``dataset,k,it_sn,it_cg,time_s,metric``; identical flags and seed give
 byte-identical output except for the time column. ``bench --trace PATH``
-writes the full solve reports as a JSON list, one object per dataset.
+writes the full solve reports as a JSON list, one object per dataset,
+each with its outer records and its active-set finish records. ``train``
+prints its solve's status and last finish on standard error and its
+counts on standard output.
 """
 
 from __future__ import annotations
@@ -273,6 +276,16 @@ def _train_on(args, task: str, train: Dataset):
     return model, report
 
 
+def _finish_line(report) -> str:
+    """The last active-set finish the solve tried, ``finish=none`` when
+    it tried none."""
+    if not report.finish:
+        return "finish=none"
+    f = report.finish[-1]
+    return (f"finish={f.outcome} outer={f.outer} rounds={f.rounds} "
+            f"cg={f.cg_iterations} free={f.free}")
+
+
 def cmd_train(args) -> int:
     with _naming(args.data):
         data = load_libsvm(args.data, n_features=args.n_features)
@@ -281,6 +294,7 @@ def cmd_train(args) -> int:
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"status={report.status}", file=sys.stderr)
+    print(_finish_line(report), file=sys.stderr)
     print(
         f"k={report.k} it_sn={report.it_sn} it_cg={report.it_cg} "
         f"time_s={report.time_seconds:.3f} kkt={report.kkt_residual:.3e} "

@@ -75,7 +75,8 @@ class Dataset:
     into one when the dataset is built. ``labels`` is a 1-D float64
     array, one finite real per sample. ``n_features`` is an integer above
     the store's :attr:`~almsvm.sparse.Samples.max_index` (for a part,
-    that of its store), so it is 0 only for a store without indices.
+    that of its store), so it is 0 only for a store whose rows hold no
+    index.
     Instances are treated as immutable; derived datasets share the store.
     """
 

@@ -107,8 +107,9 @@ class NewtonStats:
     hit_iteration_cap: bool = False
 
 
-def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
-    """Conjugate gradients for ``hvp(x) = rhs`` from ``x0 = 0``.
+def cg_solve(hvp, rhs, tol_abs: float, maxit: int, x0=None):
+    """Conjugate gradients for ``hvp(x) = rhs`` from ``x0``, by default 0;
+    a given ``x0`` costs one more ``hvp`` for the starting residual.
 
     Stops once ``|hvp(x) - rhs| <= tol_abs`` or after ``maxit``
     iterations, whichever comes first; returns ``(x, iterations,
@@ -122,8 +123,12 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int):
     if tol_abs <= 0:
         raise ValueError("tol_abs must be positive")
     rhs = np.asarray(rhs, dtype=np.float64)
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
+    if x0 is None:
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+    else:
+        x = np.array(x0, dtype=np.float64)
+        r = rhs - hvp(x)
     rr = float(r @ r)
     if math.sqrt(rr) <= tol_abs:
         return x, 0, False

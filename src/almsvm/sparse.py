@@ -71,8 +71,9 @@ import numpy as np
 
 __all__ = ["Samples", "SparseMatrix"]
 
-# the range of the narrow index dtype
+# the range of the narrow index dtype, and the top of the wide one
 _INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 def _load_kernels():
@@ -125,10 +126,14 @@ def _as_array(a, name: str, dtype=None) -> np.ndarray:
 def _as_index(a, name: str) -> np.ndarray:
     """``a`` as an index array by :func:`_as_array`: int32 and int64
     arrays as they are, any other integers as int64; a non-empty array
-    that is not of an integer dtype is rejected, not truncated."""
+    that is not of an integer dtype is rejected, not truncated, and so
+    is an unsigned value past the int64 maximum, not wrapped."""
     a = _as_array(a, name)
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    # only uint64 holds values past int64, which the cast would wrap
+    if a.dtype == np.uint64 and a.size and (top := int(a.max())) > _INT64_MAX:
+        raise ValueError(f"{name} value {top} exceeds the int64 maximum")
     return a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
 
 
@@ -189,7 +194,8 @@ class Samples(Sequence):
     keep the row rule, naming the first row that does not; the values
     are not checked. The three arrays are C-contiguous, ``row_ptr`` and
     ``indices`` in :func:`_index_dtype` of the row count, the last row
-    pointer and the smallest and largest index (:attr:`max_index`).
+    pointer and the smallest and largest entry of ``indices``, spanned
+    or not, since the cast converts them all.
     Indexing with an integer, or a 0-d integer array, gives that pair; a
     slice, an array of row numbers or a mask gives a part, which shares
     the three arrays and holds only its row ids (:attr:`ids`), taken
@@ -213,9 +219,11 @@ class Samples(Sequence):
             r, i = np.searchsorted(row_ptr, p, side="right") - 1, indices[p]
             raise ValueError(f"row {r}: index {i} " + (
                 "is negative" if i < 0 else "not strictly increasing"))
-        self._max = int(indices.max()) if indices.size else -1
-        # an int32 array's values fit by its dtype
-        bounds = ((int(indices.min()), self._max)
+        lo, hi = int(row_ptr[0]), int(row_ptr[-1])
+        self._max = int(indices[lo:hi].max()) if hi > lo else -1
+        # the cast below converts every entry, spanned or not; an int32
+        # array's values fit by its dtype
+        bounds = ((int(indices.min()), int(indices.max()))
                   if indices.dtype == np.int64 and indices.size else (0,))
         dt = _index_dtype(row_ptr.size - 1, int(row_ptr[-1]), *bounds)
         self._ptr = _readonly(row_ptr.astype(dt, copy=False))
@@ -252,8 +260,9 @@ class Samples(Sequence):
 
     @property
     def max_index(self) -> int:
-        """The largest index in :attr:`indices`, -1 when there is none,
-        found once when the store is built; a part reports its store's."""
+        """The largest index of the rows the store spans, -1 when they
+        hold none, found once when the store is built; a part reports
+        its store's."""
         return self._max
 
     @property

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from almsvm.alm import (
+    C_SCALE_SVC,
     CONVERGED,
     MAX_OUTER,
     NEWTON_MAXIT,
@@ -22,8 +23,9 @@ from almsvm.alm import (
     primal_objective,
 )
 from almsvm.data_io import Dataset
+from almsvm.newton import CG_MAXIT
 from almsvm.sparse import Samples
-from almsvm.synthetic import svc_blobs, svr_linear
+from almsvm.synthetic import svc_blobs, svc_margin_gap, svc_sparse_binary, svr_linear
 
 from conftest import bundled_instances, random_problem
 from oracles import box_dual_optimum, fd_gradient, from_dense, phi_value, to_dense
@@ -35,6 +37,14 @@ def _dataset(rows, labels, n):
         for r in rows
     ]
     return Dataset(samples, np.asarray(labels, dtype=np.float64), n)
+
+
+def _certified(report):
+    """The record the report's certificate comes from: its accepted
+    active-set finish, else its last outer record."""
+    if report.finish and report.finish[-1].outcome == "accepted":
+        return report.finish[-1]
+    return report.outer[-1]
 
 
 def _one_sample(C=1.0):
@@ -414,9 +424,10 @@ class TestAlmSolve:
     def test_converged_only_with_a_certified_gap(self, name):
         # a run cut after j outer iterations repeats the first j of the
         # full run; it reports converged exactly when the KKT residual is
-        # within tol and the gap P - D within tol * (1 + |P|). On
-        # blobs200x10 the KKT residual reaches tol two outer iterations
-        # before the gap does
+        # within tol and the gap P - D within tol * (1 + |P|), both of
+        # the last outer record or, on svr500x50, of the active-set
+        # finish after outer 1. On blobs200x10 the KKT residual reaches
+        # tol two outer iterations before the gap does
         p = next(i for i in bundled_instances() if i.name == name).build()
         tol = SolverConfig().tol
         _, full = alm_solve(p)
@@ -424,7 +435,8 @@ class TestAlmSolve:
         kkt_only = 0
         for j in range(1, full.k + 1):
             _, report = alm_solve(p, SolverConfig(max_outer=j))
-            last = report.outer[-1]
+            last = _certified(report)
+            assert report.kkt_residual == max(last.r1, last.r2, last.r3), j
             kkt_ok = report.kkt_residual <= tol
             gap_ok = last.primal - last.dual <= tol * (1.0 + abs(last.primal))
             assert (report.status == CONVERGED) == (kkt_ok and gap_ok), j
@@ -436,21 +448,26 @@ class TestAlmSolve:
         assert kkt_only == (2 if name == "blobs200x10" else 0)
 
     def test_bundled_iteration_counts_are_pinned(self):
-        # k, it_sn and status from w = 0 with the ray step; blobs50x2
-        # reaches KKT 2e-8 but not the certified gap (1.6e-6 of
-        # 1 + |primal|) within max_outer
-        expected = {"blobs50x2": (10, 14, MAX_OUTER),
-                    "blobs200x10": (9, 15, CONVERGED),
-                    "gap5000x123": (3, 18, CONVERGED),
-                    "svr500x50": (3, 11, CONVERGED),
-                    "svr300x500": (2, 17, CONVERGED)}
+        # k, it_sn, status and the active-set finishes tried, from w = 0
+        # with the ray step; blobs50x2 reaches KKT 2e-8 but not the
+        # certified gap (1.6e-6 of 1 + |primal|) within max_outer. On
+        # the blobs more than n/2 rows are free after every outer
+        # iteration, so no finish runs; on the others an accepted finish
+        # ends the solve, where without it the counts were gap5000x123
+        # (3, 18), svr500x50 (3, 11) and svr300x500 (2, 17)
+        expected = {"blobs50x2": (10, 14, MAX_OUTER, []),
+                    "blobs200x10": (9, 15, CONVERGED, []),
+                    "gap5000x123": (1, 16, CONVERGED, [(0, "accepted")]),
+                    "svr500x50": (2, 10, CONVERGED, [(1, "accepted")]),
+                    "svr300x500": (1, 16, CONVERGED, [(0, "accepted")])}
         for inst in bundled_instances():
             data = inst.make()
             c = inst.c_of(data)
             p = (build_svc(data, c) if inst.task == "svc"
                  else build_svr(data, c, inst.eps))
             _, report = alm_solve(p)
-            assert (report.k, report.it_sn, report.status) == \
+            finishes = [(f.outer, f.outcome) for f in report.finish]
+            assert (report.k, report.it_sn, report.status, finishes) == \
                 expected[inst.name], inst.name
             # the Hessian selection is positive definite: CG never breaks
             # down and never needs the steepest-descent fallback
@@ -473,7 +490,9 @@ class TestAlmSolve:
     def test_certificate_equals_the_standalone_calls(self, inst, monkeypatch):
         # the multiplier is clipped into the box, so the one B.T lam the
         # loop shares between r2 and the dual is the product each of
-        # them computes alone, bit for bit
+        # them computes alone, bit for bit. A settled active-set finish
+        # certifies its point after its outer iteration's certificate
+        # the same way, its multipliers already in the box
         import almsvm.alm as alm_mod
 
         p = inst.build()
@@ -485,9 +504,12 @@ class TestAlmSolve:
 
         monkeypatch.setattr(alm_mod, "kkt_residual", spy)
         _, report = alm_solve(p)
-        assert len(seen) == report.k
+        finished = {f.outer: f for f in report.finish if f.r1 is not None}
+        records = [r for k, rec in enumerate(report.outer)
+                   for r in (rec, finished.get(k)) if r is not None]
+        assert len(seen) == len(records) == report.k + len(finished)
         lo, hi = p.penalty.box
-        for rec, (w, s, lam) in zip(report.outer, seen):
+        for rec, (w, s, lam) in zip(records, seen):
             assert lo <= lam.min() and lam.max() <= hi
             assert (rec.r1, rec.r2, rec.r3) == kkt_residual(p, w, s, lam)
             assert rec.dual == dual_objective(p, lam)[0]
@@ -526,3 +548,122 @@ class TestAlmSolve:
                               SolverConfig(max_outer=1))
         assert ("outer 0: 2 CG curvature breakdowns, "
                 "1 steepest-descent fallbacks") in report.warnings
+
+
+def _small_gap():
+    """A margin-gap problem whose active-set finish after outer 0 has
+    383 free rows of n = 1000 and is accepted; without the finish the
+    solve takes (k, it_sn) = (4, 29)."""
+    return build_svc(svc_margin_gap(4000, 1000, density=0.04, seed=0), 0.1)
+
+
+def _finish_cases():
+    named = {i.name: i.build for i in bundled_instances()}
+    return [pytest.param(named[n], id=n)
+            for n in ("gap5000x123", "svr500x50", "svr300x500")] + [
+        pytest.param(_small_gap, id="gap4000x1000")]
+
+
+def _no_finish(*_args):
+    return None
+
+
+class TestActiveSetFinish:
+    @pytest.mark.parametrize("make", _finish_cases())
+    def test_an_accepted_point_is_exact(self, make, monkeypatch):
+        # the finish's certificate is the last one the solve takes; its
+        # multipliers sit in the box, a row at multiplier 0 lies within
+        # the penalty's zero piece, a row at +-C beyond the kink on its
+        # side, and a free row on its kink, with s = B w + d afresh
+        import almsvm.alm as alm_mod
+
+        p = make()
+        real, seen = alm_mod.kkt_residual, []
+
+        def spy(p_, w, s, lam, **kwargs):
+            seen.append((w.copy(), s.copy(), lam.copy()))
+            return real(p_, w, s, lam, **kwargs)
+
+        monkeypatch.setattr(alm_mod, "kkt_residual", spy)
+        w_out, report = alm_solve(p)
+        fin = report.finish[-1]
+        assert report.status == CONVERGED and fin.outcome == "accepted"
+        assert report.kkt_residual == max(fin.r1, fin.r2, fin.r3) <= 1e-9
+        assert report.duality_gap_rel <= 1e-9
+        w, s, lam = seen[-1]
+        np.testing.assert_array_equal(w, w_out)
+        np.testing.assert_array_equal(s, p.B.matvec(w) + p.d)
+        C, (lo, hi) = p.penalty.C, p.penalty.kinks
+        assert p.penalty.box[0] <= lam.min() and lam.max() <= C
+        zero, top, bottom = lam == 0.0, lam == C, lam == -C
+        free = ~(zero | top | bottom)
+        assert np.all((lo <= s[zero]) & (s[zero] <= hi))
+        assert np.all(s[top] >= hi) and np.all(s[bottom] <= lo)
+        assert fin.free == np.count_nonzero(free)
+        # to the scale of r3, which holds the free rows' distance
+        on_kink = np.where(lam[free] > 0.0, hi, lo)
+        assert np.linalg.norm(s[free] - on_kink) <= 1e-9 * (1.0 + np.linalg.norm(s))
+        if make is _small_gap:
+            assert fin.free == 383
+
+    def test_ratio_zero_gives_the_solve_without_a_finish(self, monkeypatch):
+        # every outer iteration leaves rows free, so a ratio of 0 keeps
+        # the finish off: the solve is the one before the finish existed
+        import almsvm.alm as alm_mod
+
+        p = _small_gap()
+        monkeypatch.setattr(alm_mod, "FINISH_FREE_RATIO", 0.0)
+        w, report = alm_solve(p)
+        assert report.finish == []
+        assert (report.k, report.it_sn, report.status) == (4, 29, CONVERGED)
+        assert report.objective == 11.56532663901288
+        monkeypatch.setattr(alm_mod, "_finish", _no_finish)
+        w_none, none = alm_solve(p)
+        np.testing.assert_array_equal(w, w_none)
+        report.time_seconds = none.time_seconds
+        assert report == none
+
+    @pytest.mark.parametrize("patch,outcome", [
+        ({}, "uncertified"),
+        ({"CG_MAXIT": 1}, "cg_cap"),
+        ({"FINISH_ROUNDS": 1}, "unsettled"),
+    ], ids=["uncertified", "cg_cap", "unsettled"])
+    def test_a_rejected_finish_changes_nothing(self, patch, outcome,
+                                               monkeypatch):
+        # at tol 1e-20 no certificate passes, so every outer iteration
+        # tries a finish and rejects it; the iterates, the multipliers,
+        # sigma and the carried g_sat are those of a solve without the
+        # finish, bit for bit, and the report differs only in its
+        # finish records
+        import almsvm.alm as alm_mod
+
+        p, cfg = _small_gap(), SolverConfig(tol=1e-20)
+        for name, value in patch.items():
+            monkeypatch.setattr(alm_mod, name, value)
+        w, report = alm_solve(p, cfg)
+        assert report.status == MAX_OUTER and report.k == cfg.max_outer
+        assert outcome in {f.outcome for f in report.finish}
+        assert "accepted" not in {f.outcome for f in report.finish}
+        monkeypatch.setattr(alm_mod, "_finish", _no_finish)
+        w_none, none = alm_solve(p, cfg)
+        np.testing.assert_array_equal(w, w_none)
+        assert none.finish == []
+        report.finish, report.time_seconds = [], none.time_seconds
+        assert report == none
+
+    def test_more_than_half_the_rows_free_keeps_the_finish_off(self):
+        # noisy labels leave more than n/2 rows free after every outer
+        # iteration, as on the command-line benchmark
+        p = build_svc(svc_sparse_binary(2000, 100, seed=0), C_SCALE_SVC / 2000)
+        _, report = alm_solve(p)
+        assert report.status == MAX_OUTER and report.finish == []
+
+    def test_the_finish_records_its_rounds(self):
+        _, report = alm_solve(_small_gap())
+        [fin] = report.finish
+        assert (fin.outer, fin.rounds, fin.free, fin.outcome) == (
+            0, 2, 383, "accepted")
+        assert 0 < fin.cg_iterations <= fin.rounds * CG_MAXIT
+        # the Newton solves' CG iterations are counted apart
+        assert report.it_cg == sum(rec.newton.cg_iterations_total
+                                   for rec in report.outer)

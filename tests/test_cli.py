@@ -13,7 +13,7 @@ from almsvm.alm import SolverConfig
 from almsvm.cli import _config, build_parser, main, read_model, write_model
 from almsvm.data_io import Dataset, format_float, load_libsvm, write_libsvm
 from almsvm.metrics import Model, predict, predict_label, predict_labels, scores
-from almsvm.synthetic import svc_blobs, svr_planted
+from almsvm.synthetic import svc_blobs, svc_margin_gap, svr_planted
 
 
 @pytest.fixture
@@ -44,10 +44,23 @@ class TestTrain:
                       "obj="):
             assert field in out
         assert "status=converged" in captured.err
+        # more than n/2 = 5 rows stay free after every outer iteration
+        assert "\nfinish=none\n" in captured.err
         model = read_model(model_path)
         assert model.task == "svc"
         assert model.w.size == 10
         assert model.c_used == pytest.approx(550.0 / 200)
+
+    def test_train_reports_an_accepted_finish(self, tmp_path, capsys):
+        # the active-set finish after outer 0 certifies the solve
+        data = tmp_path / "gap.libsvm"
+        write_libsvm(svc_margin_gap(5000, 123, density=0.11, seed=23), data)
+        assert main(["train", "--task", "svc", "--data", str(data),
+                     "--model", str(tmp_path / "m.model")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("status=converged\nfinish=accepted outer=0 "
+                                "rounds=2 cg=4 free=0\n")
+        assert captured.out.startswith("k=1 it_sn=16 ")
 
     def test_train_svr(self, svr_file, tmp_path, capsys):
         model_path = tmp_path / "m.model"
@@ -464,8 +477,16 @@ class TestBench:
             newton = rec["newton"]
             assert len(newton["grad_norms"]) == newton["iterations"] + 1
             assert newton["cg_breakdowns"] == newton["descent_fallbacks"] == 0
-        last = outer[-1]
+        # the split's 160 training rows leave at most n/2 = 5 rows free
+        # after some outer iteration, and the active-set finish there
+        # ends the solve: its record carries the final certificate
+        [finish] = report["finish"]
+        assert finish["outcome"] == "accepted"
+        assert finish["outer"] == report["k"] - 1
+        assert finish["rounds"] >= 1 and finish["free"] <= 5
+        last = finish
         assert max(last["r1"], last["r2"], last["r3"]) == report["kkt_residual"]
+        assert last["primal"] == report["objective"]
 
     def test_multiple_datasets_with_jobs(self, svc_file, tmp_path, capsys):
         # two copies of the same classification set, solved one after another

@@ -512,6 +512,32 @@ class TestSamples:
         assert empty.max_index == -1
         assert Dataset(empty, np.zeros(2), 0).m == 2
 
+    def test_max_index_reads_only_the_rows_the_store_spans(self):
+        # the entry 50 lies before the one row, which holds index 0
+        s = Samples([1, 2], [50, 0], [1.0, 2.0])
+        assert s.max_index == 0
+        assert Dataset(s, [1.0], 2).samples.indices.tolist() == [50, 0]
+        # no row holds an index, so n_features may be 0
+        assert Samples([2, 2], [7, 9], [1.0, 2.0]).max_index == -1
+        # an unspanned entry past int32 keeps the index dtype wide
+        wide = Samples([0, 1], [3, 2**40], [1.0, 2.0])
+        assert wide.max_index == 3 and wide.indices.dtype == np.int64
+        assert wide.indices.tolist() == [3, 2**40]
+
+    @pytest.mark.parametrize("field", ["row_ptr", "indices"])
+    def test_uint64_past_int64_is_rejected_not_wrapped(self, field):
+        # a wrapping cast would read 2**63 as -2**63
+        arrays = {"row_ptr": np.array([0, 1], dtype=np.uint64),
+                  "indices": np.array([3], dtype=np.uint64)}
+        arrays[field] = np.array([0, 2**63] if field == "row_ptr" else [2**63],
+                                 dtype=np.uint64)
+        message = f"^{field} value 9223372036854775808 exceeds the int64 maximum$"
+        with pytest.raises(ValueError, match=message):
+            Samples(arrays["row_ptr"], arrays["indices"], [1.0])
+        # the int64 maximum itself is kept
+        top = Samples([0, 1], np.array([2**63 - 1], dtype=np.uint64), [1.0])
+        assert top.indices.tolist() == [2**63 - 1]
+
     def test_a_pair_list_is_concatenated_once(self):
         rows = [(np.array([0]), np.array([1.0])), (np.array([], np.int64),
                                                    np.array([]))]

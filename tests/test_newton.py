@@ -12,6 +12,7 @@ from almsvm.alm import (
     NEWTON_MAXIT,
     EpsInsensitive,
     SmoothedSubproblem,
+    SolverConfig,
     alm_solve,
     build_svc,
     make_subproblem_oracle,
@@ -64,6 +65,28 @@ class TestCgSolve:
         assert breakdown
         assert iters == 1
         np.testing.assert_array_equal(x, [0.0, 0.0])
+
+    def test_a_start_point_is_used_and_left_unchanged(self, rng):
+        a = rng.normal(size=(20, 20))
+        spd = a @ a.T + 20 * np.eye(20)
+        rhs = rng.normal(size=20)
+        exact = np.linalg.solve(spd, rhs)
+        x0 = exact + 1e-3 * rng.normal(size=20)
+        kept = x0.copy()
+        x, iters, breakdown = cg_solve(lambda v: spd @ v, rhs, 1e-10, 200, x0=x0)
+        assert not breakdown and 0 < iters
+        np.testing.assert_allclose(x, exact, rtol=1e-8)
+        np.testing.assert_array_equal(x0, kept)
+        # a start that already meets the tolerance takes no iteration
+        x, iters, _ = cg_solve(lambda v: spd @ v, rhs, 1e-6, 200, x0=exact)
+        assert iters == 0
+        np.testing.assert_array_equal(x, exact)
+        # x0 = 0 is the default start, bit for bit, when its residual
+        # rhs - hvp(0) is rhs itself
+        zero = cg_solve(lambda v: spd @ v, rhs, 1e-10, 200, x0=np.zeros(20))
+        default = cg_solve(lambda v: spd @ v, rhs, 1e-10, 200)
+        np.testing.assert_array_equal(zero[0], default[0])
+        assert zero[1:] == default[1:]
 
 
 def _cg_out_of_place(hvp, rhs, tol_abs, maxit):
@@ -475,18 +498,33 @@ class TestSubproblemContract:
         assert counts["matvec_t"] <= stats.iterations + 1
         assert counts["restricted_normal_apply"] == 0
 
-    def test_kernel_budget_whole_solve(self, monkeypatch):
+    @pytest.mark.parametrize("finish,cfg", [
+        (False, SolverConfig()), (True, SolverConfig()),
+        (True, SolverConfig(tol=1e-20)),
+    ], ids=["no_finish", "accepted_finish", "rejected_finishes"])
+    def test_kernel_budget_whole_solve(self, finish, cfg, monkeypatch):
         # per outer iteration one fresh B w serves the multiplier update,
         # the certificate and the next Newton start; only the first
         # Newton start computes its own. matvec_t: one gradient per
         # Newton step and per start, and one B.T lam per outer that
-        # serves both r2 and the dual.
+        # serves both r2 and the dual. An active-set finish pays per
+        # round one B.T sat (its w0) and one fresh B w, and when it
+        # settles one B.T lam for its certificate; its CG reads only
+        # the gathered free rows. At tol 1e-20 every outer iteration
+        # tries one and rejects it
+        import almsvm.alm as alm_mod
+
         p = _bundled_svc("gap5000x123")
+        if not finish:
+            monkeypatch.setattr(alm_mod, "_finish", lambda *args: None)
         counts = _count_kernels(monkeypatch, p.B)
-        _, report = alm_solve(p)
-        assert report.k >= 2
-        assert counts["matvec"] == report.it_sn + report.k + 1
-        assert counts["matvec_t"] == report.it_sn + 2 * report.k
+        _, report = alm_solve(p, cfg)
+        rounds = sum(f.rounds for f in report.finish)
+        settled = sum(f.r1 is not None for f in report.finish)
+        assert settled == len(report.finish) == (report.k if finish else 0)
+        assert report.k >= (1 if finish and cfg.tol > 1e-20 else 2)
+        assert counts["matvec"] == report.it_sn + report.k + 1 + rounds
+        assert counts["matvec_t"] == report.it_sn + 2 * report.k + rounds + settled
         assert counts["restricted_normal_apply"] == 0
 
     @pytest.mark.parametrize("make,full,first", [
@@ -502,11 +540,16 @@ class TestSubproblemContract:
         # w = 0, z = d + 0 = ones, and a row is saturated where
         # 1 >= C/sigma0: on gap5000x123 (C/sigma0 = 0.73) every row, so
         # the first gradient's B.T sat reads all of B; on the noisy data
-        # (C/sigma0 = 1.83) none, so it reads no row.
+        # (C/sigma0 = 1.83) none, so it reads no row. The active-set
+        # finish on gap5000x123 takes its own products, one B.T sat per
+        # round and one B.T lam for its certificate; the noisy data
+        # leaves too many rows free for one.
+        import almsvm.alm as alm_mod
+
         p = make()
         real_mt, real_gather = SparseMatrix.matvec_t, sparse_mod._gather
-        real_grad = SmoothedSubproblem.grad
-        calls, state = [], {"grad": False, "gathered": False}
+        real_grad, real_finish = SmoothedSubproblem.grad, alm_mod._finish
+        calls, state = [], {"grad": False, "finish": False, "gathered": False}
 
         def gather(*args):
             state["gathered"] = True
@@ -517,7 +560,7 @@ class TestSubproblemContract:
                 return real_mt(self, y)
             state["gathered"] = False
             out = real_mt(self, y)
-            calls.append((state["grad"], not state["gathered"]))
+            calls.append((state["grad"], state["finish"], not state["gathered"]))
             return out
 
         def grad(self):
@@ -527,13 +570,26 @@ class TestSubproblemContract:
             finally:
                 state["grad"] = False
 
+        def finish(*args):
+            state["finish"] = True
+            try:
+                return real_finish(*args)
+            finally:
+                state["finish"] = False
+
         monkeypatch.setattr(sparse_mod, "_gather", gather)
         monkeypatch.setattr(SparseMatrix, "matvec_t", matvec_t)
         monkeypatch.setattr(SmoothedSubproblem, "grad", grad)
+        monkeypatch.setattr(alm_mod, "_finish", finish)
         _, report = alm_solve(p)
-        certificate = [read_all for in_grad, read_all in calls if not in_grad]
-        gradient = [read_all for in_grad, read_all in calls if in_grad]
+        certificate = [read_all for in_grad, in_fin, read_all in calls
+                       if not (in_grad or in_fin)]
+        gradient = [read_all for in_grad, _, read_all in calls if in_grad]
+        finishing = [read_all for _, in_fin, read_all in calls if in_fin]
         assert certificate == [full] * report.k
+        assert len(finishing) == sum(f.rounds + (f.r1 is not None)
+                                     for f in report.finish)
+        assert bool(report.finish) is not full
         assert len(gradient) == report.it_sn + report.k
         # the first gradient of the solve takes the full product B.T sat
         # (which reads every row only when more than m/4 rows saturate);
