@@ -74,10 +74,11 @@ CONVERGED = "converged"
 MAX_OUTER = "max_outer"
 
 NEWTON_TOL_FLOOR = 1e-6
-NEWTON_MAXIT = 50  # Newton step cap per outer iteration
+NEWTON_MAXIT = 25  # Newton step cap per outer iteration
 FINISH_FREE_RATIO = 0.5  # an active-set finish runs only when |F| <= ratio * n
-FINISH_ROUNDS = 6  # active-set rounds of one finish
-FINISH_CG_RTOL = 1e-9  # finish CG tolerance, relative to its right-hand side
+FINISH_ROUNDS = 6  # loose, then tight, active-set rounds of one finish
+FINISH_LOOSE_RTOL = 1e-3  # CG tolerance of a loose round, relative to its rhs
+FINISH_CG_RTOL = 1e-9  # CG tolerance of a tight round, relative to its rhs
 
 # the reference parameterization
 C_SCALE_SVC = 550.0  # classification C = C_SCALE_SVC / m
@@ -279,7 +280,10 @@ class SolverConfig:
     outer iteration k runs at most ``NEWTON_MAXIT`` Newton steps to the
     inner tolerance ``max(NEWTON_TOL_FLOOR, min(10**-(k+1), r))``, ``r``
     the previous outer iteration's KKT residual; the line-search and CG
-    constants are fixed in :mod:`almsvm.newton`.
+    constants are fixed in :mod:`almsvm.newton`. The cap is where a
+    problem with few free rows hands its first outer iteration over to
+    the active-set finish of :func:`alm_solve`; the finish's constants
+    are module constants too.
     """
 
     sigma0: float = 0.15
@@ -325,19 +329,23 @@ class OuterRecord:
 @dataclass
 class FinishRecord:
     """One active-set finish (:func:`_finish`), tried after outer
-    iteration ``outer`` (0-based): its rounds, their CG iterations, the
+    iteration ``outer`` (0-based): its rounds, ``tight`` of them solved
+    to ``FINISH_CG_RTOL`` and the others to ``FINISH_LOOSE_RTOL``, the
+    rows each round found to move (``moved``), their CG iterations, the
     free-row count ``free`` of its last round and its ``outcome``:
     ``"accepted"``; ``"uncertified"`` when the partition settled but the
     certificate failed; ``"cg_cap"`` when a CG solve reached ``CG_MAXIT``
-    or broke down; ``"stalled"`` when a round moved no fewer rows than
-    the one before; ``"unsettled"`` when rows still moved in round
-    ``FINISH_ROUNDS``. A settled finish also holds its certificate: the
-    primal and dual values and the residuals of :func:`kkt_residual`;
-    the others hold None there."""
+    or broke down; ``"stalled"`` when a tight round moved no fewer rows
+    than the tight one before; ``"unsettled"`` when rows still moved in
+    tight round ``FINISH_ROUNDS``. A settled finish also holds its
+    certificate: the primal and dual values and the residuals of
+    :func:`kkt_residual`; the others hold None there."""
 
     outer: int
     free: int
     rounds: int = 0
+    tight: int = 0
+    moved: list[int] = field(default_factory=list)
     cg_iterations: int = 0
     outcome: str = ""
     primal: float | None = None
@@ -623,13 +631,24 @@ def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
     multiplier left its side of the box moves to the bound it crossed,
     and any other row whose ``s`` crossed a kink its multiplier needs
     (``s`` above the upper kink at 0, below the lower one at 0, on the
-    inner side of its own kink when saturated) moves into F. A round
-    that moves no row ends the finish with the certificate of
-    :func:`alm_solve` at ``w``, its ``s``, its multipliers, a fresh
-    ``B.T lam`` and ``tol``. A CG solve that breaks down or reaches
-    ``CG_MAXIT``, a round that moves no fewer rows than the one before
-    and rows still moving after ``FINISH_ROUNDS`` rounds end it
-    uncertified. ``lam`` and ``z`` are not changed.
+    inner side of its own kink when saturated) moves into F.
+
+    The first rounds are loose: their CG stops at ``FINISH_LOOSE_RTOL``
+    of the right-hand side's norm, since they only decide which rows
+    move. A loose round that moves no row, or no fewer rows than the
+    one before, or that is loose round ``FINISH_ROUNDS``, switches the
+    finish to tight rounds (``FINISH_CG_RTOL``) without moving a row: the next solve takes the same block and
+    right-hand side from the loose multipliers. When that solve needs
+    no CG iteration, the loose round's point already meets the tight
+    tolerance and stands as it is; otherwise it is a round of its own.
+    A tight round that moves no row ends the finish with the certificate
+    of :func:`alm_solve` at ``w``, its ``s``, its multipliers, a fresh
+    ``B.T lam`` and ``tol``. ``FINISH_ROUNDS`` caps the loose rounds and,
+    counted afresh from the switch, the tight ones; the record's
+    ``rounds`` counts both. A CG solve that breaks down or reaches
+    ``CG_MAXIT``, a tight round that moves no fewer rows than the tight
+    one before, and rows still moving after ``FINISH_ROUNDS`` tight
+    rounds end it uncertified. ``lam`` and ``z`` are not changed.
     """
     pen = p.penalty
     rows, _, sat = pen.split(z, sigma)
@@ -643,37 +662,51 @@ def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
     mult = pen.C * sat
     mult[rows] = lam[rows]
     rec = FinishRecord(outer, rows.size)
-    moved_before = math.inf
-    for _ in range(FINISH_ROUNDS):
-        rows = np.flatnonzero(free)
-        block = p.B.gather_rows(rows)
-        w0 = p.B.matvec_t(sat)
-        w0 *= -pen.C
-        rhs = block.matvec(w0) + p.d[rows] - np.where(side[rows] > 0, hi, lo)
-        rec.rounds += 1
-        rec.free = rows.size
+    tight, left, moved_before, block = False, FINISH_ROUNDS, math.inf, None
+    while True:
+        fresh = block is None
+        if fresh:
+            rows = np.flatnonzero(free)
+            block = p.B.gather_rows(rows)
+            w0 = p.B.matvec_t(sat)
+            w0 *= -pen.C
+            rhs = block.matvec(w0) + p.d[rows] - np.where(side[rows] > 0, hi, lo)
+            rhs_norm = float(np.linalg.norm(rhs))
+            rec.free = rows.size
+        rtol = (FINISH_CG_RTOL if tight else FINISH_LOOSE_RTOL) * rhs_norm
         x, it, broke = np.zeros(rows.size), 0, False
-        if (rtol := FINISH_CG_RTOL * float(np.linalg.norm(rhs))) > 0.0:
+        if rtol > 0.0:
             x, it, broke = cg_solve(lambda v: block.matvec(block.matvec_t(v)),
                                     rhs, rtol, CG_MAXIT, x0=mult[rows])
         rec.cg_iterations += it
         if broke or it >= CG_MAXIT:
             rec.outcome = "cg_cap"
             return rec, None
-        w = w0 - block.matvec_t(x)
-        bw = p.B.matvec(w)
-        s = bw + p.d
-        mult[rows] = x
-        # the moves, all read from the round's point
-        q = side[rows] * x
-        down, up = rows[q < 0.0], rows[q > pen.C]
-        enter_hi = ~free & (((sat == 0) & (s > hi)) | ((sat == 1) & (s < hi)))
-        enter_lo = ~free & (((sat == 0) & (s < lo)) | ((sat == -1) & (s > lo)))
-        moved = down.size + up.size + np.count_nonzero(enter_hi | enter_lo)
+        if fresh or it > 0:  # a new point, and its moves
+            rec.rounds += 1
+            rec.tight += tight
+            left -= 1
+            w = w0 - block.matvec_t(x)
+            bw = p.B.matvec(w)
+            s = bw + p.d
+            mult[rows] = x
+            # the moves, all read from the round's point
+            q = side[rows] * x
+            down, up = rows[q < 0.0], rows[q > pen.C]
+            enter_hi = ~free & (((sat == 0) & (s > hi)) | ((sat == 1) & (s < hi)))
+            enter_lo = ~free & (((sat == 0) & (s < lo)) | ((sat == -1) & (s > lo)))
+            moved = down.size + up.size + int(np.count_nonzero(enter_hi | enter_lo))
+            rec.moved.append(moved)
+        if not tight and (moved == 0 or moved >= moved_before or left == 0):
+            tight, left, moved_before = True, FINISH_ROUNDS, math.inf
+            continue
         if moved == 0:
             break
         if moved >= moved_before:
             rec.outcome = "stalled"
+            return rec, None
+        if left == 0:
+            rec.outcome = "unsettled"
             return rec, None
         moved_before = moved
         free[down] = free[up] = False
@@ -682,9 +715,7 @@ def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
         free |= enter_hi | enter_lo
         side[enter_hi], side[enter_lo] = 1, -1
         sat[enter_hi | enter_lo] = 0
-    else:
-        rec.outcome = "unsettled"
-        return rec, None
+        block = None
     bt = p.B.matvec_t(mult)
     rec.r1, rec.r2, rec.r3 = kkt_residual(p, w, s, mult, bw=bw, bt=bt)
     rec.primal = primal_objective(p, w, bw=bw)
@@ -725,11 +756,15 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     After an outer iteration that has not converged, :func:`_finish`
     tries an active-set finish from the partition of that iteration's
     ``z`` at its ``sigma``, when at most ``FINISH_FREE_RATIO * n`` rows
-    are free (``B_F B_F.T`` is singular beyond ``n``). It is abandoned
-    when a CG solve reaches ``CG_MAXIT`` or breaks down, when a round
-    moves no fewer rows than the one before, or when rows still move
-    after ``FINISH_ROUNDS`` rounds. A settled finish is certified as
-    above, from a fresh ``B w`` and ``B.T lam``; the solve keeps its
+    are free (``B_F B_F.T`` is singular beyond ``n``). On a problem with
+    few free rows, outer 0 typically ends at the ``NEWTON_MAXIT`` cap and
+    the finish takes over from its partition. The finish's loose rounds
+    pick the partition and its tight rounds settle it; it is abandoned
+    when a CG solve reaches ``CG_MAXIT`` or breaks down, when a tight
+    round moves no fewer rows than the tight one before, or when rows
+    still move after ``FINISH_ROUNDS`` tight rounds. A settled finish is
+    certified as above, from a fresh ``B w`` and ``B.T lam``, at the
+    point of a tight round only; the solve keeps its
     point and ends ``converged`` only when that certificate passes
     ``tol``. The finish copies what it changes, so a rejected one leaves
     ``w``, ``lam``, ``sigma``, ``carry`` and every later iterate as they

@@ -557,6 +557,16 @@ def _small_gap():
     return build_svc(svc_margin_gap(4000, 1000, density=0.04, seed=0), 0.1)
 
 
+def _stalling_gap():
+    """A margin-gap problem with n = 100 whose finish after outer 4 frees
+    more rows than B_F B_F.T can hold: at the default loose tolerance a
+    loose round moves 133 rows, the next 195, and the tight round of
+    that partition 196 before a CG solve reaches its cap; at a loose
+    tolerance of 0.5 the loose round moves none and the tight rounds
+    133, then 196."""
+    return build_svc(svc_margin_gap(400, 100, density=0.1, seed=0), C_SCALE_SVC / 400)
+
+
 def _finish_cases():
     named = {i.name: i.build for i in bundled_instances()}
     return [pytest.param(named[n], id=n)
@@ -569,14 +579,20 @@ def _no_finish(*_args):
 
 
 class TestActiveSetFinish:
+    @pytest.mark.parametrize("loose", [None, 0.5], ids=["loose_default",
+                                                        "loose_0.5"])
     @pytest.mark.parametrize("make", _finish_cases())
-    def test_an_accepted_point_is_exact(self, make, monkeypatch):
+    def test_an_accepted_point_is_exact(self, make, loose, monkeypatch):
         # the finish's certificate is the last one the solve takes; its
         # multipliers sit in the box, a row at multiplier 0 lies within
         # the penalty's zero piece, a row at +-C beyond the kink on its
-        # side, and a free row on its kink, with s = B w + d afresh
+        # side, and a free row on its kink, with s = B w + d afresh. The
+        # loose rounds only pick the partition: at a loose tolerance of
+        # 0.5 the point is as exact
         import almsvm.alm as alm_mod
 
+        if loose is not None:
+            monkeypatch.setattr(alm_mod, "FINISH_LOOSE_RTOL", loose)
         p = make()
         real, seen = alm_mod.kkt_residual, []
 
@@ -623,12 +639,15 @@ class TestActiveSetFinish:
         report.time_seconds = none.time_seconds
         assert report == none
 
-    @pytest.mark.parametrize("patch,outcome", [
-        ({}, "uncertified"),
-        ({"CG_MAXIT": 1}, "cg_cap"),
-        ({"FINISH_ROUNDS": 1}, "unsettled"),
-    ], ids=["uncertified", "cg_cap", "unsettled"])
-    def test_a_rejected_finish_changes_nothing(self, patch, outcome,
+    @pytest.mark.parametrize("make,patch,outcome", [
+        (_small_gap, {}, "uncertified"),
+        (_small_gap, {"FINISH_LOOSE_RTOL": 0.5}, "uncertified"),
+        (_small_gap, {"CG_MAXIT": 1}, "cg_cap"),
+        (_small_gap, {"FINISH_ROUNDS": 1}, "unsettled"),
+        (_stalling_gap, {"FINISH_LOOSE_RTOL": 0.5}, "stalled"),
+    ], ids=["uncertified", "uncertified_loose_0.5", "cg_cap", "unsettled",
+            "stalled"])
+    def test_a_rejected_finish_changes_nothing(self, make, patch, outcome,
                                                monkeypatch):
         # at tol 1e-20 no certificate passes, so every outer iteration
         # tries a finish and rejects it; the iterates, the multipliers,
@@ -637,7 +656,7 @@ class TestActiveSetFinish:
         # finish records
         import almsvm.alm as alm_mod
 
-        p, cfg = _small_gap(), SolverConfig(tol=1e-20)
+        p, cfg = make(), SolverConfig(tol=1e-20)
         for name, value in patch.items():
             monkeypatch.setattr(alm_mod, name, value)
         w, report = alm_solve(p, cfg)
@@ -659,11 +678,83 @@ class TestActiveSetFinish:
         assert report.status == MAX_OUTER and report.finish == []
 
     def test_the_finish_records_its_rounds(self):
+        # a loose round moves 12 rows, the next one none, and the tight
+        # solve of that partition from its multipliers moves none either
         _, report = alm_solve(_small_gap())
         [fin] = report.finish
-        assert (fin.outer, fin.rounds, fin.free, fin.outcome) == (
-            0, 2, 383, "accepted")
+        assert (fin.outer, fin.rounds, fin.tight, fin.moved, fin.free,
+                fin.outcome) == (0, 3, 1, [12, 0, 0], 383, "accepted")
         assert 0 < fin.cg_iterations <= fin.rounds * CG_MAXIT
         # the Newton solves' CG iterations are counted apart
         assert report.it_cg == sum(rec.newton.cg_iterations_total
                                    for rec in report.outer)
+
+    def test_a_loose_round_that_stalls_switches_to_tight_rounds(self,
+                                                                monkeypatch):
+        # the fifth loose round moves more rows than the fourth (21
+        # against 6); the finish re-solves that partition tightly instead
+        # of giving up, and the tight rounds settle it and are certified
+        import almsvm.alm as alm_mod
+
+        monkeypatch.setattr(alm_mod, "FINISH_LOOSE_RTOL", 0.1)
+        data = svc_margin_gap(600, 200, density=0.08, seed=4)
+        _, report = alm_solve(build_svc(data, 3 * C_SCALE_SVC / 600))
+        fin = report.finish[0]
+        loose = fin.rounds - fin.tight
+        assert (fin.outer, loose, fin.tight, fin.outcome) == (3, 5, 3, "accepted")
+        assert fin.moved[loose - 1] >= fin.moved[loose - 2] > 0
+        assert fin.moved[-1] == 0 and report.status == CONVERGED
+        assert report.kkt_residual <= 1e-9 and report.duality_gap_rel <= 1e-9
+
+    def test_the_tight_rounds_keep_going_after_a_loose_stall(self):
+        # at the default loose tolerance the second loose round moves
+        # more rows than the first; the tight round of that partition
+        # moves rows again, and the finish is only given up at the CG cap
+        _, report = alm_solve(_stalling_gap())
+        fin = report.finish[0]
+        assert (fin.outer, fin.rounds, fin.tight, fin.moved, fin.outcome) == (
+            4, 3, 1, [133, 195, 196], "cg_cap")
+        assert report.status == CONVERGED
+
+    def test_a_tight_round_that_stalls_ends_the_finish(self, monkeypatch):
+        # the first loose round moves no row; the tight rounds then move
+        # 133 and 196 rows, so the finish is abandoned as stalled, and a
+        # later outer iteration's finish is accepted
+        import almsvm.alm as alm_mod
+
+        monkeypatch.setattr(alm_mod, "FINISH_LOOSE_RTOL", 0.5)
+        _, report = alm_solve(_stalling_gap())
+        stalled, accepted = report.finish
+        assert (stalled.outer, stalled.tight, stalled.moved, stalled.outcome,
+                stalled.r1) == (4, 2, [0, 133, 196], "stalled", None)
+        assert (accepted.outer, accepted.outcome) == (5, "accepted")
+        assert report.status == CONVERGED
+
+
+class TestHandOver:
+    def test_outer_zero_capped_at_five_steps_ends_in_the_finish(self,
+                                                                monkeypatch):
+        # the finish certifies from the partition of a rough outer 0: five
+        # Newton steps end the solve at the optimum the uncapped one finds
+        import almsvm.alm as alm_mod
+
+        p = build_svc(svc_margin_gap(4000, 1000, density=0.04, seed=0),
+                      C_SCALE_SVC / 4000)
+        _, full = alm_solve(p)
+        monkeypatch.setattr(alm_mod, "NEWTON_MAXIT", 5)
+        _, capped = alm_solve(p)
+        assert (capped.status, capped.k, capped.it_sn) == (CONVERGED, 1, 5)
+        assert capped.outer[0].newton.hit_iteration_cap
+        assert [(f.outer, f.outcome) for f in capped.finish] == [(0, "accepted")]
+        assert (full.status, full.k) == (CONVERGED, 1)
+        assert capped.objective == full.objective
+
+    @pytest.mark.parametrize("inst", bundled_instances(), ids=lambda i: i.name)
+    def test_no_bundled_outer_iteration_reaches_the_cap(self, inst):
+        # the cap is where outer 0 hands over to the finish on the
+        # low-active benchmark; no bundled solve comes near it, so the
+        # cap does not move their iterates
+        _, report = alm_solve(inst.build())
+        for rec in report.outer:
+            assert not rec.newton.hit_iteration_cap
+            assert rec.newton.iterations < NEWTON_MAXIT

@@ -484,6 +484,9 @@ class TestBench:
         assert finish["outcome"] == "accepted"
         assert finish["outer"] == report["k"] - 1
         assert finish["rounds"] >= 1 and finish["free"] <= 5
+        # one count of moved rows per round, the last one none
+        assert len(finish["moved"]) == finish["rounds"]
+        assert finish["moved"][-1] == 0 and 0 <= finish["tight"] <= finish["rounds"]
         last = finish
         assert max(last["r1"], last["r2"], last["r3"]) == report["kkt_residual"]
         assert last["primal"] == report["objective"]

@@ -19,7 +19,7 @@ from almsvm.alm import (
 )
 from almsvm.newton import cg_solve, newton_solve
 from almsvm.sparse import SparseMatrix
-from almsvm.synthetic import svc_blobs, svc_sparse_binary
+from almsvm.synthetic import svc_blobs, svc_margin_gap, svc_sparse_binary
 
 from conftest import bundled_instances
 from oracles import phi_value
@@ -463,6 +463,12 @@ def _bundled_svc(name):
     return build_svc(data, inst.c_of(data))
 
 
+def _small_gap():
+    """A margin-gap problem whose accepted finish takes two loose rounds
+    and one tight round."""
+    return build_svc(svc_margin_gap(4000, 1000, density=0.04, seed=0), 0.1)
+
+
 def _noisy_sparse_svc():
     """Noisy labels on sparse binary features, as in ``cli_roundtrip``:
     about half the rows saturate."""
@@ -498,11 +504,14 @@ class TestSubproblemContract:
         assert counts["matvec_t"] <= stats.iterations + 1
         assert counts["restricted_normal_apply"] == 0
 
-    @pytest.mark.parametrize("finish,cfg", [
-        (False, SolverConfig()), (True, SolverConfig()),
-        (True, SolverConfig(tol=1e-20)),
-    ], ids=["no_finish", "accepted_finish", "rejected_finishes"])
-    def test_kernel_budget_whole_solve(self, finish, cfg, monkeypatch):
+    @pytest.mark.parametrize("make,finish,cfg", [
+        (lambda: _bundled_svc("gap5000x123"), False, SolverConfig()),
+        (lambda: _bundled_svc("gap5000x123"), True, SolverConfig()),
+        (lambda: _bundled_svc("gap5000x123"), True, SolverConfig(tol=1e-20)),
+        (_small_gap, True, SolverConfig()),
+    ], ids=["no_finish", "accepted_finish", "rejected_finishes",
+            "accepted_finish_with_a_tight_round"])
+    def test_kernel_budget_whole_solve(self, make, finish, cfg, monkeypatch):
         # per outer iteration one fresh B w serves the multiplier update,
         # the certificate and the next Newton start; only the first
         # Newton start computes its own. matvec_t: one gradient per
@@ -510,21 +519,26 @@ class TestSubproblemContract:
         # serves both r2 and the dual. An active-set finish pays per
         # round one B.T sat (its w0) and one fresh B w, and when it
         # settles one B.T lam for its certificate; its CG reads only
-        # the gathered free rows. At tol 1e-20 every outer iteration
-        # tries one and rejects it
+        # the gathered free rows. The first tight round re-solves the
+        # last loose round's partition and keeps its w0, so it pays only
+        # the B w. At tol 1e-20 every outer iteration tries one and
+        # rejects it
         import almsvm.alm as alm_mod
 
-        p = _bundled_svc("gap5000x123")
+        p = make()
         if not finish:
             monkeypatch.setattr(alm_mod, "_finish", lambda *args: None)
         counts = _count_kernels(monkeypatch, p.B)
         _, report = alm_solve(p, cfg)
         rounds = sum(f.rounds for f in report.finish)
+        reused = sum(f.tight > 0 for f in report.finish)
         settled = sum(f.r1 is not None for f in report.finish)
         assert settled == len(report.finish) == (report.k if finish else 0)
         assert report.k >= (1 if finish and cfg.tol > 1e-20 else 2)
+        assert reused == (make is _small_gap)
         assert counts["matvec"] == report.it_sn + report.k + 1 + rounds
-        assert counts["matvec_t"] == report.it_sn + 2 * report.k + rounds + settled
+        assert counts["matvec_t"] == (report.it_sn + 2 * report.k + rounds
+                                      - reused + settled)
         assert counts["restricted_normal_apply"] == 0
 
     @pytest.mark.parametrize("make,full,first", [
@@ -587,7 +601,7 @@ class TestSubproblemContract:
         gradient = [read_all for in_grad, _, read_all in calls if in_grad]
         finishing = [read_all for _, in_fin, read_all in calls if in_fin]
         assert certificate == [full] * report.k
-        assert len(finishing) == sum(f.rounds + (f.r1 is not None)
+        assert len(finishing) == sum(f.rounds - (f.tight > 0) + (f.r1 is not None)
                                      for f in report.finish)
         assert bool(report.finish) is not full
         assert len(gradient) == report.it_sn + report.k
