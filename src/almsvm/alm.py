@@ -280,10 +280,13 @@ class SolverConfig:
     outer iteration k runs at most ``NEWTON_MAXIT`` Newton steps to the
     inner tolerance ``max(NEWTON_TOL_FLOOR, min(10**-(k+1), r))``, ``r``
     the previous outer iteration's KKT residual; the line-search and CG
-    constants are fixed in :mod:`almsvm.newton`. The cap is where a
-    problem with few free rows hands its first outer iteration over to
-    the active-set finish of :func:`alm_solve`; the finish's constants
-    are module constants too.
+    constants are fixed in :mod:`almsvm.newton`. A Newton solve also
+    stops after a step that raises the gradient norm, from the third
+    such step on (``newton.STALL_RISES``), once that step's iterate has
+    at most ``FINISH_FREE_RATIO * n`` active rows: this is where a
+    problem with few free rows hands an outer iteration over to the
+    active-set finish of :func:`alm_solve`. ``NEWTON_MAXIT`` is a plain
+    cap; the finish's constants are module constants too.
     """
 
     sigma0: float = 0.15
@@ -332,14 +335,16 @@ class FinishRecord:
     iteration ``outer`` (0-based): its rounds, ``tight`` of them solved
     to ``FINISH_CG_RTOL`` and the others to ``FINISH_LOOSE_RTOL``, the
     rows each round found to move (``moved``), their CG iterations, the
-    free-row count ``free`` of its last round and its ``outcome``:
+    free-row count ``free`` of its last partition and its ``outcome``:
     ``"accepted"``; ``"uncertified"`` when the partition settled but the
     certificate failed; ``"cg_cap"`` when a CG solve reached ``CG_MAXIT``
-    or broke down; ``"stalled"`` when a tight round moved no fewer rows
-    than the tight one before; ``"unsettled"`` when rows still moved in
-    tight round ``FINISH_ROUNDS``. A settled finish also holds its
-    certificate: the primal and dual values and the residuals of
-    :func:`kkt_residual`; the others hold None there."""
+    or broke down; ``"singular"`` when the rounds' moves left more than
+    ``n`` rows free, so that ``B_F B_F.T`` is singular (that partition's
+    count is ``free``, and no CG ran on it); ``"stalled"`` when a tight
+    round moved no fewer rows than the tight one before; ``"unsettled"``
+    when rows still moved in tight round ``FINISH_ROUNDS``. A settled
+    finish also holds its certificate: the primal and dual values and
+    the residuals of :func:`kkt_residual`; the others hold None there."""
 
     outer: int
     free: int
@@ -646,9 +651,10 @@ def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
     ``B.T lam`` and ``tol``. ``FINISH_ROUNDS`` caps the loose rounds and,
     counted afresh from the switch, the tight ones; the record's
     ``rounds`` counts both. A CG solve that breaks down or reaches
-    ``CG_MAXIT``, a tight round that moves no fewer rows than the tight
-    one before, and rows still moving after ``FINISH_ROUNDS`` tight
-    rounds end it uncertified. ``lam`` and ``z`` are not changed.
+    ``CG_MAXIT``, a partition with more than ``n`` free rows, a tight
+    round that moves no fewer rows than the tight one before, and rows
+    still moving after ``FINISH_ROUNDS`` tight rounds end it
+    uncertified. ``lam`` and ``z`` are not changed.
     """
     pen = p.penalty
     rows, _, sat = pen.split(z, sigma)
@@ -667,12 +673,15 @@ def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
         fresh = block is None
         if fresh:
             rows = np.flatnonzero(free)
+            rec.free = rows.size
+            if rows.size > p.n:  # B_F B_F.T is singular
+                rec.outcome = "singular"
+                return rec, None
             block = p.B.gather_rows(rows)
             w0 = p.B.matvec_t(sat)
             w0 *= -pen.C
             rhs = block.matvec(w0) + p.d[rows] - np.where(side[rows] > 0, hi, lo)
             rhs_norm = float(np.linalg.norm(rhs))
-            rec.free = rows.size
         rtol = (FINISH_CG_RTOL if tight else FINISH_LOOSE_RTOL) * rhs_norm
         x, it, broke = np.zeros(rows.size), 0, False
         if rtol > 0.0:
@@ -734,7 +743,11 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     min(10**-(k+1), r))``, ``r`` the previous outer iteration's KKT
     residual (none before the first), in at most ``NEWTON_MAXIT``
     Newton steps; the cap by ``r`` keeps an outer iteration whose start
-    already meets ``10**-(k+1)`` from skipping its Newton steps. It then
+    already meets ``10**-(k+1)`` from skipping its Newton steps. The
+    Newton solve also stops, ``stalled``, after a step that raises the
+    gradient norm, from the third such step on, once that step's iterate
+    has at most ``FINISH_FREE_RATIO * n`` active rows, the partitions
+    the finish below can take. It then
     recovers s through the prox at scale 1/sigma, updates lam = sigma *
     (z - s) (the multiplier step written in terms of z), clipped into
     the penalty's box, and grows sigma by 1/theta up to sigma_max. Stops
@@ -757,12 +770,14 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     tries an active-set finish from the partition of that iteration's
     ``z`` at its ``sigma``, when at most ``FINISH_FREE_RATIO * n`` rows
     are free (``B_F B_F.T`` is singular beyond ``n``). On a problem with
-    few free rows, outer 0 typically ends at the ``NEWTON_MAXIT`` cap and
-    the finish takes over from its partition. The finish's loose rounds
-    pick the partition and its tight rounds settle it; it is abandoned
-    when a CG solve reaches ``CG_MAXIT`` or breaks down, when a tight
-    round moves no fewer rows than the tight one before, or when rows
-    still move after ``FINISH_ROUNDS`` tight rounds. A settled finish is
+    few free rows, outer 0's Newton iteration zig-zags far from the
+    solution and stops there as stalled, and the finish takes over from
+    its partition. The finish's loose rounds pick the partition and its
+    tight rounds settle it; it is abandoned when a CG solve reaches
+    ``CG_MAXIT`` or breaks down, when its rows' moves leave more than
+    ``n`` rows free, when a tight round moves no fewer rows than the
+    tight one before, or when rows still move after ``FINISH_ROUNDS``
+    tight rounds. A settled finish is
     certified as above, from a fresh ``B w`` and ``B.T lam``, at the
     point of a tight round only; the solve keeps its
     point and ends ``converged`` only when that certificate passes
@@ -781,7 +796,8 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
         tol_k = max(NEWTON_TOL_FLOOR,
                     min(10.0 ** (-(k + 1)), report.kkt_residual))
         sub = make_subproblem_oracle(p, lam, sigma, bw=bw, carry=carry)
-        w, stats = newton_solve(sub, w, tol_k, NEWTON_MAXIT)
+        w, stats = newton_solve(sub, w, tol_k, NEWTON_MAXIT,
+                                stall_rows=FINISH_FREE_RATIO * p.n)
         carry = sub.carry
         if stats.hit_iteration_cap:
             report.warnings.append(

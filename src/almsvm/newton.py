@@ -14,6 +14,12 @@ Because the Hessian selection satisfies ``V - I >= 0``, CG directions
 are always well defined; a steepest-descent fallback covers the case
 where rounding still produces a non-descent direction. CG curvature
 breakdowns and fallbacks are counted, so neither goes unseen.
+
+Far from the solution the iteration can zig-zag, the gradient norm
+rising and falling from step to step while the active set keeps
+changing; a caller that can finish the solve by other means from a
+small enough active set passes ``stall_rows`` to :func:`newton_solve`
+to stop it there.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ RAY_TOL = 0.01  # ray search stops at |phi'(alpha)| <= RAY_TOL * |phi'(0)|
 CG_ETA0 = 0.9
 CG_ETA1 = 0.1
 CG_MAXIT = 200  # CG iteration cap per Newton step
+STALL_RISES = 3  # a solve given stall_rows may stop from its third rise of |grad| on
 
 
 class CgBreakdownError(RuntimeError):
@@ -93,7 +100,10 @@ class NewtonStats:
     executed iteration. ``cg_breakdowns`` counts CG solves stopped by
     non-positive curvature ``p'Ap <= 0``, ``descent_fallbacks`` the
     steps that replaced a non-descent CG direction by ``-grad``; both
-    stay 0 for a positive definite ``hvp``.
+    stay 0 for a positive definite ``hvp``. ``hit_iteration_cap`` is set
+    when the solve ran out of steps, ``stalled`` when the stall rule of
+    :func:`newton_solve` ended it; either leaves ``|grad|`` above the
+    tolerance.
     """
 
     iterations: int = 0
@@ -105,6 +115,7 @@ class NewtonStats:
     active_set_sizes: list[int] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
     hit_iteration_cap: bool = False
+    stalled: bool = False
 
 
 def cg_solve(hvp, rhs, tol_abs: float, maxit: int, x0=None):
@@ -183,12 +194,19 @@ def _ray_step(sub: Subproblem, slope: float) -> float:
     return alpha
 
 
-def newton_solve(sub: Subproblem, w0, tol: float, max_iter: int):
+def newton_solve(sub: Subproblem, w0, tol: float, max_iter: int, *,
+                 stall_rows: float | None = None):
     """Run the globalized Newton iteration from ``w0`` until
     ``|grad| <= tol`` or for at most ``max_iter`` steps.
 
-    Returns ``(w, NewtonStats)``; if the iteration cap fires the stats
-    are flagged instead of raising.
+    With ``stall_rows`` given, the iteration also stops, ``stalled``,
+    at the iterate of its ``STALL_RISES``-th step whose gradient norm
+    exceeds the one before, if that iterate's active set
+    (``linearize()``) has at most ``stall_rows`` rows; otherwise it goes
+    on and checks the iterate of each later rise the same way. With
+    ``stall_rows=None`` it runs to the tolerance or the cap. Returns
+    ``(w, NewtonStats)``; if the iteration cap fires the stats are
+    flagged instead of raising.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -197,11 +215,17 @@ def newton_solve(sub: Subproblem, w0, tol: float, max_iter: int):
     g = sub.grad()
     gnorm = float(np.linalg.norm(g))
     stats.grad_norms.append(gnorm)
+    rises, rose = 0, False
     while gnorm > tol:
         if stats.iterations >= max_iter:
             stats.hit_iteration_cap = True
             break
-        stats.active_set_sizes.append(int(sub.linearize()))
+        active = int(sub.linearize())
+        if (stall_rows is not None and rose and rises >= STALL_RISES
+                and active <= stall_rows):
+            stats.stalled = True
+            break
+        stats.active_set_sizes.append(active)
         mu = min(CG_ETA0, CG_ETA1 * gnorm)
         d, cg_iters, breakdown = cg_solve(sub.hvp, -g, mu * gnorm, CG_MAXIT)
         stats.cg_iterations_total += cg_iters
@@ -230,7 +254,9 @@ def newton_solve(sub: Subproblem, w0, tol: float, max_iter: int):
         stats.step_sizes.append(alpha)
         stats.iterations += 1
         g = sub.grad()
-        gnorm = float(np.linalg.norm(g))
+        gnorm, gnorm_before = float(np.linalg.norm(g)), gnorm
+        rose = gnorm > gnorm_before
+        rises += rose
         stats.grad_norms.append(gnorm)
     stats.final_grad_norm = gnorm
     return sub.w, stats

@@ -1,10 +1,13 @@
 """Problem assembly, subproblem calculus, the outer loop and its
 optimality certificates."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import almsvm.newton as newton_mod
 from almsvm.alm import (
     C_SCALE_SVC,
     CONVERGED,
@@ -561,9 +564,9 @@ def _stalling_gap():
     """A margin-gap problem with n = 100 whose finish after outer 4 frees
     more rows than B_F B_F.T can hold: at the default loose tolerance a
     loose round moves 133 rows, the next 195, and the tight round of
-    that partition 196 before a CG solve reaches its cap; at a loose
-    tolerance of 0.5 the loose round moves none and the tight rounds
-    133, then 196."""
+    that partition 196, which leave 199 rows free; at a loose tolerance
+    of 0.5 the loose round moves none and the tight rounds 133, then
+    196."""
     return build_svc(svc_margin_gap(400, 100, density=0.1, seed=0), C_SCALE_SVC / 400)
 
 
@@ -645,8 +648,9 @@ class TestActiveSetFinish:
         (_small_gap, {"CG_MAXIT": 1}, "cg_cap"),
         (_small_gap, {"FINISH_ROUNDS": 1}, "unsettled"),
         (_stalling_gap, {"FINISH_LOOSE_RTOL": 0.5}, "stalled"),
+        (_stalling_gap, {}, "singular"),
     ], ids=["uncertified", "uncertified_loose_0.5", "cg_cap", "unsettled",
-            "stalled"])
+            "stalled", "singular"])
     def test_a_rejected_finish_changes_nothing(self, make, patch, outcome,
                                                monkeypatch):
         # at tol 1e-20 no certificate passes, so every outer iteration
@@ -678,12 +682,15 @@ class TestActiveSetFinish:
         assert report.status == MAX_OUTER and report.finish == []
 
     def test_the_finish_records_its_rounds(self):
-        # a loose round moves 12 rows, the next one none, and the tight
+        # from the partition of the stalled outer 0, four loose rounds
+        # move 253, 126, 48 and 12 rows, the fifth none, and the tight
         # solve of that partition from its multipliers moves none either
         _, report = alm_solve(_small_gap())
         [fin] = report.finish
+        assert report.outer[0].newton.stalled
         assert (fin.outer, fin.rounds, fin.tight, fin.moved, fin.free,
-                fin.outcome) == (0, 3, 1, [12, 0, 0], 383, "accepted")
+                fin.outcome) == (0, 6, 1, [253, 126, 48, 12, 0, 0], 383,
+                                 "accepted")
         assert 0 < fin.cg_iterations <= fin.rounds * CG_MAXIT
         # the Newton solves' CG iterations are counted apart
         assert report.it_cg == sum(rec.newton.cg_iterations_total
@@ -693,10 +700,13 @@ class TestActiveSetFinish:
                                                                 monkeypatch):
         # the fifth loose round moves more rows than the fourth (21
         # against 6); the finish re-solves that partition tightly instead
-        # of giving up, and the tight rounds settle it and are certified
+        # of giving up, and the tight rounds settle it and are certified.
+        # Outer 3 runs its Newton solve to the tolerance: handed over at
+        # its stall, each loose round moves fewer rows than the one before
         import almsvm.alm as alm_mod
 
         monkeypatch.setattr(alm_mod, "FINISH_LOOSE_RTOL", 0.1)
+        monkeypatch.setattr(newton_mod, "STALL_RISES", math.inf)
         data = svc_margin_gap(600, 200, density=0.08, seed=4)
         _, report = alm_solve(build_svc(data, 3 * C_SCALE_SVC / 600))
         fin = report.finish[0]
@@ -709,11 +719,17 @@ class TestActiveSetFinish:
     def test_the_tight_rounds_keep_going_after_a_loose_stall(self):
         # at the default loose tolerance the second loose round moves
         # more rows than the first; the tight round of that partition
-        # moves rows again, and the finish is only given up at the CG cap
-        _, report = alm_solve(_stalling_gap())
+        # moves rows again, and the finish is given up only when those
+        # moves leave more rows free than n, before any CG runs on them
+        p = _stalling_gap()
+        _, report = alm_solve(p)
         fin = report.finish[0]
         assert (fin.outer, fin.rounds, fin.tight, fin.moved, fin.outcome) == (
-            4, 3, 1, [133, 195, 196], "cg_cap")
+            4, 3, 1, [133, 195, 196], "singular")
+        assert fin.free == 199 > p.n and fin.r1 is None
+        # the three rounds' CG; the cap-reaching solve on the 199 rows
+        # would add CG_MAXIT
+        assert fin.cg_iterations == 370
         assert report.status == CONVERGED
 
     def test_a_tight_round_that_stalls_ends_the_finish(self, monkeypatch):
@@ -749,11 +765,45 @@ class TestHandOver:
         assert (full.status, full.k) == (CONVERGED, 1)
         assert capped.objective == full.objective
 
+    def test_outer_zero_stalls_and_the_finish_returns_the_same_point(
+            self, monkeypatch):
+        # outer 0 stops at its third rise of |grad| after 12 steps, where
+        # it ran 14 to its tolerance; the finish from that partition
+        # returns the same point bit for bit
+        p = build_svc(svc_margin_gap(4000, 1000, density=0.04, seed=0),
+                      C_SCALE_SVC / 4000)
+        w, report = alm_solve(p)
+        monkeypatch.setattr(newton_mod, "STALL_RISES", math.inf)
+        w_off, off = alm_solve(p)
+        for rep, steps, stalled in ((report, 12, True), (off, 14, False)):
+            assert (rep.status, rep.k, rep.it_sn, rep.warnings) == (
+                CONVERGED, 1, steps, [])
+            assert rep.outer[0].newton.stalled is stalled
+            assert not rep.outer[0].newton.hit_iteration_cap
+            assert [(f.outer, f.outcome) for f in rep.finish] == [(0, "accepted")]
+        np.testing.assert_array_equal(w, w_off)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: build_svc(svc_sparse_binary(2000, 100, seed=0),
+                                       C_SCALE_SVC / 2000), id="noisy"),
+    ] + [pytest.param(i.build, id=i.name) for i in bundled_instances()])
+    def test_a_solve_that_does_not_stall_is_unchanged(self, make, monkeypatch):
+        # no outer iteration of these solves reaches a third rise of
+        # |grad| with at most n/2 active rows, so the rule moves nothing
+        p = make()
+        w, report = alm_solve(p)
+        assert not any(rec.newton.stalled for rec in report.outer)
+        monkeypatch.setattr(newton_mod, "STALL_RISES", math.inf)
+        w_off, off = alm_solve(p)
+        np.testing.assert_array_equal(w, w_off)
+        report.time_seconds = off.time_seconds
+        assert report == off
+
     @pytest.mark.parametrize("inst", bundled_instances(), ids=lambda i: i.name)
     def test_no_bundled_outer_iteration_reaches_the_cap(self, inst):
-        # the cap is where outer 0 hands over to the finish on the
-        # low-active benchmark; no bundled solve comes near it, so the
-        # cap does not move their iterates
+        # the cap is a plain cap, kept for the solves the finish cannot
+        # take; no bundled solve comes near it, so the cap does not move
+        # their iterates
         _, report = alm_solve(inst.build())
         for rec in report.outer:
             assert not rec.newton.hit_iteration_cap

@@ -353,6 +353,74 @@ class TestNewtonSolve:
         assert len(stats.grad_norms) == stats.iterations + 1
 
 
+class _ZigZag(CallbackSubproblem):
+    """``0.5 w'Aw`` with ``A = [[1, 2], [2, 8]]`` and the identity as
+    Newton model, from ``w = (1, 0)``: the steps alternate between a
+    ray step near 0.12 and the unit step, and ``|g|`` rises at steps 2,
+    4, 6 and every other step on, past the 25-step cap at tolerance
+    1e-10. ``linearize`` reports ``rows(j)`` active rows at the iterate
+    of step ``j``."""
+
+    A = np.array([[1.0, 2.0], [2.0, 8.0]])
+
+    def __init__(self, rows):
+        super().__init__(value=lambda w: 0.5 * float(w @ self.A @ w),
+                         grad=lambda w: self.A @ w, hvp=lambda h: h.copy(),
+                         curvature=lambda d: self.A @ d)
+        self._rows, self.steps = rows, 0
+
+    def linearize(self):
+        return self._rows(self.steps)
+
+    def accept(self, alpha):
+        super().accept(alpha)
+        self.steps += 1
+
+
+def _zigzag(rows, **kwargs):
+    return newton_solve(_ZigZag(rows), np.array([1.0, 0.0]), 1e-10,
+                        NEWTON_MAXIT, **kwargs)
+
+
+class TestStallRule:
+    """``stall_rows``: the solve stops after its third step that raises
+    ``|g|``, or a later one, once that step's iterate has at most
+    ``stall_rows`` active rows."""
+
+    def test_the_third_rise_within_the_bound_stops_the_solve(self):
+        w_full, full = _zigzag(lambda j: 5)
+        g = full.grad_norms
+        assert [j for j in range(1, 9) if g[j] > g[j - 1]] == [2, 4, 6, 8]
+        w, stats = _zigzag(lambda j: 5, stall_rows=5)
+        assert stats.stalled and not stats.hit_iteration_cap
+        assert stats.iterations == 6
+        assert stats.grad_norms == g[:7]
+        assert stats.step_sizes == full.step_sizes[:6]
+        assert stats.active_set_sizes == [5] * 6
+        assert stats.final_grad_norm == g[6] > 1e-10
+
+    def test_a_later_rise_stops_once_its_iterate_is_within_the_bound(self):
+        # too many rows at the third rise (step 6) and at step 7, which
+        # does not raise |g|; step 8 raises it with rows within the bound
+        _, stats = _zigzag(lambda j: 9 if j < 7 else 3, stall_rows=5)
+        assert stats.stalled and stats.iterations == 8
+
+    @pytest.mark.parametrize("bound,rows", [(None, 5), (5, 6)],
+                             ids=["no_bound", "too_many_rows"])
+    def test_no_bound_or_too_many_rows_leaves_the_iterates_as_they_were(
+            self, bound, rows):
+        # the reference is the call without the keyword: twelve rises
+        # of |g| and the zig-zag runs into the step cap
+        w_ref, ref = _zigzag(lambda j: rows)
+        g = ref.grad_norms
+        assert sum(b > a for a, b in zip(g, g[1:])) == 12
+        assert ref.hit_iteration_cap and not ref.stalled
+        assert ref.iterations == NEWTON_MAXIT
+        w, stats = _zigzag(lambda j: rows, stall_rows=bound)
+        np.testing.assert_array_equal(w, w_ref)
+        assert stats == ref
+
+
 class TestRayStep:
     """The step when the unit step fails Armijo: the minimizer of
     ``phi(alpha) = value(alpha)`` over [0, 1], found from ``phi'`` and
