@@ -631,19 +631,23 @@ def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
     the multiplier ``C * sat``, any other row 0. A round solves ``B_F
     B_F.T lam_F = B_F w0 + d_F - t_F``, ``w0 = -C * B.T sat`` and ``t_F``
     the kinks, by :func:`~almsvm.newton.cg_solve` from the current
-    multipliers on the gathered rows ``B_F``, sets ``w = w0 - B_F.T
-    lam_F`` and takes ``s = B w + d`` afresh. Then a row of F whose
-    multiplier left its side of the box moves to the bound it crossed,
-    and any other row whose ``s`` crossed a kink its multiplier needs
-    (``s`` above the upper kink at 0, below the lower one at 0, on the
-    inner side of its own kink when saturated) moves into F.
+    multipliers on the gathered rows ``B_F``, Jacobi-preconditioned by
+    their squared row norms (the diagonal of ``B_F B_F.T``, 1 for an
+    empty row; the tolerance stays on the true residual), sets
+    ``w = w0 - B_F.T lam_F`` and takes ``s = B w + d`` afresh. Then a
+    row of F whose multiplier left its side of the box moves to the
+    bound it crossed, and any other row whose ``s`` crossed a kink its
+    multiplier needs (``s`` above the upper kink at 0, below the lower
+    one at 0, on the inner side of its own kink when saturated) moves
+    into F.
 
     The first rounds are loose: their CG stops at ``FINISH_LOOSE_RTOL``
     of the right-hand side's norm, since they only decide which rows
     move. A loose round that moves no row, or no fewer rows than the
     one before, or that is loose round ``FINISH_ROUNDS``, switches the
-    finish to tight rounds (``FINISH_CG_RTOL``) without moving a row: the next solve takes the same block and
-    right-hand side from the loose multipliers. When that solve needs
+    finish to tight rounds (``FINISH_CG_RTOL``) without moving a row:
+    the next solve takes the same block, preconditioner and right-hand
+    side from the loose multipliers. When that solve needs
     no CG iteration, the loose round's point already meets the tight
     tolerance and stands as it is; otherwise it is a round of its own.
     A tight round that moves no row ends the finish with the certificate
@@ -678,6 +682,10 @@ def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
                 rec.outcome = "singular"
                 return rec, None
             block = p.B.gather_rows(rows)
+            # the Jacobi preconditioner, the diagonal of B_F B_F.T; an
+            # empty row, whose diagonal is 0, keeps the identity
+            diag = block.squared_row_norms()
+            diag[diag == 0.0] = 1.0
             w0 = p.B.matvec_t(sat)
             w0 *= -pen.C
             rhs = block.matvec(w0) + p.d[rows] - np.where(side[rows] > 0, hi, lo)
@@ -686,7 +694,8 @@ def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
         x, it, broke = np.zeros(rows.size), 0, False
         if rtol > 0.0:
             x, it, broke = cg_solve(lambda v: block.matvec(block.matvec_t(v)),
-                                    rhs, rtol, CG_MAXIT, x0=mult[rows])
+                                    rhs, rtol, CG_MAXIT, x0=mult[rows],
+                                    diag=diag)
         rec.cg_iterations += it
         if broke or it >= CG_MAXIT:
             rec.outcome = "cg_cap"
@@ -773,7 +782,8 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     few free rows, outer 0's Newton iteration zig-zags far from the
     solution and stops there as stalled, and the finish takes over from
     its partition. The finish's loose rounds pick the partition and its
-    tight rounds settle it; it is abandoned when a CG solve reaches
+    tight rounds settle it, each by Jacobi-preconditioned CG on the
+    gathered free rows; it is abandoned when a CG solve reaches
     ``CG_MAXIT`` or breaks down, when its rows' moves leave more than
     ``n`` rows free, when a tight round moves no fewer rows than the
     tight one before, or when rows still move after ``FINISH_ROUNDS``

@@ -20,6 +20,10 @@ rising and falling from step to step while the active set keeps
 changing; a caller that can finish the solve by other means from a
 small enough active set passes ``stall_rows`` to :func:`newton_solve`
 to stop it there.
+
+:func:`cg_solve` also takes a diagonal (Jacobi) preconditioner, which
+the active-set finish of :mod:`almsvm.alm` passes for its systems
+``B_F B_F.T``; the Newton steps run plain CG.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ class NewtonStats:
     stalled: bool = False
 
 
-def cg_solve(hvp, rhs, tol_abs: float, maxit: int, x0=None):
+def cg_solve(hvp, rhs, tol_abs: float, maxit: int, x0=None, diag=None):
     """Conjugate gradients for ``hvp(x) = rhs`` from ``x0``, by default 0;
     a given ``x0`` costs one more ``hvp`` for the starting residual.
 
@@ -130,10 +134,23 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int, x0=None):
     iterations to limit drift. ``x``, ``r`` and ``p`` are updated in
     place through one scratch vector, with the same roundings as the
     textbook out-of-place recurrence.
+
+    ``diag``, positive and finite with the shape of ``rhs``, makes it
+    preconditioned CG with the Jacobi preconditioner ``diag(diag)``: each
+    search direction is built from ``r / diag`` instead of ``r``. The
+    stopping test still reads the residual ``r`` itself, not the
+    preconditioned one, so ``tol_abs`` keeps its meaning. With
+    ``diag=None`` it is plain CG, bit for bit.
     """
     if tol_abs <= 0:
         raise ValueError("tol_abs must be positive")
     rhs = np.asarray(rhs, dtype=np.float64)
+    if diag is not None:
+        diag = np.asarray(diag, dtype=np.float64)
+        if diag.shape != rhs.shape:
+            raise ValueError(f"diag must have shape {rhs.shape}, got {diag.shape}")
+        if not np.all(np.isfinite(diag) & (diag > 0.0)):
+            raise ValueError("diag must be positive and finite")
     if x0 is None:
         x = np.zeros_like(rhs)
         r = rhs.copy()
@@ -143,7 +160,10 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int, x0=None):
     rr = float(r @ r)
     if math.sqrt(rr) <= tol_abs:
         return x, 0, False
-    p = r.copy()
+    # z is the preconditioned residual; without diag it is r itself
+    z = r if diag is None else r / diag
+    rz = rr if diag is None else float(r @ z)
+    p = z.copy()
     step = np.empty_like(rhs)
     for it in range(1, maxit + 1):
         ap = hvp(p)
@@ -153,7 +173,7 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int, x0=None):
         if pap <= 0.0:
             # operator contract is SPD; bail out with the current iterate
             return x, it, True
-        alpha = rr / pap
+        alpha = rz / pap
         x += np.multiply(alpha, p, out=step)
         if it % 50 == 0:
             np.subtract(rhs, hvp(x), out=r)
@@ -164,9 +184,14 @@ def cg_solve(hvp, rhs, tol_abs: float, maxit: int, x0=None):
             raise CgBreakdownError("non-finite residual in CG")
         if math.sqrt(rr_new) <= tol_abs:
             return x, it, False
-        p *= rr_new / rr
-        p += r
-        rr = rr_new
+        if diag is None:
+            rz_new = rr_new
+        else:
+            np.divide(r, diag, out=z)
+            rz_new = float(r @ z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
     return x, maxit, False
 
 

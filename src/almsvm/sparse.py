@@ -430,6 +430,13 @@ class SparseMatrix:
         t = _matvec(self._ptr, self._idx, self._val, h)
         return _matvec_t(self._ptr, self._idx, self._val, t, self._n)
 
+    def squared_row_norms(self) -> np.ndarray:
+        """Return ``|A[i, :]|^2`` for every row ``i``, the diagonal of
+        ``A @ A.T``: ``A @ x`` on the squared values at ``x = 1``, each
+        row's squares summed left to right. An empty row gives 0."""
+        return _matvec(self._ptr, self._idx, self._val * self._val,
+                       np.ones(self._n))
+
     def restricted_normal_apply(self, rows, h) -> np.ndarray:
         """Return ``A[rows, :].T @ (A[rows, :] @ h)``; only the nonzeros
         of the selected rows are touched.

@@ -219,6 +219,14 @@ def matvec_t_oracle(a: SparseMatrix, y) -> np.ndarray:
     return np.bincount(a.col_idx, weights=prod, minlength=a.n)
 
 
+def squared_row_norms_oracle(a: SparseMatrix) -> np.ndarray:
+    """``|A[i, :]|^2`` per row: each row's squared values summed left to
+    right; an empty row gives 0. (``np.bincount`` of no weights is
+    integer, hence the cast.)"""
+    sums = np.bincount(_nnz_rows(a), weights=a.values * a.values, minlength=a.m)
+    return sums.astype(np.float64, copy=False)
+
+
 def normal_apply_oracle(a: SparseMatrix, rows, h) -> np.ndarray:
     """``A[rows, :].T @ (A[rows, :] @ h)`` over the gathered nonzeros of
     the selected rows, in row-major order."""

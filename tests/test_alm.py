@@ -683,13 +683,13 @@ class TestActiveSetFinish:
 
     def test_the_finish_records_its_rounds(self):
         # from the partition of the stalled outer 0, four loose rounds
-        # move 253, 126, 48 and 12 rows, the fifth none, and the tight
+        # move 253, 127, 46 and 11 rows, the fifth none, and the tight
         # solve of that partition from its multipliers moves none either
         _, report = alm_solve(_small_gap())
         [fin] = report.finish
         assert report.outer[0].newton.stalled
         assert (fin.outer, fin.rounds, fin.tight, fin.moved, fin.free,
-                fin.outcome) == (0, 6, 1, [253, 126, 48, 12, 0, 0], 383,
+                fin.outcome) == (0, 6, 1, [253, 127, 46, 11, 0, 0], 383,
                                  "accepted")
         assert 0 < fin.cg_iterations <= fin.rounds * CG_MAXIT
         # the Newton solves' CG iterations are counted apart
@@ -698,9 +698,10 @@ class TestActiveSetFinish:
 
     def test_a_loose_round_that_stalls_switches_to_tight_rounds(self,
                                                                 monkeypatch):
-        # the fifth loose round moves more rows than the fourth (21
-        # against 6); the finish re-solves that partition tightly instead
-        # of giving up, and the tight rounds settle it and are certified.
+        # the second loose round moves more rows than the first (138
+        # against 134); the finish re-solves that partition tightly
+        # instead of giving up, and five tight rounds settle it and are
+        # certified.
         # Outer 3 runs its Newton solve to the tolerance: handed over at
         # its stall, each loose round moves fewer rows than the one before
         import almsvm.alm as alm_mod
@@ -708,10 +709,10 @@ class TestActiveSetFinish:
         monkeypatch.setattr(alm_mod, "FINISH_LOOSE_RTOL", 0.1)
         monkeypatch.setattr(newton_mod, "STALL_RISES", math.inf)
         data = svc_margin_gap(600, 200, density=0.08, seed=4)
-        _, report = alm_solve(build_svc(data, 3 * C_SCALE_SVC / 600))
+        _, report = alm_solve(build_svc(data, 2 * C_SCALE_SVC / 600))
         fin = report.finish[0]
         loose = fin.rounds - fin.tight
-        assert (fin.outer, loose, fin.tight, fin.outcome) == (3, 5, 3, "accepted")
+        assert (fin.outer, loose, fin.tight, fin.outcome) == (3, 2, 5, "accepted")
         assert fin.moved[loose - 1] >= fin.moved[loose - 2] > 0
         assert fin.moved[-1] == 0 and report.status == CONVERGED
         assert report.kkt_residual <= 1e-9 and report.duality_gap_rel <= 1e-9
@@ -729,8 +730,56 @@ class TestActiveSetFinish:
         assert fin.free == 199 > p.n and fin.r1 is None
         # the three rounds' CG; the cap-reaching solve on the 199 rows
         # would add CG_MAXIT
-        assert fin.cg_iterations == 370
+        assert fin.cg_iterations == 213
         assert report.status == CONVERGED
+
+    def test_the_finish_preconditions_by_its_operators_diagonal(
+            self, monkeypatch):
+        # every CG solve of the finish takes the Jacobi preconditioner,
+        # the squared row norms of the gathered block, which are the
+        # diagonal of its operator B_F B_F.T
+        import almsvm.alm as alm_mod
+
+        rng, calls = np.random.default_rng(0), []
+
+        def spy(hvp, rhs, tol_abs, maxit, x0=None, diag=None):
+            # checked at the call: the operator reads the current block
+            assert diag is not None and np.all(diag > 0.0)
+            for i in rng.choice(diag.size, 10, replace=False):
+                e = np.zeros(diag.size)
+                e[i] = 1.0
+                assert hvp(e)[i] == pytest.approx(diag[i], rel=1e-13)
+            calls.append(diag.size)
+            return newton_mod.cg_solve(hvp, rhs, tol_abs, maxit, x0=x0,
+                                       diag=diag)
+
+        monkeypatch.setattr(alm_mod, "cg_solve", spy)
+        _, report = alm_solve(_small_gap())
+        assert report.status == CONVERGED
+        assert len(calls) >= report.finish[0].rounds
+
+    def test_an_empty_free_row_keeps_a_unit_diagonal(self, monkeypatch):
+        # a partition that frees an empty sample row gives B_F a zero
+        # row; its diagonal entry is taken as 1, not passed on as 0 for
+        # cg_solve to reject. z puts rows 0 and 1 (the empty one) inside
+        # (0, C/sigma), so both start free
+        import almsvm.alm as alm_mod
+
+        p = build_svc(_dataset([[1.0, 0.0, 0.0, 0.0], [0.0] * 4,
+                                [0.0, 2.0, 0.0, 0.0]], [1.0, -1.0, 1.0], 4),
+                      1.0)
+        diags = []
+
+        def spy(hvp, rhs, tol_abs, maxit, x0=None, diag=None):
+            diags.append(diag.copy())
+            return newton_mod.cg_solve(hvp, rhs, tol_abs, maxit, x0=x0,
+                                       diag=diag)
+
+        monkeypatch.setattr(alm_mod, "cg_solve", spy)
+        z, lam = np.array([0.5, 0.5, -1.0]), np.array([0.5, 0.5, 0.0])
+        rec, _ = alm_mod._finish(p, z, 1.0, lam, 1e-6, 0)
+        assert rec.outcome and diags
+        np.testing.assert_array_equal(diags[0], [1.0, 1.0])
 
     def test_a_tight_round_that_stalls_ends_the_finish(self, monkeypatch):
         # the first loose round moves no row; the tight rounds then move

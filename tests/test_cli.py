@@ -59,7 +59,7 @@ class TestTrain:
                      "--model", str(tmp_path / "m.model")]) == 0
         captured = capsys.readouterr()
         assert captured.err == ("status=converged\nfinish=accepted outer=0 "
-                                "rounds=2 cg=4 free=0\n")
+                                "rounds=2 cg=3 free=0\n")
         assert captured.out.startswith("k=1 it_sn=16 ")
 
     def test_train_svr(self, svr_file, tmp_path, capsys):

@@ -192,6 +192,100 @@ class TestCgInPlaceMatchesOutOfPlace:
         assert len(calls) == 51
 
 
+def _pcg_out_of_place(hvp, rhs, tol_abs, maxit, diag):
+    """Textbook Jacobi-preconditioned CG with a fresh array per update:
+    ``z = r / diag`` builds the directions, the test reads ``|r|``."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    if np.sqrt(float(r @ r)) <= tol_abs:
+        return x, 0, False
+    z = r / diag
+    rz = float(r @ z)
+    p = z.copy()
+    for it in range(1, maxit + 1):
+        ap = hvp(p)
+        pap = float(p @ ap)
+        if pap <= 0.0:
+            return x, it, True
+        alpha = rz / pap
+        x = x + alpha * p
+        r = rhs - hvp(x) if it % 50 == 0 else r - alpha * ap
+        if np.sqrt(float(r @ r)) <= tol_abs:
+            return x, it, False
+        z = r / diag
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, maxit, False
+
+
+def _row_scaled(rng, n, cond, spread):
+    """``D A D`` for a random SPD ``A`` of condition ``cond`` and a
+    diagonal ``D`` spread log-uniformly over ``[1/spread, spread]``."""
+    d = np.geomspace(1.0 / spread, spread, n)
+    rng.shuffle(d)
+    return d[:, None] * _spd(rng, n, cond) * d[None, :]
+
+
+class TestCgPreconditioner:
+    """``cg_solve`` with ``diag`` is Jacobi-preconditioned CG whose
+    stopping test reads the residual itself; ``diag=None`` is plain CG."""
+
+    def test_a_unit_diagonal_is_plain_cg_bit_for_bit(self, rng):
+        a = _spd(rng, 150, 1e5)
+        rhs = rng.normal(size=150)
+        counts = []
+        for tol, maxit, x0 in ((1e-13, 200, None), (1e-14, 7, None),
+                               (1e-6, 200, rng.normal(size=150))):
+            plain = cg_solve(lambda v: a @ v, rhs, tol, maxit, x0=x0)
+            unit = cg_solve(lambda v: a @ v, rhs, tol, maxit, x0=x0,
+                            diag=np.ones(150))
+            assert plain[0].tobytes() == unit[0].tobytes()
+            assert plain[1:] == unit[1:]
+            counts.append(plain[1])
+        # the first run passes the residual refresh at iteration 50
+        assert counts[0] > 100 and counts[1] == 7
+
+    @pytest.mark.parametrize("n, cond", [(5, 10.0), (40, 1e3), (120, 1e4)])
+    def test_matches_the_out_of_place_recurrence(self, n, cond, rng):
+        op = _row_scaled(rng, n, cond, 10.0)
+        diag = np.diag(op).copy()
+        for tol in (1e-1, 1e-6, 1e-12):
+            rhs = rng.normal(size=n)
+            x, it, breakdown = cg_solve(lambda v: op @ v, rhs, tol, 200,
+                                        diag=diag)
+            x_ref, it_ref, breakdown_ref = _pcg_out_of_place(
+                lambda v: op @ v, rhs, tol, 200, diag)
+            assert x.tobytes() == x_ref.tobytes()
+            assert (it, breakdown) == (it_ref, breakdown_ref)
+
+    def test_a_row_scaled_operator_takes_fewer_iterations(self, rng):
+        # D A D with D spread over [0.1, 10]: plain CG needs hundreds of
+        # iterations, the diagonal undoes most of the scaling, and both
+        # solves meet tol_abs on the true residual
+        op = _row_scaled(rng, 200, 10.0, 10.0)
+        rhs = op @ rng.normal(size=200)
+        tol = 1e-8 * np.linalg.norm(rhs)
+        runs = [cg_solve(lambda v: op @ v, rhs, tol, 2000, diag=diag)
+                for diag in (None, np.diag(op).copy())]
+        for x, _, breakdown in runs:
+            assert not breakdown
+            assert np.linalg.norm(op @ x - rhs) <= tol
+        (_, it_plain, _), (_, it, _) = runs
+        assert 10 * it < it_plain < 2000
+
+    @pytest.mark.parametrize("bad", [
+        np.array([1.0, 0.0, 2.0]), np.array([1.0, -1.0, 2.0]),
+        np.array([1.0, np.nan, 2.0]), np.array([1.0, np.inf, 2.0]),
+        np.ones(2), np.ones((3, 1)),
+    ], ids=["zero", "negative", "nan", "inf", "short", "column"])
+    def test_a_bad_diagonal_is_rejected(self, bad):
+        # checked before any work, a zero right-hand side included
+        for rhs in (np.ones(3), np.zeros(3)):
+            with pytest.raises(ValueError, match="diag"):
+                cg_solve(lambda v: v, rhs, 1e-12, 10, diag=bad)
+
+
 class CallbackSubproblem:
     """The Subproblem protocol over plain value/grad/hvp callbacks of w,
     with an empty active set. ``derivatives`` reads ``grad`` on the ray
@@ -586,11 +680,11 @@ class TestSubproblemContract:
         # Newton step and per start, and one B.T lam per outer that
         # serves both r2 and the dual. An active-set finish pays per
         # round one B.T sat (its w0) and one fresh B w, and when it
-        # settles one B.T lam for its certificate; its CG reads only
-        # the gathered free rows. The first tight round re-solves the
+        # settles one B.T lam for its certificate. The first tight round re-solves the
         # last loose round's partition and keeps its w0, so it pays only
         # the B w. At tol 1e-20 every outer iteration tries one and
-        # rejects it
+        # rejects it. Its CG and preconditioner read only the gathered
+        # free rows
         import almsvm.alm as alm_mod
 
         p = make()

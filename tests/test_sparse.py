@@ -17,7 +17,7 @@ from almsvm.synthetic import svc_sparse_binary
 
 from conftest import random_sparse
 from oracles import (from_dense, matvec_oracle, matvec_t_oracle,
-                     normal_apply_oracle, to_dense)
+                     normal_apply_oracle, squared_row_norms_oracle, to_dense)
 
 
 class TestConstruction:
@@ -442,6 +442,29 @@ class TestAgainstBincountOracles:
             got = block.matvec_t(y[rows])
             _same_bits(got, a.matvec_t(y))
             np.testing.assert_array_equal(got, matvec_t_oracle(a, y))
+
+
+class TestSquaredRowNorms:
+    """``squared_row_norms`` is the diagonal of ``A @ A.T``, the squared
+    values' row sums in the order of the bincount oracle."""
+
+    @pytest.mark.parametrize("make", [_empty_row_matrix, _zero_nnz_matrix])
+    def test_against_the_oracles(self, make, rng):
+        a = make(rng)
+        got = a.squared_row_norms()
+        _same_bits(got, squared_row_norms_oracle(a))
+        dense = to_dense(a)
+        np.testing.assert_allclose(got, (dense * dense).sum(axis=1),
+                                   rtol=1e-14, atol=0.0)
+        # an empty row gives 0
+        empty = np.diff(a.row_ptr) == 0
+        assert empty.any() and np.all(got[empty] == 0.0)
+
+    def test_a_gathered_block_keeps_its_rows_norms(self, rng):
+        a = _empty_row_matrix(rng)
+        rows = np.r_[rng.permutation(a.m)[:50], 0, 0]
+        _same_bits(a.gather_rows(rows).squared_row_norms(),
+                   a.squared_row_norms()[rows])
 
 
 def _same_bits(got, expect):
