@@ -275,8 +275,8 @@ class SolverConfig:
 
     Defaults follow the reference parameterization: sigma starts at 0.15
     and grows by 1/theta = 1.25 per outer iteration up to 2; at most 10
-    outer iterations. ``tol`` bounds both the KKT residual and the
-    duality gap relative to ``1 + |primal|`` of a converged solve. Each
+    outer iterations. ``tol`` is the bound of the acceptance rule
+    (:func:`_judge`) that a converged solve's point met. Each
     outer iteration k runs at most ``NEWTON_MAXIT`` Newton steps to the
     inner tolerance ``max(NEWTON_TOL_FLOOR, min(10**-(k+1), r))``, ``r``
     the previous outer iteration's KKT residual; the line-search and CG
@@ -336,15 +336,17 @@ class FinishRecord:
     to ``FINISH_CG_RTOL`` and the others to ``FINISH_LOOSE_RTOL``, the
     rows each round found to move (``moved``), their CG iterations, the
     free-row count ``free`` of its last partition and its ``outcome``:
-    ``"accepted"``; ``"uncertified"`` when the partition settled but the
-    certificate failed; ``"cg_cap"`` when a CG solve reached ``CG_MAXIT``
+    ``"accepted"`` or ``"uncertified"`` when the partition settled and
+    its point's certificate passed or failed the acceptance rule
+    (:func:`_judge`); ``"cg_cap"`` when a CG solve reached ``CG_MAXIT``
     or broke down; ``"singular"`` when the rounds' moves left more than
     ``n`` rows free, so that ``B_F B_F.T`` is singular (that partition's
     count is ``free``, and no CG ran on it); ``"stalled"`` when a tight
     round moved no fewer rows than the tight one before; ``"unsettled"``
     when rows still moved in tight round ``FINISH_ROUNDS``. A settled
-    finish also holds its certificate: the primal and dual values and
-    the residuals of :func:`kkt_residual`; the others hold None there."""
+    finish also holds its certificate (:func:`_certify`): the primal and
+    dual values and the residuals of :func:`kkt_residual`; the others
+    hold None there."""
 
     outer: int
     free: int
@@ -366,18 +368,19 @@ class SolveReport:
 
     ``objective`` is the last record's primal value, never below the
     optimum, ``duality_gap`` its ``primal - dual`` and ``duality_gap_rel``
-    that gap over ``1 + |primal|``. ``status`` is ``"converged"`` when the
-    KKT residual and ``duality_gap_rel`` reached ``tol``, which certifies
-    the objective, and ``"max_outer"`` when the outer iteration limit
-    ended the run first; the latter also adds a warning. ``outer`` holds
-    one :class:`OuterRecord` per outer iteration, ``k`` of them;
-    ``kkt_residual`` is the largest of the last record's ``r1``, ``r2``
-    and ``r3``. A Newton solve with a CG curvature breakdown or a
-    steepest-descent fallback adds a warning too. ``finish`` holds one
-    :class:`FinishRecord` per active-set finish tried; when the last one
-    is accepted, the objective, gap and KKT residual are its
-    certificate's instead of the last outer record's. ``it_cg`` counts
-    the CG iterations of the Newton solves; a finish counts its own.
+    that gap over ``1 + |primal|``, and ``kkt_residual`` the largest of
+    its ``r1``, ``r2`` and ``r3``. That record is the accepted finish's
+    when the last :class:`FinishRecord` in ``finish`` (one per
+    active-set finish tried) is accepted, else the last
+    :class:`OuterRecord` in ``outer`` (one per outer iteration, ``k`` of
+    them). ``status`` is ``"converged"`` exactly when ``kkt_residual``
+    and ``duality_gap_rel`` are within ``tol``, the acceptance rule
+    (:func:`_judge`), which certifies the objective, and
+    ``"max_outer"`` when the outer iteration limit ended the run first;
+    the latter also adds a warning. A Newton solve with a CG curvature
+    breakdown or a steepest-descent fallback adds a warning too.
+    ``it_cg`` counts the CG iterations of the Newton solves; a finish
+    counts its own.
     """
 
     status: str = MAX_OUTER
@@ -618,15 +621,43 @@ def _check_finite(*arrays) -> None:
             raise DivergedError("non-finite solver state encountered")
 
 
-def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
+def _certify(p: Problem, w, s, lam, bw):
+    """The certificate of the point ``(w, s, lam)``, ``lam`` in the box
+    and ``bw`` a fresh ``B w``: ``(primal, dual, r1, r2, r3)`` of
+    :func:`primal_objective`, :func:`dual_objective` and
+    :func:`kkt_residual`, which share one fresh ``B.T lam``. Every
+    point the solve reports, an outer iteration's or a finish's, is
+    certified here and judged by :func:`_judge`."""
+    bt = p.B.matvec_t(lam)
+    r1, r2, r3 = kkt_residual(p, w, s, lam, bw=bw, bt=bt)
+    primal = primal_objective(p, w, bw=bw)
+    dual, _ = dual_objective(p, lam, bt=bt)
+    return primal, dual, r1, r2, r3
+
+
+def _judge(rec, tol: float):
+    """``(figures, passes)`` of a certified :class:`OuterRecord` or
+    :class:`FinishRecord`: ``figures`` are the report's
+    ``(kkt_residual, objective, duality_gap, duality_gap_rel)`` when the
+    record's point is the solve's, and ``passes`` is the acceptance rule,
+    stated here only: ``kkt_residual`` and ``duality_gap_rel`` are both
+    within ``tol``."""
+    gap = rec.primal - rec.dual
+    kkt, gap_rel = max(rec.r1, rec.r2, rec.r3), gap / (1.0 + abs(rec.primal))
+    return (kkt, rec.primal, gap, gap_rel), kkt <= tol and gap_rel <= tol
+
+
+def _finish(p: Problem, z, sigma: float, lam, outer: int):
     """The active-set finish after outer iteration ``outer``: a
     primal-dual active-set iteration on the original problem's KKT
     system, started from the partition of ``penalty.split(z, sigma)``.
 
     Returns None when that partition has more than ``FINISH_FREE_RATIO
-    * n`` free rows F, else ``(FinishRecord, w)``, ``w`` the last
-    round's point. A row of F sits on a kink of the penalty (its end of
-    ``penalty.kinks`` on the side of ``z``) with its multiplier free in
+    * n`` free rows F, else ``(FinishRecord, point)``: ``point`` is
+    ``(w, s, lam, bw)`` of the tight round that settled the finish, for
+    :func:`alm_solve` to certify, and None when the finish ended with a
+    failure ``outcome``. A row of F sits on a kink of the penalty (its
+    end of ``penalty.kinks`` on the side of ``z``) with its multiplier free in
     that side of ``penalty.box``; a saturated row (``sat`` = +-1) has
     the multiplier ``C * sat``, any other row 0. A round solves ``B_F
     B_F.T lam_F = B_F w0 + d_F - t_F``, ``w0 = -C * B.T sat`` and ``t_F``
@@ -650,15 +681,15 @@ def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
     side from the loose multipliers. When that solve needs
     no CG iteration, the loose round's point already meets the tight
     tolerance and stands as it is; otherwise it is a round of its own.
-    A tight round that moves no row ends the finish with the certificate
-    of :func:`alm_solve` at ``w``, its ``s``, its multipliers, a fresh
-    ``B.T lam`` and ``tol``. ``FINISH_ROUNDS`` caps the loose rounds and,
+    A tight round that moves no row settles the finish: its point is
+    returned, with the record's ``outcome`` still empty, and the finish
+    does not judge it. ``FINISH_ROUNDS`` caps the loose rounds and,
     counted afresh from the switch, the tight ones; the record's
     ``rounds`` counts both. A CG solve that breaks down or reaches
     ``CG_MAXIT``, a partition with more than ``n`` free rows, a tight
     round that moves no fewer rows than the tight one before, and rows
-    still moving after ``FINISH_ROUNDS`` tight rounds end it
-    uncertified. ``lam`` and ``z`` are not changed.
+    still moving after ``FINISH_ROUNDS`` tight rounds end it without a
+    point. ``lam`` and ``z`` are not changed.
     """
     pen = p.penalty
     rows, _, sat = pen.split(z, sigma)
@@ -734,14 +765,7 @@ def _finish(p: Problem, z, sigma: float, lam, tol: float, outer: int):
         side[enter_hi], side[enter_lo] = 1, -1
         sat[enter_hi | enter_lo] = 0
         block = None
-    bt = p.B.matvec_t(mult)
-    rec.r1, rec.r2, rec.r3 = kkt_residual(p, w, s, mult, bw=bw, bt=bt)
-    rec.primal = primal_objective(p, w, bw=bw)
-    rec.dual, _ = dual_objective(p, mult, bt=bt)
-    ok = (max(rec.r1, rec.r2, rec.r3) <= tol
-          and rec.primal - rec.dual <= tol * (1.0 + abs(rec.primal)))
-    rec.outcome = "accepted" if ok else "uncertified"
-    return rec, (w if ok else None)
+    return rec, (w, s, mult, bw)
 
 
 def alm_solve(p: Problem, cfg: SolverConfig | None = None):
@@ -759,10 +783,10 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     the finish below can take. It then
     recovers s through the prox at scale 1/sigma, updates lam = sigma *
     (z - s) (the multiplier step written in terms of z), clipped into
-    the penalty's box, and grows sigma by 1/theta up to sigma_max. Stops
-    early, ``converged``, once max(r1, r2, r3) drops to ``cfg.tol`` and
-    the duality gap certifies the objective: ``(primal - dual) / (1 +
-    |primal|) <= cfg.tol``, the report's ``duality_gap_rel``.
+    the penalty's box, and grows sigma by 1/theta up to sigma_max. Each
+    outer iteration's point is certified (:func:`_certify`) and stops
+    the solve early, ``converged``, when it passes the acceptance rule
+    (:func:`_judge`) at ``cfg.tol``.
 
     ``z - s`` lies in ``[0, C/sigma]`` (``[-C/sigma, C/sigma]`` for
     regression), so the clip moves only coordinates that rounding pushed
@@ -787,13 +811,15 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
     ``CG_MAXIT`` or breaks down, when its rows' moves leave more than
     ``n`` rows free, when a tight round moves no fewer rows than the
     tight one before, or when rows still move after ``FINISH_ROUNDS``
-    tight rounds. A settled finish is
-    certified as above, from a fresh ``B w`` and ``B.T lam``, at the
-    point of a tight round only; the solve keeps its
-    point and ends ``converged`` only when that certificate passes
-    ``tol``. The finish copies what it changes, so a rejected one leaves
-    ``w``, ``lam``, ``sigma``, ``carry`` and every later iterate as they
-    were. Each finish tried adds a :class:`FinishRecord` to the report.
+    tight rounds. A settled finish returns the point of its last tight
+    round, with its fresh ``B w``; that point is certified and judged
+    exactly as an outer iteration's, and its record is marked
+    ``accepted`` or ``uncertified``. The solve keeps an accepted point
+    and ends ``converged``. The report's figures are written in one
+    place, from the accepted finish's record or else the outer
+    iteration's. The finish copies what it changes, so a rejected one
+    leaves ``w``, ``lam``, ``sigma``, ``carry`` and every later iterate
+    as they were. Each finish tried adds a :class:`FinishRecord` to the report.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     report = SolveReport()
@@ -829,32 +855,25 @@ def alm_solve(p: Problem, cfg: SolverConfig | None = None):
         # checked before the clip, which would turn an inf into C
         _check_finite(w, s, lam)
         np.clip(lam, *p.penalty.box, out=lam)
-        bt = p.B.matvec_t(lam)
 
         report.k = k + 1
-        r1, r2, r3 = kkt_residual(p, w, s, lam, bw=bw, bt=bt)
-        report.kkt_residual = max(r1, r2, r3)
-        pv = primal_objective(p, w, bw=bw)
-        dv, _ = dual_objective(p, lam, bt=bt)
-        report.outer.append(OuterRecord(sigma, tol_k, stats, pv, dv, r1, r2, r3))
-        report.objective, report.duality_gap = pv, pv - dv
-        report.duality_gap_rel = report.duality_gap / (1.0 + abs(pv))
-
-        if report.kkt_residual <= cfg.tol and report.duality_gap_rel <= cfg.tol:
+        rec = OuterRecord(sigma, tol_k, stats, *_certify(p, w, s, lam, bw))
+        report.outer.append(rec)
+        figures, converged = _judge(rec, cfg.tol)
+        if not converged and (finished := _finish(p, z, sigma, lam, k)):
+            fin, point = finished
+            report.finish.append(fin)
+            if point is not None:
+                fin.primal, fin.dual, fin.r1, fin.r2, fin.r3 = _certify(p, *point)
+                fin_figures, converged = _judge(fin, cfg.tol)
+                fin.outcome = "accepted" if converged else "uncertified"
+                if converged:
+                    w, figures = point[0], fin_figures
+        (report.kkt_residual, report.objective, report.duality_gap,
+         report.duality_gap_rel) = figures
+        if converged:
             report.status = CONVERGED
             break
-        finished = _finish(p, z, sigma, lam, cfg.tol, k)
-        if finished is not None:
-            rec, w_fin = finished
-            report.finish.append(rec)
-            if w_fin is not None:
-                w = w_fin
-                report.kkt_residual = max(rec.r1, rec.r2, rec.r3)
-                report.objective = rec.primal
-                report.duality_gap = rec.primal - rec.dual
-                report.duality_gap_rel = report.duality_gap / (1.0 + abs(rec.primal))
-                report.status = CONVERGED
-                break
         sigma = min(cfg.sigma_max, sigma / cfg.theta)
     else:
         report.warnings.append(

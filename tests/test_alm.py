@@ -423,14 +423,16 @@ class TestAlmSolve:
         assert any("max_outer=2" in w and "above tol" in w
                    for w in report.warnings)
 
-    @pytest.mark.parametrize("name", ["blobs200x10", "svr500x50"])
+    @pytest.mark.parametrize("name", ["blobs200x10", "svr500x50",
+                                      "gap5000x123", "svr300x500"])
     def test_converged_only_with_a_certified_gap(self, name):
         # a run cut after j outer iterations repeats the first j of the
-        # full run; it reports converged exactly when the KKT residual is
-        # within tol and the gap P - D within tol * (1 + |P|), both of
-        # the last outer record or, on svr500x50, of the active-set
-        # finish after outer 1. On blobs200x10 the KKT residual reaches
-        # tol two outer iterations before the gap does
+        # full run; it reports converged exactly when the KKT residual and
+        # the relative gap (P - D) / (1 + |P|) are within tol, both of
+        # the last outer record or, where an active-set finish is
+        # accepted, of that finish: after outer 1 on svr500x50, after
+        # outer 0 on gap5000x123 and svr300x500. On blobs200x10 the KKT
+        # residual reaches tol two outer iterations before the gap does
         p = next(i for i in bundled_instances() if i.name == name).build()
         tol = SolverConfig().tol
         _, full = alm_solve(p)
@@ -440,12 +442,14 @@ class TestAlmSolve:
             _, report = alm_solve(p, SolverConfig(max_outer=j))
             last = _certified(report)
             assert report.kkt_residual == max(last.r1, last.r2, last.r3), j
-            kkt_ok = report.kkt_residual <= tol
-            gap_ok = last.primal - last.dual <= tol * (1.0 + abs(last.primal))
-            assert (report.status == CONVERGED) == (kkt_ok and gap_ok), j
-            # the reported relative gap is the one the status certifies
+            # the reported figures are the certified record's
+            assert report.objective == last.primal, j
+            assert report.duality_gap == last.primal - last.dual, j
             assert report.duality_gap_rel == (
                 (last.primal - last.dual) / (1.0 + abs(last.primal))), j
+            kkt_ok = report.kkt_residual <= tol
+            gap_ok = report.duality_gap_rel <= tol
+            assert (report.status == CONVERGED) == (kkt_ok and gap_ok), j
             assert (report.status == CONVERGED) == (j == full.k), j
             kkt_only += kkt_ok and not gap_ok
         assert kkt_only == (2 if name == "blobs200x10" else 0)
@@ -777,7 +781,7 @@ class TestActiveSetFinish:
 
         monkeypatch.setattr(alm_mod, "cg_solve", spy)
         z, lam = np.array([0.5, 0.5, -1.0]), np.array([0.5, 0.5, 0.0])
-        rec, _ = alm_mod._finish(p, z, 1.0, lam, 1e-6, 0)
+        rec, _ = alm_mod._finish(p, z, 1.0, lam, 0)
         assert rec.outcome and diags
         np.testing.assert_array_equal(diags[0], [1.0, 1.0])
 

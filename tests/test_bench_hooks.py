@@ -60,3 +60,27 @@ def test_every_penalty_map_is_seen_in_a_solve(monkeypatch):
     assert {f"prox.{fn}" for fn in (
         "p_value", "p_eps_value", "prox_hinge", "prox_eps", "moreau_env_hinge",
         "moreau_env_eps", "active_set_svc", "active_set_svr")} <= seen
+
+
+def test_every_certificate_is_seen_in_a_solve(monkeypatch):
+    # the certificate looks its three calls up in alm's namespace, so a
+    # traced solve records one span of each per outer iteration and one
+    # per settled active-set finish: gap5000x123 certifies outer 0 and
+    # the finish after it, svr500x50 outers 0 and 1 and the finish after
+    # outer 1
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    from tracer import Tracer
+
+    instances = {inst.name: inst for inst in bundled_instances()}
+    for name, each in (("gap5000x123", 2), ("svr500x50", 3)):
+        tracer = Tracer()
+        tracer.install(MODULES)
+        try:
+            _, report = alm.alm_solve(instances[name].build())
+        finally:
+            tracer.uninstall()
+        settled = sum(f.r1 is not None for f in report.finish)
+        assert report.k + settled == each, name
+        seen = [span[0] for span in tracer.spans]
+        assert [seen.count(f"alm.{fn}") for fn in (
+            "kkt_residual", "primal_objective", "dual_objective")] == [each] * 3, name

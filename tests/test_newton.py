@@ -718,8 +718,9 @@ class TestSubproblemContract:
         # the first gradient's B.T sat reads all of B; on the noisy data
         # (C/sigma0 = 1.83) none, so it reads no row. The active-set
         # finish on gap5000x123 takes its own products, one B.T sat per
-        # round and one B.T lam for its certificate; the noisy data
-        # leaves too many rows free for one.
+        # round; its settled point is certified as an outer iteration's
+        # is, by one more B.T lam outside the finish. The noisy data
+        # leaves too many rows free for a finish.
         import almsvm.alm as alm_mod
 
         p = make()
@@ -762,8 +763,9 @@ class TestSubproblemContract:
                        if not (in_grad or in_fin)]
         gradient = [read_all for in_grad, _, read_all in calls if in_grad]
         finishing = [read_all for _, in_fin, read_all in calls if in_fin]
-        assert certificate == [full] * report.k
-        assert len(finishing) == sum(f.rounds - (f.tight > 0) + (f.r1 is not None)
+        settled = sum(f.r1 is not None for f in report.finish)
+        assert certificate == [full] * (report.k + settled)
+        assert len(finishing) == sum(f.rounds - (f.tight > 0)
                                      for f in report.finish)
         assert bool(report.finish) is not full
         assert len(gradient) == report.it_sn + report.k
